@@ -65,12 +65,10 @@ from .regularizers import (
     Regularizer,
     RegularizerFamily,
     Tikhonov,
-    apply_regularizer,
     build_regularizer,
     projection_family,
     regularized_truth,
     tikhonov_family,
-    trace_radius,
 )
 from .selection import (
     CandidateRow,
@@ -80,6 +78,8 @@ from .selection import (
     default_weights,
     estimate_noise_variance,
     kraft_sum,
+    objectives,
+    penalties,
     penalty,
     select,
     select_by_threshold,

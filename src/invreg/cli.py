@@ -153,8 +153,10 @@ def cmd_select(args) -> int:
     man = cio.RunManifest("select", cio.config_echo(cp), seed).start()
     result = select(family, pcfg, op, y)
     agreement = ""
-    if kind == "projection":
-        thr = select_by_threshold(op, y, pcfg)
+    # The thresholding form covers nested prefixes {1..j}, j = 1..m only.
+    m = len(family)
+    if kind == "projection" and family.parameters == list(range(1, m + 1)):
+        thr = select_by_threshold(op, y, pcfg, m0=m)
         agreement = str(int(thr.chosen == result.chosen))
 
     header, rows = result.to_csv_rows()
@@ -214,7 +216,7 @@ def cmd_risk(args) -> int:
     out = _ensure_out(args.out)
     cfg = _experiment_config(cp, args.seed)
     man = cio.RunManifest("risk", cio.config_echo(cp), cfg.seed).start()
-    report = monte_carlo_risk(cfg, threads=args.threads)
+    report = monte_carlo_risk(cfg)
     header, rows = report.to_csv_rows()
     cio.write_csv(man.add(os.path.join(out, "risk.csv")), header, rows)
     cio.write_csv(man.add(os.path.join(out, "plotdata.csv")),
@@ -234,7 +236,7 @@ def cmd_rates(args) -> int:
         raise InsufficientDataError(
             f"rate fit needs at least 4 distinct n values, got {len(set(cfg.n_grid))}")
     man = cio.RunManifest("rates", cio.config_echo(cp), cfg.seed).start()
-    report = monte_carlo_risk(cfg, threads=args.threads)
+    report = monte_carlo_risk(cfg)
     header, rows = report.to_csv_rows()
     cio.write_csv(man.add(os.path.join(out, "risk.csv")), header, rows)
     fits = [fit_rate(report, m) for m in cfg.methods()]
@@ -364,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads (0 = auto)")
+                        help="accepted for compatibility; has no effect")
         if data:
             sp.add_argument("--data", default=None,
                             help="directory with grid/operator/data CSVs")

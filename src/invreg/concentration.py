@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .operator import DesignMatrix, empirical_projection
-from .selection import PenaltyConfig
+from .selection import PenaltyConfig, penalties
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +220,11 @@ def _gram_stats(A: np.ndarray) -> tuple[float, float]:
 
 
 def penalized_level(A, sigma: float, r: float, weight: float) -> float:
-    """sigma^2 (Tr + rho) (r/2)(1 + L), the level the tail is measured from."""
+    """sigma^2 (Tr + rho) (r/2)(1 + L), the level the tail is measured from:
+    half the selection penalty of a candidate with Gram statistics (Tr, rho)."""
     tr, rho = _gram_stats(np.atleast_2d(np.asarray(A, dtype=float)))
-    return sigma ** 2 * (tr + rho) * (r / 2.0) * (1.0 + weight)
+    cfg = PenaltyConfig(sigma2=sigma ** 2, r=r, weights=np.array([weight]))
+    return 0.5 * float(penalties([tr], [rho], cfg)[0])
 
 
 def default_u_grid(A, count: int = 8) -> np.ndarray:
@@ -243,7 +245,7 @@ def tail_check(spec: QuadFormSpec, cfg: PenaltyConfig, u_grid,
     u_grid = np.asarray(u_grid, dtype=float)
     sigma2 = spec.noise.sigma ** 2
     tr, rho = _gram_stats(spec.A)
-    level = sigma2 * (tr + rho) * (cfg.r / 2.0) * (1.0 + weight)
+    level = penalized_level(spec.A, spec.noise.sigma, cfg.r, weight)
     etasq = spec.eta_squared_samples()
     emp = np.array([np.mean(etasq >= level + sigma2 * u) for u in u_grid])
     se = np.sqrt(emp * (1.0 - emp) / spec.replications)
@@ -282,7 +284,7 @@ def moment_check(spec: QuadFormSpec, cfg: PenaltyConfig, q: int,
         weight = float(cfg.weights[0]) if cfg.weights is not None else 0.0
     sigma2 = spec.noise.sigma ** 2
     tr, rho = _gram_stats(spec.A)
-    level = sigma2 * (tr + rho) * (cfg.r / 2.0) * (1.0 + weight)
+    level = penalized_level(spec.A, spec.noise.sigma, cfg.r, weight)
     etasq = spec.eta_squared_samples()
     emp = float(np.mean(np.clip(etasq - level, 0.0, None) ** q))
     if weight <= 0.0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -39,6 +40,14 @@ def load_config(path: str) -> configparser.ConfigParser:
     return cp
 
 
+def _parse(kind, token: str):
+    """kind(token); a float must be finite (``nan`` and ``inf`` raise ValueError)."""
+    value = kind(token)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"non-finite value {token!r}")
+    return value
+
+
 def cfg_value(cp, section: str, key: str, kind=str, default=None, required=False):
     """Typed lookup with uniform error reporting."""
     if not cp.has_option(section, key):
@@ -49,7 +58,7 @@ def cfg_value(cp, section: str, key: str, kind=str, default=None, required=False
     try:
         if kind is bool:
             return raw.lower() in ("1", "true", "yes", "on")
-        return kind(raw)
+        return _parse(kind, raw)
     except ValueError:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}")
 
@@ -59,7 +68,7 @@ def cfg_list(cp, section: str, key: str, kind=float, default=None, required=Fals
     if raw is None:
         return default
     try:
-        return [kind(tok) for tok in raw.replace(",", " ").split()]
+        return [_parse(kind, tok) for tok in raw.replace(",", " ").split()]
     except ValueError:
         raise ConfigError(f"bad list for [{section}] {key}: {raw!r}")
 
@@ -100,10 +109,10 @@ def read_csv_columns(path: str, expect: list[str] | None = None):
                             f"expected {len(header)}")
         for h, tok in zip(header, row):
             try:
-                cols[h].append(float(tok))
+                cols[h].append(_parse(float, tok))
             except ValueError:
                 raise DataError(f"{path}: row {i}: cannot parse {tok!r} "
-                                f"in column {h}")
+                                f"in column {h} as a finite number")
     return {h: np.array(v) for h, v in cols.items()}
 
 

@@ -10,7 +10,6 @@ bias of the maximal model is genuinely nonzero.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -30,7 +29,8 @@ from .selection import (
     PenaltyConfig,
     default_weights,
     kraft_sum,
-    select,
+    objectives,
+    penalties,
     select_by_threshold,
 )
 
@@ -239,102 +239,87 @@ def _family_for(method: str, op: DiscretizedOperator,
     return projection_family(op)
 
 
+def _mean_se(total: float, total_sq: float, R: int) -> tuple[float, float]:
+    """Mean and its standard error from a sum and a sum of squares of R draws."""
+    mean = total / R
+    if R == 1:
+        return mean, math.nan
+    var = max(total_sq / R - mean * mean, 0.0) * R / (R - 1)
+    return mean, math.sqrt(var / R)
+
+
 def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]:
     source = SourceSpec(cfg.nu, cfg.rho, cfg.omega)
     prob = synth_problem(cfg.p, cfg.nu, cfg.rho, n, cfg.seed, cfg.sigma,
                          source, d_ext)
-    op, x0 = prob.op, prob.x0
-    d = op.d
+    op, x0 = prob.op, prob.x0[:prob.op.d]
     tail = prob.tail_bias()
     sigma2 = cfg.sigma ** 2
 
-    setups = []
+    setups = {}
     for method in cfg.methods():
         family = _family_for(method, op, cfg)
         base = PenaltyConfig(sigma2=sigma2, r=cfg.r, kraft_d=cfg.kraft_d)
         w = default_weights(family, base, target=cfg.kraft_target)
-        pcfg = PenaltyConfig(sigma2=sigma2, r=cfg.r, weights=w, kraft_d=cfg.kraft_d)
-        kr = kraft_sum(family, pcfg)
-        pens = cfg.r * sigma2 * (1.0 + w) * (family.trace_stats()
-                                             + family.radius_stats())
-        # deterministic oracle term: bias of the regularized truths + 2 pen
-        F = family.filter_matrix
-        c0 = op.svd_coefficients(prob.clean)
-        xk = F * c0[None, :]
-        bias_k = np.sum((xk - x0[None, :d]) ** 2, axis=1) + tail
-        oracle_term = float(np.min(bias_k + 2.0 * pens))
-        setups.append({
-            "method": method, "family": family, "pcfg": pcfg, "kraft": kr,
-            "oracle_term": oracle_term, "weight": float(w[0]) if w.size else 0.0,
-            "err_sum": 0.0, "err_sumsq": 0.0,
-            "cand_sum": np.zeros(len(family)),
-            "cand_sumsq": np.zeros(len(family)),
-            "agree": 0,
-        })
+        setups[method] = (family, PenaltyConfig(sigma2=sigma2, r=cfg.r, weights=w,
+                                                kraft_d=cfg.kraft_d))
 
+    # Draw and project each replication once; the thresholding cross-check
+    # needs the sample vector itself, so it runs while that is in hand.
     R = cfg.replications
+    C = np.empty((R, op.d))
+    thr_chosen = np.empty(R, dtype=int)
     for rep in range(R):
         rng = np.random.default_rng((cfg.seed, n, rep))
         y = prob.clean + rng.normal(0.0, cfg.sigma, n)
-        c = op.svd_coefficients(y)
-        for st in setups:
-            family = st["family"]
-            sel = select(family, st["pcfg"], op, y)
-            err = float(np.sum((sel.estimate - x0[:d]) ** 2)) + tail
-            st["err_sum"] += err
-            st["err_sumsq"] += err * err
-            xh = family.filter_matrix * c[None, :]
-            errs = np.sum((xh - x0[None, :d]) ** 2, axis=1) + tail
-            st["cand_sum"] += errs
-            st["cand_sumsq"] += errs * errs
-            if st["method"] == "projection":
-                thr = select_by_threshold(op, y, st["pcfg"])
-                st["agree"] += int(thr.chosen == sel.chosen)
+        C[rep] = op.svd_coefficients(y)
+        if "projection" in setups:
+            thr_chosen[rep] = select_by_threshold(op, y, setups["projection"][1]).chosen
 
+    # The truth is given in singular coordinates: the synthetic design is
+    # exactly orthonormal, so x_vectors is the identity.
+    c0 = op.svd_coefficients(prob.clean)
     rows = []
-    b0 = tail
-    for st in setups:
-        risk = st["err_sum"] / R
-        if R > 1:
-            var = max(st["err_sumsq"] / R - risk * risk, 0.0) * R / (R - 1)
-            se = math.sqrt(var / R)
-        else:
-            se = math.nan
-        cand_mean = st["cand_sum"] / R
-        k_star = int(np.argmin(cand_mean))
-        orisk = float(cand_mean[k_star])
-        if R > 1:
-            ovar = max(st["cand_sumsq"][k_star] / R - orisk * orisk, 0.0) * R / (R - 1)
-            ose = math.sqrt(ovar / R)
-        else:
-            ose = math.nan
-        ratio = (risk - 2.0 * b0 - st["kraft"] / n) / st["oracle_term"]
-        agree = (st["agree"] / R) if st["method"] == "projection" else math.nan
-        rows.append(RiskRow(n, st["method"], R, risk, se, orisk, ose,
-                            st["oracle_term"], b0, st["kraft"], ratio,
-                            st["weight"], agree))
+    for method, (family, pcfg) in setups.items():
+        F = family.filter_matrix
+        pens = penalties(family.trace_stats(), family.radius_stats(), pcfg)
+        # deterministic oracle term: bias of the regularized truths + 2 pen
+        bias_k = np.sum((F * c0 - x0) ** 2, axis=1) + tail
+        oracle_term = float(np.min(bias_k + 2.0 * pens))
+        _, objs = objectives(F, op.singular_values, C, pens)
+        chosen = np.argmin(objs, axis=1)
+        errs = np.sum((F * C[:, None, :] - x0) ** 2, axis=2) + tail
+        # summed in replication order, so that risk.csv keeps its bytes
+        err_sum = err_sumsq = 0.0
+        cand_sum = np.zeros(len(family))
+        cand_sumsq = np.zeros(len(family))
+        for err, cand in zip(errs[np.arange(R), chosen].tolist(), errs):
+            err_sum += err
+            err_sumsq += err * err
+            cand_sum += cand
+            cand_sumsq += cand * cand
+        risk, se = _mean_se(err_sum, err_sumsq, R)
+        k_star = int(np.argmin(cand_sum / R))
+        orisk, ose = _mean_se(float(cand_sum[k_star]), cand_sumsq[k_star], R)
+        kr = kraft_sum(family, pcfg)
+        ratio = (risk - 2.0 * tail - kr / n) / oracle_term
+        agree = (float(np.sum(thr_chosen == chosen)) / R if method == "projection"
+                 else math.nan)
+        rows.append(RiskRow(n, method, R, risk, se, orisk, ose, oracle_term, tail,
+                            kr, ratio, float(pcfg.weights[0]), agree))
     return rows
 
 
-def monte_carlo_risk(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def monte_carlo_risk(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the study over the n grid; deterministic for fixed (config, seed).
 
     Replication streams are keyed by (seed, n, replication), so the report
-    does not depend on execution order; ``threads`` > 1 fans the grid
-    points out over a thread pool (0 means one thread per grid point).
+    does not depend on execution order.
     """
     d_ext = cfg.extended_dim()
-    if threads == 0:
-        threads = len(cfg.n_grid)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda n: _risk_rows_for_n(n, cfg, d_ext),
-                                    cfg.n_grid))
-    else:
-        results = [_risk_rows_for_n(n, cfg, d_ext) for n in cfg.n_grid]
     report = ExperimentReport(cfg)
-    for rows in results:
-        report.rows.extend(rows)
+    for n in cfg.n_grid:
+        report.rows.extend(_risk_rows_for_n(n, cfg, d_ext))
     return report
 
 

@@ -290,18 +290,6 @@ class DiscretizedOperator:
             raise DimensionError(f"sample vector has length {y.size}, grid has {self.n}")
         return self.singular_design @ y / self.n
 
-    def pinv_coefficients(self, y) -> np.ndarray:
-        """Generalized inverse of the projected operator, in singular coordinates.
-
-        Empirical projection followed by division by the singular values:
-        the maximal-model inversion of a sample vector.
-        """
-        return self.svd_coefficients(y) / self.singular_values
-
-    def forward_matrix(self) -> np.ndarray:
-        """Dense n x d matrix of the projected operator (samples of images)."""
-        return self.singular_design.T @ (self.singular_values[:, None] * self.x_vectors.T)
-
 
 def discretize_operator(op_spec, basis: BasisFamily, grid: DesignGrid,
                         m0: int, p: float | None = None) -> DiscretizedOperator:

@@ -141,15 +141,6 @@ def build_regularizer(spec: RegularizerSpec, op: DiscretizedOperator) -> Regular
     return Regularizer(spec, op, f)
 
 
-def trace_radius(reg: Regularizer) -> tuple[float, float]:
-    """(trace, spectral radius) of the regularizer composed with its transpose."""
-    return reg.trace_stat, reg.radius_stat
-
-
-def apply_regularizer(reg: Regularizer, y) -> np.ndarray:
-    return reg.apply(y)
-
-
 def regularized_truth(reg: Regularizer, op: DiscretizedOperator, x0) -> np.ndarray:
     """Noiseless image of the truth through the regularizer (bias carrier)."""
     x0 = np.asarray(x0, dtype=float)

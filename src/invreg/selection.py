@@ -1,23 +1,25 @@
 """Penalized selection of a regularization operator.
 
-The data-independent penalty charges each candidate its noise footprint,
+The selection rule lives here once.  ``penalties`` charges each candidate
+its noise footprint,
 
     pen(k) = r sigma^2 (1 + L_k) [Tr(R_k^t R_k) + rho^2(R_k)],
 
-and the selected candidate minimizes contrast + penalty.  The contrast is
-the squared coefficient-space distance between the candidate estimate and
-the maximal-model inversion of the data: the residual y - T xhat_k mapped
-back through the generalized inverse of the projected operator.  For
-projection candidates this reduces to the classical model-selection
-objective and is equivalent to hard thresholding of the inverted
-coefficients (see select_by_threshold).
+and ``objectives`` adds it to the contrast of a block of data vectors
+against every candidate: the squared coefficient-space distance between
+the candidate estimate and the maximal-model inversion of the data.  The
+first argmin of contrast + penalty is selected.  ``select`` is the case of
+one data vector, the risk study scores all replications in one call, and
+the concentration checks measure their tails from half the penalty.  For
+nested projections the rule is hard thresholding of the inverted
+coefficients; ``select_by_threshold`` computes it that way, as a cross-check.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +43,8 @@ class PenaltyConfig:
     kraft_d: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.sigma2, self.r, self.kraft_d)):
+            raise ParameterError("penalty constants must be finite")
         if not self.r > 2:
             raise ParameterError("penalty constant r must exceed 2")
         if not self.sigma2 > 0:
@@ -49,8 +53,8 @@ class PenaltyConfig:
             raise ParameterError("kraft constant d must be positive")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
-            if np.any(w < 0):
-                raise ParameterError("candidate weights must be nonnegative")
+            if not np.all(np.isfinite(w) & (w >= 0)):
+                raise ParameterError("candidate weights must be finite and nonnegative")
             self.weights = w
 
     def weights_for(self, size: int) -> np.ndarray:
@@ -93,23 +97,47 @@ class SelectionResult:
         return header, rows
 
 
+def penalties(trace, radius, cfg: PenaltyConfig) -> np.ndarray:
+    """pen(k) = r sigma^2 (1 + L_k)(Tr_k + rho_k) for every candidate k.
+
+    ``trace`` and ``radius`` hold one trace and spectral radius per
+    candidate; ``cfg`` must carry one weight per candidate (or none).
+    """
+    trace = np.asarray(trace, dtype=float)
+    w = cfg.weights_for(trace.size)
+    return cfg.r * cfg.sigma2 * (1.0 + w) * (trace + np.asarray(radius, dtype=float))
+
+
+def objectives(F: np.ndarray, lam: np.ndarray, C: np.ndarray,
+               pen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(contrasts, objectives), both R x K, of R data vectors against K candidates.
+
+    ``F`` is the K x d filter matrix, ``lam`` the d singular values, ``C``
+    the R x d singular coefficients of the data and ``pen`` the K
+    penalties.  A non-finite objective raises ParameterError.
+    """
+    back = (1.0 - lam * F) * C[:, None, :] / lam
+    con = np.vecdot(back, back)   # same dot product as contrast(), bit for bit
+    obj = con + pen
+    if not np.all(np.isfinite(obj)):
+        raise ParameterError("non-finite selection objective; check the data "
+                             "and the penalty constants")
+    return con, obj
+
+
 def penalty(reg: Regularizer, cfg: PenaltyConfig, k: int = 0) -> float:
-    """pen(k) from the candidate's cached trace and spectral radius."""
-    L = 0.0 if cfg.weights is None else float(cfg.weights[k])
-    return cfg.r * cfg.sigma2 * (1.0 + L) * (reg.trace_stat + reg.radius_stat)
-
-
-def _contrast_from_coefficients(f: np.ndarray, lam: np.ndarray,
-                                c: np.ndarray) -> float:
-    back = (1.0 - lam * f) * c / lam
-    return float(np.dot(back, back))
+    """pen(k) of one candidate; ``k`` picks its weight from cfg.weights."""
+    one = replace(cfg, weights=None if cfg.weights is None else cfg.weights[k:k + 1])
+    return float(penalties([reg.trace_stat], [reg.radius_stat], one)[0])
 
 
 def contrast(reg: Regularizer, op: DiscretizedOperator, y) -> float:
     """Squared distance, after inversion on the maximal model, between the
-    data and the image of the candidate estimate."""
-    c = op.svd_coefficients(y)
-    return _contrast_from_coefficients(reg.filter_values, op.singular_values, c)
+    data and the image of the candidate estimate (one-candidate reference
+    reading of ``objectives``)."""
+    lam = op.singular_values
+    back = (1.0 - lam * reg.filter_values) * op.svd_coefficients(y) / lam
+    return float(np.dot(back, back))
 
 
 def _kraft_terms(trace: np.ndarray, radius: np.ndarray, n: int, d_const: float,
@@ -121,7 +149,7 @@ def _kraft_terms(trace: np.ndarray, radius: np.ndarray, n: int, d_const: float,
 
 
 def kraft_sum(family: RegularizerFamily, cfg: PenaltyConfig,
-              op: DiscretizedOperator | None = None, n: int | None = None) -> float:
+              n: int | None = None) -> float:
     """Weight-damped sum over the family controlling the union bound.
 
     The middle factor is read as n * rho^2(R_k), the only interpretation
@@ -136,8 +164,8 @@ def kraft_sum(family: RegularizerFamily, cfg: PenaltyConfig,
 
 
 def default_weights(family: RegularizerFamily, cfg: PenaltyConfig,
-                    op: DiscretizedOperator | None = None, n: int | None = None,
-                    target: float = 1.0, cap: float = 1e6) -> np.ndarray:
+                    n: int | None = None, target: float = 1.0,
+                    cap: float = 1e6) -> np.ndarray:
     """Smallest common weight L making the kraft sum reach the target.
 
     Found by bisection on the (strictly decreasing) map L -> kraft sum.
@@ -181,20 +209,15 @@ def select(family: RegularizerFamily, cfg: PenaltyConfig,
     ordered smoothest first by construction.
     """
     c = op.svd_coefficients(y)
-    lam = op.singular_values
-    w = cfg.weights_for(len(family))
-    rows = []
-    best, best_obj = 0, math.inf
-    for k, reg in enumerate(family):
-        con = _contrast_from_coefficients(reg.filter_values, lam, c)
-        pen = float(cfg.r * cfg.sigma2 * (1.0 + w[k])
-                    * (reg.trace_stat + reg.radius_stat))
-        obj = con + pen
-        rows.append(CandidateRow(k, reg.label(), family.parameters[k], con, pen, obj))
-        if obj < best_obj:
-            best, best_obj = k, obj
+    F = family.filter_matrix
+    pens = penalties(family.trace_stats(), family.radius_stats(), cfg)
+    cons, objs = objectives(F, op.singular_values, c[None, :], pens)
+    best = int(np.argmin(objs[0]))
+    rows = [CandidateRow(k, reg.label(), family.parameters[k], float(cons[0, k]),
+                         float(pens[k]), float(objs[0, k]))
+            for k, reg in enumerate(family)]
     rows[best].chosen = True
-    estimate = op.x_vectors @ (family.candidates[best].filter_values * c)
+    estimate = op.x_vectors @ (F[best] * c)
     return SelectionResult(best, rows, estimate, kraft_sum(family, cfg))
 
 
@@ -218,15 +241,11 @@ def select_by_threshold(op: DiscretizedOperator, y, cfg: PenaltyConfig,
     inv2 = (1.0 / lam[:m0]) ** 2
     trace = np.cumsum(inv2) / op.n
     radius = np.maximum.accumulate(inv2) / op.n
-    w = cfg.weights_for(m0)
-    pens = cfg.r * cfg.sigma2 * (1.0 + w) * (trace + radius)
+    pens = penalties(trace, radius, cfg)
     total = float(np.sum(sq))
     cons = total - np.cumsum(sq)            # contrast of each prefix
     objs = cons + pens
-    best = 0
-    for j in range(1, m0):
-        if objs[j] < objs[best]:
-            best = j
+    best = int(np.argmin(objs))
     rows = [CandidateRow(j, f"projection(m={{1..{j + 1}}})", float(j + 1),
                          float(cons[j]), float(pens[j]), float(objs[j]))
             for j in range(m0)]
@@ -234,7 +253,8 @@ def select_by_threshold(op: DiscretizedOperator, y, cfg: PenaltyConfig,
     f = np.zeros(op.d)
     f[: best + 1] = 1.0 / lam[: best + 1]
     estimate = op.x_vectors @ (f * c)
-    kr = float(np.sum(_kraft_terms(trace, radius, op.n, cfg.kraft_d, w)))
+    kr = float(np.sum(_kraft_terms(trace, radius, op.n, cfg.kraft_d,
+                                   cfg.weights_for(m0))))
     return SelectionResult(best, rows, estimate, kr)
 
 

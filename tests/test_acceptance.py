@@ -54,21 +54,21 @@ def report(criterion: str, ok: bool, detail: str):
 def batch_half_a():
     cfg = ExperimentConfig(p=1.0, nu=0.5, sigma=0.1, n_grid=N_GRID,
                            replications=REPLICATIONS, family="both", seed=11)
-    return monte_carlo_risk(cfg, threads=3)
+    return monte_carlo_risk(cfg)
 
 
 @pytest.fixture(scope="module")
 def batch_half_b():
     cfg = ExperimentConfig(p=1.0, nu=0.5, sigma=0.1, n_grid=N_GRID,
                            replications=REPLICATIONS, family="both", seed=77)
-    return monte_carlo_risk(cfg, threads=3)
+    return monte_carlo_risk(cfg)
 
 
 @pytest.fixture(scope="module")
 def batch_one():
     cfg = ExperimentConfig(p=1.0, nu=1.0, sigma=0.1, n_grid=N_GRID,
                            replications=REPLICATIONS, family="tikhonov", seed=11)
-    return monte_carlo_risk(cfg, threads=3)
+    return monte_carlo_risk(cfg)
 
 
 class TestCriterion1TikhonovRates:

@@ -94,6 +94,59 @@ class TestSelect:
         summary = open(os.path.join(sel_out, "summary.txt")).read()
         assert "threshold_agreement = 1" in summary
 
+    def run_select(self, tmp_path, kind="projection", extra="", sections=None):
+        _, out = run_synth(tmp_path)
+        cfg = write_config(tmp_path, "sel.ini",
+                           sections or SELECT_SECTIONS.format(kind=kind, extra=extra))
+        sel_out = str(tmp_path / "sel")
+        code = main(["select", "--config", cfg, "--data", out, "--out", sel_out])
+        return code, sel_out
+
+    def test_projection_dims_prefix_runs_cross_check(self, tmp_path):
+        # model size is 3 here, so dims 1, 2 is a strict prefix
+        code, sel_out = self.run_select(tmp_path, extra="dims = 1, 2\n")
+        assert code == 0
+        summary = open(os.path.join(sel_out, "summary.txt")).read()
+        assert "threshold_agreement = 1" in summary
+
+    def test_projection_dims_gap_skips_cross_check(self, tmp_path):
+        code, sel_out = self.run_select(tmp_path, extra="dims = 1, 3\n")
+        assert code == 0
+        summary = open(os.path.join(sel_out, "summary.txt")).read()
+        assert "chosen_k = " in summary
+        assert "threshold_agreement" not in summary
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_config_value_is_config_error(self, tmp_path, value):
+        sections = SELECT_SECTIONS.format(kind="tikhonov", extra="").replace(
+            "sigma2 = 0.01", f"sigma2 = {value}")
+        code, _ = self.run_select(tmp_path, sections=sections)
+        assert code == 2
+
+    def test_non_finite_config_list_is_config_error(self, tmp_path, capsys):
+        code, _ = self.run_select(tmp_path, sections=SELECT_SECTIONS.format(
+            kind="projection", extra="") + "weights = 1.0, inf, 1.0\n")
+        assert code == 2
+        assert "weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,column", [("data.csv", -1), ("operator.csv", 0)])
+    def test_non_finite_csv_value_is_data_error(self, tmp_path, capsys, name,
+                                                column):
+        _, out = run_synth(tmp_path)
+        path = os.path.join(out, name)
+        lines = open(path).read().splitlines()
+        fields = lines[2].split(",")
+        fields[column] = "nan"
+        lines[2] = ",".join(fields)
+        open(path, "w").write("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, "sel.ini",
+                           SELECT_SECTIONS.format(kind="tikhonov", extra=""))
+        code = main(["select", "--config", cfg, "--data", out,
+                     "--out", str(tmp_path / "sel")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "row 3" in err and "finite" in err
+
     def test_missing_sigma2_names_the_noise_assumption(self, tmp_path, capsys):
         _, out = run_synth(tmp_path)
         cfg = write_config(tmp_path, "sel.ini",

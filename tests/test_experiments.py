@@ -88,11 +88,6 @@ class TestMonteCarloRisk:
         b = monte_carlo_risk(SMALL)
         assert a.to_csv_rows() == b.to_csv_rows()
 
-    def test_threaded_run_matches_sequential(self):
-        a = monte_carlo_risk(SMALL)
-        b = monte_carlo_risk(SMALL, threads=0)
-        assert a.to_csv_rows() == b.to_csv_rows()
-
     def test_noiseless_projection_recovers_exactly(self):
         cfg = ExperimentConfig(n_grid=(64,), replications=3, sigma=1e-12,
                                family="projection", ext_factor=1, seed=1)

@@ -8,7 +8,6 @@ from invreg import (
     Projection,
     SpectralSynthetic,
     Tikhonov,
-    apply_regularizer,
     build_regularizer,
     cosine_basis,
     discretize_operator,
@@ -16,7 +15,6 @@ from invreg import (
     projection_family,
     regularized_truth,
     tikhonov_family,
-    trace_radius,
 )
 
 
@@ -74,13 +72,13 @@ class TestTraceRadius:
     def test_orthonormal_rows_scaled(self, identity_op_d4_n16):
         # full projection on the identity operator: R has orthonormal rows / sqrt(n)
         reg = build_regularizer(Projection(range(1, 5)), identity_op_d4_n16)
-        tr, rad = trace_radius(reg)
+        tr, rad = reg.trace_stat, reg.radius_stat
         assert tr == pytest.approx(4 / 16)
         assert rad == pytest.approx(1 / 16)
 
     def test_identity_alpha_one_values(self, identity_op_d4_n16):
         reg = build_regularizer(Tikhonov(1.0), identity_op_d4_n16)
-        tr, rad = trace_radius(reg)
+        tr, rad = reg.trace_stat, reg.radius_stat
         assert tr == pytest.approx(1 / 16, abs=1e-15)
         assert rad == pytest.approx(1 / 64, abs=1e-15)
 
@@ -100,13 +98,13 @@ class TestTraceRadius:
 class TestApplyRegularizer:
     def test_zero_in_zero_out(self, op_p1_d4_n16):
         reg = build_regularizer(Tikhonov(0.5), op_p1_d4_n16)
-        assert np.allclose(apply_regularizer(reg, np.zeros(16)), 0.0)
+        assert np.allclose(reg.apply(np.zeros(16)), 0.0)
 
     def test_noiseless_recovery_on_support(self, op_p1_d4_n16):
         x0 = np.array([1.5, 0.0, -2.0, 0.0])
         reg = build_regularizer(Projection([1, 3]), op_p1_d4_n16)
         y = op_p1_d4_n16.forward(x0)
-        assert np.allclose(apply_regularizer(reg, y), x0, atol=1e-10)
+        assert np.allclose(reg.apply(y), x0, atol=1e-10)
 
     def test_matches_penalized_least_squares_oracle(self, op_p1_d4_n16, rng):
         # minimizer of ||proj(y - Tx)||_n^2 + alpha ||x||^2 by dense normal
@@ -121,12 +119,12 @@ class TestApplyRegularizer:
         lhs = S.T @ P @ S / op.n + alpha * np.eye(op.d)
         rhs = S.T @ P @ y / op.n
         oracle = np.linalg.solve(lhs, rhs)
-        assert np.allclose(apply_regularizer(reg, y), oracle, atol=1e-10)
+        assert np.allclose(reg.apply(y), oracle, atol=1e-10)
 
     def test_dimension_mismatch(self, op_p1_d4_n16):
         reg = build_regularizer(Tikhonov(0.5), op_p1_d4_n16)
         with pytest.raises(DimensionError):
-            apply_regularizer(reg, np.zeros(5))
+            reg.apply(np.zeros(5))
 
 
 class TestRegularizedTruth:

@@ -2,6 +2,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invreg import (
     ParameterError,
@@ -17,6 +19,8 @@ from invreg import (
     estimate_noise_variance,
     kraft_sum,
     midpoint_grid,
+    objectives,
+    penalties,
     penalty,
     projection_family,
     select,
@@ -52,6 +56,16 @@ class TestPenalty:
     def test_r_must_exceed_two(self):
         with pytest.raises(ParameterError):
             PenaltyConfig(sigma2=1.0, r=2.0)
+
+    @pytest.mark.parametrize("field", ["sigma2", "r", "kraft_d"])
+    def test_non_finite_constants_rejected(self, field):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ParameterError):
+                PenaltyConfig(**{"sigma2": 1.0, field: bad})
+
+    def test_non_finite_weights_rejected(self):
+        with pytest.raises(ParameterError):
+            PenaltyConfig(sigma2=1.0, weights=np.array([0.5, np.nan]))
 
 
 class TestContrast:
@@ -120,6 +134,88 @@ class TestSelect:
         res = select(fam, PenaltyConfig(sigma2=1.0), identity_op_d4_n16,
                      np.zeros(16))
         assert res.chosen == 0
+
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _prefix_instance(seed, d, n_factor, scale):
+    """Operator, projection prefix bound, data and weighted penalty config."""
+    rng = np.random.default_rng(seed)
+    n = 4 * d * n_factor
+    op = discretize_operator(SpectralSynthetic(p=float(rng.uniform(0.5, 2.0))),
+                             cosine_basis(), midpoint_grid(n), d)
+    m = int(rng.integers(1, d + 1))
+    x0 = rng.standard_normal(d) * scale
+    sigma = float(rng.uniform(0.01, 1.0))
+    y = op.forward(x0) + rng.normal(0.0, sigma, n)
+    cfg = PenaltyConfig(sigma2=sigma ** 2, r=float(rng.uniform(2.1, 4.0)),
+                        weights=np.full(m, float(rng.uniform(0.0, 3.0))))
+    return op, m, y, cfg
+
+
+class TestObjectives:
+    def test_equals_per_candidate_reference_readings(self, op_p1_d4_n16, rng):
+        op = op_p1_d4_n16
+        for fam in (tikhonov_family(op), projection_family(op)):
+            cfg = PenaltyConfig(sigma2=0.3,
+                                weights=default_weights(fam, PenaltyConfig(sigma2=0.3)))
+            ys = rng.standard_normal((5, 16))
+            C = np.array([op.svd_coefficients(y) for y in ys])
+            pens = penalties(fam.trace_stats(), fam.radius_stats(), cfg)
+            cons, objs = objectives(fam.filter_matrix, op.singular_values, C, pens)
+            assert objs.shape == (5, len(fam))
+            for r, y in enumerate(ys):
+                for k, reg in enumerate(fam):
+                    assert cons[r, k] == contrast(reg, op, y)
+                    assert objs[r, k] == contrast(reg, op, y) + penalty(reg, cfg, k)
+
+    def test_rows_match_select(self, op_p1_d4_n16, rng):
+        fam = tikhonov_family(op_p1_d4_n16)
+        cfg = PenaltyConfig(sigma2=0.5)
+        ys = rng.standard_normal((8, 16))
+        C = np.array([op_p1_d4_n16.svd_coefficients(y) for y in ys])
+        pens = penalties(fam.trace_stats(), fam.radius_stats(), cfg)
+        _, objs = objectives(fam.filter_matrix, op_p1_d4_n16.singular_values, C, pens)
+        chosen = np.argmin(objs, axis=1)
+        for y, k in zip(ys, chosen):
+            assert select(fam, cfg, op_p1_d4_n16, y).chosen == k
+
+    def test_non_finite_objective_raises(self, op_p1_d4_n16):
+        fam = tikhonov_family(op_p1_d4_n16)
+        pens = penalties(fam.trace_stats(), fam.radius_stats(),
+                         PenaltyConfig(sigma2=1.0))
+        C = np.zeros((2, 4))
+        C[1, 2] = np.nan
+        with pytest.raises(ParameterError):
+            objectives(fam.filter_matrix, op_p1_d4_n16.singular_values, C, pens)
+
+    @SETTINGS
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 12),
+           n_factor=st.integers(1, 4), scale=st.floats(0.0, 3.0))
+    def test_argmin_equals_thresholding_on_prefix_families(self, seed, d, n_factor,
+                                                           scale):
+        op, m, y, cfg = _prefix_instance(seed, d, n_factor, scale)
+        fam = projection_family(op, range(1, m + 1))
+        pens = penalties(fam.trace_stats(), fam.radius_stats(), cfg)
+        _, objs = objectives(fam.filter_matrix, op.singular_values,
+                             op.svd_coefficients(y)[None, :], pens)
+        assert int(np.argmin(objs[0])) == select_by_threshold(op, y, cfg, m0=m).chosen
+
+    @SETTINGS
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 12),
+           n_factor=st.integers(1, 4), scale=st.floats(0.0, 3.0),
+           c=st.floats(1e-3, 1e3))
+    def test_choice_invariant_under_data_and_variance_scaling(self, seed, d,
+                                                              n_factor, scale, c):
+        op, m, y, cfg = _prefix_instance(seed, d, n_factor, scale)
+        for fam in (projection_family(op, range(1, m + 1)),
+                    tikhonov_family(op, count=m)):
+            w = np.full(len(fam), cfg.weights[0])
+            base = PenaltyConfig(sigma2=cfg.sigma2, r=cfg.r, weights=w)
+            scaled = PenaltyConfig(sigma2=c * c * cfg.sigma2, r=cfg.r, weights=w)
+            assert (select(fam, base, op, y).chosen
+                    == select(fam, scaled, op, c * y).chosen)
 
 
 class TestKraftSum:
