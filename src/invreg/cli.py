@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import concentration as conc
 from . import configio as cio
 from .configio import ConfigError, DataError, cfg_list, cfg_value
-from .errors import InsufficientDataError, InvregError
+from .errors import InsufficientDataError, InvregError, ParameterError
 from .experiments import (
     ExperimentConfig,
     SourceSpec,
@@ -51,6 +52,16 @@ class ViolationError(InvregError):
     """An internal acceptance check failed (nonzero violation flags)."""
 
 
+@contextmanager
+def _from_config():
+    """A ParameterError raised while building objects from config values is
+    a config error (exit 2); raised on data files it stays a data error."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _ensure_out(out: str) -> str:
     os.makedirs(out, exist_ok=True)
     return out
@@ -66,8 +77,9 @@ def _problem_from_config(cp, seed_override):
         cfg_value(cp, "problem", "seed", int, 0)
     omega = cfg_value(cp, "problem", "omega", str, "log-uniform")
     d_ext = cfg_value(cp, "problem", "d_ext", int, None)
-    source = SourceSpec(nu, rho, omega)
-    return synth_problem(p, nu, rho, n, seed, sigma, source, d_ext), seed
+    with _from_config():
+        source = SourceSpec(nu, rho, omega)
+        return synth_problem(p, nu, rho, n, seed, sigma, source, d_ext), seed
 
 
 def cmd_synth(args) -> int:
@@ -134,20 +146,22 @@ def cmd_select(args) -> int:
         raise ConfigError(
             "missing [penalty] sigma2: the noise variance must be known "
             "(noise moment assumption AN); pass it explicitly")
-    family, kind = _family_from_config(cp, op)
-    base = PenaltyConfig(sigma2=sigma2,
-                         r=cfg_value(cp, "penalty", "r", float, 2.5),
-                         kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0))
-    weights_key = cfg_value(cp, "penalty", "weights", str, "auto")
-    if weights_key == "auto":
-        w = default_weights(family, base,
-                            target=cfg_value(cp, "penalty", "kraft_target",
-                                             float, 1.0))
-    elif weights_key == "zero":
-        w = np.zeros(len(family))
-    else:
-        w = np.array(cfg_list(cp, "penalty", "weights", float, required=True))
-    pcfg = PenaltyConfig(sigma2=sigma2, r=base.r, weights=w, kraft_d=base.kraft_d)
+    with _from_config():
+        family, kind = _family_from_config(cp, op)
+        base = PenaltyConfig(sigma2=sigma2,
+                             r=cfg_value(cp, "penalty", "r", float, 2.5),
+                             kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0))
+        weights_key = cfg_value(cp, "penalty", "weights", str, "auto")
+        if weights_key == "auto":
+            w = default_weights(family, base,
+                                target=cfg_value(cp, "penalty", "kraft_target",
+                                                 float, 1.0))
+        elif weights_key == "zero":
+            w = np.zeros(len(family))
+        else:
+            w = np.array(cfg_list(cp, "penalty", "weights", float, required=True))
+        pcfg = PenaltyConfig(sigma2=sigma2, r=base.r, weights=w,
+                             kraft_d=base.kraft_d)
 
     seed = args.seed if args.seed is not None else 0
     man = cio.RunManifest("select", cio.config_echo(cp), seed).start()
@@ -192,23 +206,24 @@ def _experiment_config(cp, seed_override) -> ExperimentConfig:
         cfg_value(cp, "experiment", "seed", int, 0)
     n_grid = cfg_list(cp, "experiment", "n_grid", int,
                       [256, 512, 1024, 2048, 4096, 8192])
-    return ExperimentConfig(
-        p=cfg_value(cp, "problem", "p", float, 1.0),
-        nu=cfg_value(cp, "problem", "nu", float, 0.5),
-        rho=cfg_value(cp, "problem", "rho", float, 1.0),
-        sigma=cfg_value(cp, "problem", "sigma", float, 0.1),
-        n_grid=tuple(n_grid),
-        replications=cfg_value(cp, "experiment", "replications", int, 200),
-        family=cfg_value(cp, "family", "kind", str, "both"),
-        r=cfg_value(cp, "penalty", "r", float, 2.5),
-        kraft_target=cfg_value(cp, "penalty", "kraft_target", float, 1.0),
-        kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0),
-        seed=seed,
-        alpha_max=cfg_value(cp, "family", "alpha_max", float, 1.0),
-        alpha_ratio=cfg_value(cp, "family", "ratio", float, 0.5),
-        ext_factor=cfg_value(cp, "problem", "ext_factor", int, 4),
-        omega=cfg_value(cp, "problem", "omega", str, "log-uniform"),
-    )
+    with _from_config():
+        return ExperimentConfig(
+            p=cfg_value(cp, "problem", "p", float, 1.0),
+            nu=cfg_value(cp, "problem", "nu", float, 0.5),
+            rho=cfg_value(cp, "problem", "rho", float, 1.0),
+            sigma=cfg_value(cp, "problem", "sigma", float, 0.1),
+            n_grid=tuple(n_grid),
+            replications=cfg_value(cp, "experiment", "replications", int, 200),
+            family=cfg_value(cp, "family", "kind", str, "both"),
+            r=cfg_value(cp, "penalty", "r", float, 2.5),
+            kraft_target=cfg_value(cp, "penalty", "kraft_target", float, 1.0),
+            kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0),
+            seed=seed,
+            alpha_max=cfg_value(cp, "family", "alpha_max", float, 1.0),
+            alpha_ratio=cfg_value(cp, "family", "ratio", float, 0.5),
+            ext_factor=cfg_value(cp, "problem", "ext_factor", int, 4),
+            omega=cfg_value(cp, "problem", "omega", str, "log-uniform"),
+        )
 
 
 def cmd_risk(args) -> int:
@@ -283,25 +298,28 @@ def cmd_concentration(args) -> int:
     moment_q = cfg_value(cp, "concentration", "moment_q", int, 1)
     tokens = cfg_value(cp, "concentration", "matrices", str,
                        "identity:4 decay:8 regularizer:4x16").split()
-    pcfg = PenaltyConfig(sigma2=sigma ** 2,
-                         r=cfg_value(cp, "penalty", "r", float, 2.5),
-                         kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0))
+    cache: dict = {}
+    with _from_config():
+        pcfg = PenaltyConfig(sigma2=sigma ** 2,
+                             r=cfg_value(cp, "penalty", "r", float, 2.5),
+                             weights=np.array([weight]),
+                             kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0))
+        specs = [(token, conc.QuadFormSpec(_concentration_matrix(token, cache),
+                                           conc.GaussianNoise(sigma), reps, seed))
+                 for token in tokens]
     man = cio.RunManifest("concentration", cio.config_echo(cp), seed).start()
 
-    cache: dict = {}
     tail_rows, moment_rows, comments = [], [], []
     total_violations = 0
-    for token in tokens:
-        A = _concentration_matrix(token, cache)
-        spec = conc.QuadFormSpec(A, conc.GaussianNoise(sigma), reps, seed)
-        rep = conc.tail_check(spec, pcfg, conc.default_u_grid(A, u_count),
-                              weight=weight)
+    for token, spec in specs:
+        etasq = spec.eta_squared_samples()
+        rep = conc.tail_check(spec, etasq, pcfg, conc.default_u_grid(spec.A, u_count))
         total_violations += rep.violations
         comments.append(f"# {token}: " + "; ".join(
             l.lstrip("# ") for l in rep.header_lines()))
         _, rows = rep.to_csv_rows()
         tail_rows.extend([[token] + r for r in rows])
-        mom = conc.moment_check(spec, pcfg, moment_q, weight=weight)
+        mom = conc.moment_check(spec, etasq, pcfg, moment_q)
         moment_rows.append([token, mom.q, cio.fmt(mom.empirical_moment),
                             cio.fmt(mom.bound_shape), cio.fmt(mom.ratio),
                             int(mom.defined)])

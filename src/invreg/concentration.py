@@ -233,12 +233,13 @@ def default_u_grid(A, count: int = 8) -> np.ndarray:
     return (tr + rho) * 0.25 * 2.0 ** np.arange(count)
 
 
-def tail_check(spec: QuadFormSpec, cfg: PenaltyConfig, u_grid,
+def tail_check(spec: QuadFormSpec, etasq, cfg: PenaltyConfig, u_grid,
                weight: float | None = None) -> TailReport:
     """Compare the Monte Carlo tail of eta^2 with the exponential bound.
 
-    ``weight`` is the candidate weight L; when omitted it is taken from
-    cfg.weights (single-candidate reading) or zero.
+    ``etasq`` is the sample ``spec.eta_squared_samples()``.  ``weight`` is
+    the candidate weight L; when omitted it is taken from cfg.weights
+    (single-candidate reading) or zero.
     """
     if weight is None:
         weight = float(cfg.weights[0]) if cfg.weights is not None else 0.0
@@ -246,7 +247,6 @@ def tail_check(spec: QuadFormSpec, cfg: PenaltyConfig, u_grid,
     sigma2 = spec.noise.sigma ** 2
     tr, rho = _gram_stats(spec.A)
     level = penalized_level(spec.A, spec.noise.sigma, cfg.r, weight)
-    etasq = spec.eta_squared_samples()
     emp = np.array([np.mean(etasq >= level + sigma2 * u) for u in u_grid])
     se = np.sqrt(emp * (1.0 - emp) / spec.replications)
     bound = np.exp(-np.sqrt(cfg.kraft_d * (u_grid / rho
@@ -275,9 +275,10 @@ class MomentReport:
     defined: bool
 
 
-def moment_check(spec: QuadFormSpec, cfg: PenaltyConfig, q: int,
+def moment_check(spec: QuadFormSpec, etasq, cfg: PenaltyConfig, q: int,
                  weight: float | None = None) -> MomentReport:
-    """Monte Carlo truncated q-th moment of eta^2 above the penalized level."""
+    """Truncated q-th moment of the eta^2 sample ``etasq`` of ``spec`` above
+    the penalized level; ``weight`` as in ``tail_check``."""
     if q < 1:
         raise ParameterError("moment order must be at least 1")
     if weight is None:
@@ -285,7 +286,6 @@ def moment_check(spec: QuadFormSpec, cfg: PenaltyConfig, q: int,
     sigma2 = spec.noise.sigma ** 2
     tr, rho = _gram_stats(spec.A)
     level = penalized_level(spec.A, spec.noise.sigma, cfg.r, weight)
-    etasq = spec.eta_squared_samples()
     emp = float(np.mean(np.clip(etasq - level, 0.0, None) ** q))
     if weight <= 0.0:
         return MomentReport(q, emp, math.nan, math.nan, weight, False)

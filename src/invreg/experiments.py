@@ -31,7 +31,8 @@ from .selection import (
     kraft_sum,
     objectives,
     penalties,
-    select_by_threshold,
+    prefix_stats,
+    threshold_objectives,
 )
 
 
@@ -167,6 +168,9 @@ class ExperimentConfig:
             raise ParameterError(f"unknown family policy {self.family!r}")
         if len(self.n_grid) == 0:
             raise ParameterError("empty n grid")
+        # out-of-range source and penalty constants fail here, before the study
+        SourceSpec(self.nu, self.rho, self.omega)
+        PenaltyConfig(sigma2=self.sigma ** 2, r=self.r, kraft_d=self.kraft_d)
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
 
     def methods(self) -> tuple[str, ...]:
@@ -264,17 +268,11 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
         setups[method] = (family, PenaltyConfig(sigma2=sigma2, r=cfg.r, weights=w,
                                                 kraft_d=cfg.kraft_d))
 
-    # Draw and project each replication once; the thresholding cross-check
-    # needs the sample vector itself, so it runs while that is in hand.
     R = cfg.replications
     C = np.empty((R, op.d))
-    thr_chosen = np.empty(R, dtype=int)
     for rep in range(R):
         rng = np.random.default_rng((cfg.seed, n, rep))
-        y = prob.clean + rng.normal(0.0, cfg.sigma, n)
-        C[rep] = op.svd_coefficients(y)
-        if "projection" in setups:
-            thr_chosen[rep] = select_by_threshold(op, y, setups["projection"][1]).chosen
+        C[rep] = op.svd_coefficients(prob.clean + rng.normal(0.0, cfg.sigma, n))
 
     # The truth is given in singular coordinates: the synthetic design is
     # exactly orthonormal, so x_vectors is the identity.
@@ -303,8 +301,11 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
         orisk, ose = _mean_se(float(cand_sum[k_star]), cand_sumsq[k_star], R)
         kr = kraft_sum(family, pcfg)
         ratio = (risk - 2.0 * tail - kr / n) / oracle_term
-        agree = (float(np.sum(thr_chosen == chosen)) / R if method == "projection"
-                 else math.nan)
+        agree = math.nan
+        if method == "projection":
+            lam = op.singular_values
+            _, thr = threshold_objectives(lam, C, penalties(*prefix_stats(lam, n), pcfg))
+            agree = float(np.sum(np.argmin(thr, axis=1) == chosen)) / R
         rows.append(RiskRow(n, method, R, risk, se, orisk, ose, oracle_term, tail,
                             kr, ratio, float(pcfg.weights[0]), agree))
     return rows

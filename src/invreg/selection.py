@@ -12,7 +12,7 @@ first argmin of contrast + penalty is selected.  ``select`` is the case of
 one data vector, the risk study scores all replications in one call, and
 the concentration checks measure their tails from half the penalty.  For
 nested projections the rule is hard thresholding of the inverted
-coefficients; ``select_by_threshold`` computes it that way, as a cross-check.
+coefficients; ``threshold_objectives`` computes it that way, as a cross-check.
 """
 
 from __future__ import annotations
@@ -221,33 +221,45 @@ def select(family: RegularizerFamily, cfg: PenaltyConfig,
     return SelectionResult(best, rows, estimate, kraft_sum(family, cfg))
 
 
+def prefix_stats(lam: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Traces and spectral radii of the prefix projections {1..j}, j <= lam.size."""
+    inv2 = (1.0 / lam) ** 2
+    return np.cumsum(inv2) / n, np.maximum.accumulate(inv2) / n
+
+
+def threshold_objectives(lam: np.ndarray, C: np.ndarray,
+                         pen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``objectives`` of the prefix projections in thresholding form.
+
+    The contrast of prefix {1..j} is the energy of the inverted coefficients
+    it drops, so coordinate j survives when its squared inverted coefficient
+    beats the penalty increment.  ``lam`` holds the first m0 singular values,
+    ``C`` R x m0 coefficients and ``pen`` the m0 prefix penalties.
+    """
+    x = C / lam
+    sq = x * x
+    con = np.sum(sq, axis=1, keepdims=True) - np.cumsum(sq, axis=1)
+    return con, con + pen
+
+
 def select_by_threshold(op: DiscretizedOperator, y, cfg: PenaltyConfig,
                         m0: int | None = None) -> SelectionResult:
-    """Nested-prefix projection selection via the thresholding form.
-
-    Inverts the data on the maximal model once, then scans prefixes
-    {1..j}: coordinate j survives when its squared inverted coefficient
-    beats the marginal penalty increment.  Agrees exactly with the
-    exhaustive argmin of ``select`` over the same prefixes.
+    """Nested-prefix projection selection, one data vector of
+    ``threshold_objectives``.  Agrees exactly with the exhaustive argmin of
+    ``select`` over the same prefixes.
     """
     if m0 is None:
         m0 = op.d
     if m0 < 1 or m0 > op.d:
         raise ParameterError(f"prefix bound must lie in [1, {op.d}]")
     c = op.svd_coefficients(y)
-    lam = op.singular_values
-    x = c / lam                              # inverted coefficients
-    sq = (x * x)[:m0]
-    inv2 = (1.0 / lam[:m0]) ** 2
-    trace = np.cumsum(inv2) / op.n
-    radius = np.maximum.accumulate(inv2) / op.n
+    lam = op.singular_values[:m0]
+    trace, radius = prefix_stats(lam, op.n)
     pens = penalties(trace, radius, cfg)
-    total = float(np.sum(sq))
-    cons = total - np.cumsum(sq)            # contrast of each prefix
-    objs = cons + pens
-    best = int(np.argmin(objs))
+    cons, objs = threshold_objectives(lam, c[None, :m0], pens)
+    best = int(np.argmin(objs[0]))
     rows = [CandidateRow(j, f"projection(m={{1..{j + 1}}})", float(j + 1),
-                         float(cons[j]), float(pens[j]), float(objs[j]))
+                         float(cons[0, j]), float(pens[j]), float(objs[0, j]))
             for j in range(m0)]
     rows[best].chosen = True
     f = np.zeros(op.d)

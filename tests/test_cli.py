@@ -266,6 +266,51 @@ dims = 1, 2, 3
         assert "sv_k1 = " in text and "ratio_bound = " in text
 
 
+TIKHONOV_SELECT = SELECT_SECTIONS.format(kind="tikhonov", extra="")
+
+
+def _select_argv(tmp_path, sections):
+    _, out = run_synth(tmp_path)
+    cfg = write_config(tmp_path, "sel.ini", sections)
+    return ["select", "--config", cfg, "--data", out, "--out", str(tmp_path / "sel")]
+
+
+def _unsorted_grid_argv(tmp_path):
+    argv = _select_argv(tmp_path, TIKHONOV_SELECT)
+    path = os.path.join(argv[4], "grid.csv")
+    lines = open(path).read().splitlines()
+    lines[1], lines[2] = lines[2], lines[1]
+    open(path, "w").write("\n".join(lines) + "\n")
+    return argv
+
+
+OUT_OF_RANGE = {
+    "select r": lambda tmp: _select_argv(
+        tmp, TIKHONOV_SELECT.replace("r = 2.5", "r = 2.0")),
+    "rates r": lambda tmp: ["rates", "--config", write_config(
+        tmp, "risk.ini", RISK_CFG + "\n[penalty]\nr = 2.0\n"), "--out", str(tmp / "r")],
+    "select ratio": lambda tmp: _select_argv(
+        tmp, SELECT_SECTIONS.format(kind="tikhonov", extra="ratio = 1.5\n")),
+    "concentration weight": lambda tmp: ["concentration", "--config", write_config(
+        tmp, "conc.ini", CONC_CFG.format(kraft_d=1.0).replace(
+            "weight = 1.0", "weight = -1")), "--out", str(tmp / "c")],
+    "synth nu": lambda tmp: ["synth", "--config", write_config(
+        tmp, "synth.ini", SYNTH_CFG.replace("nu = 0.0", "nu = -1")),
+        "--out", str(tmp / "s")],
+}
+
+
+class TestOutOfRange:
+    @pytest.mark.parametrize("case,code", [(case, 2) for case in OUT_OF_RANGE]
+                             + [("unsorted grid", 3)])
+    def test_exit_code(self, tmp_path, capsys, case, code):
+        argv = (_unsorted_grid_argv(tmp_path) if case == "unsorted grid"
+                else OUT_OF_RANGE[case](tmp_path))
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " if code == 2 else "error: ")
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", ["rates.ini", "rates_nu1.ini",
                                       "concentration.ini", "synth_small.ini"])

@@ -93,7 +93,8 @@ class TestProjectionIdentity:
 class TestTailCheck:
     def test_empirical_and_bound_decrease_in_u(self):
         spec = QuadFormSpec(np.eye(4), GaussianNoise(1.0), 3000, seed=1)
-        rep = tail_check(spec, PenaltyConfig(sigma2=1.0), default_u_grid(np.eye(4)))
+        rep = tail_check(spec, spec.eta_squared_samples(), PenaltyConfig(sigma2=1.0),
+                         default_u_grid(np.eye(4)))
         assert np.all(np.diff(rep.empirical_tail) <= 0)
         assert np.all(np.diff(rep.theoretical_bound) < 0)
         assert rep.empirical_tail[-1] <= rep.empirical_tail[0]
@@ -103,7 +104,7 @@ class TestTailCheck:
         spec = QuadFormSpec(np.eye(d), GaussianNoise(sigma), reps, seed=7)
         cfg = PenaltyConfig(sigma2=sigma ** 2, r=2.5)
         u_grid = default_u_grid(np.eye(d))
-        rep = tail_check(spec, cfg, u_grid, weight=0.0)
+        rep = tail_check(spec, spec.eta_squared_samples(), cfg, u_grid, weight=0.0)
         level = (d + 1) * (2.5 / 2.0)
         for u, emp in zip(u_grid, rep.empirical_tail):
             exact = stats.chi2.sf(level + u, d)
@@ -114,10 +115,10 @@ class TestTailCheck:
         A = np.diag([1.0, 0.5, 1.0 / 3.0])
         cfg = PenaltyConfig(sigma2=1.0, r=2.5)
         u = default_u_grid(A)
-        rep1 = tail_check(QuadFormSpec(A, GaussianNoise(1.0), 8000, seed=11),
-                          cfg, u, weight=0.0)
-        rep2 = tail_check(QuadFormSpec(A, GaussianNoise(1.0), 8000, seed=2024),
-                          cfg, u, weight=0.0)
+        spec1 = QuadFormSpec(A, GaussianNoise(1.0), 8000, seed=11)
+        spec2 = QuadFormSpec(A, GaussianNoise(1.0), 8000, seed=2024)
+        rep1 = tail_check(spec1, spec1.eta_squared_samples(), cfg, u, weight=0.0)
+        rep2 = tail_check(spec2, spec2.eta_squared_samples(), cfg, u, weight=0.0)
         for e1, s1, e2, s2 in zip(rep1.empirical_tail, rep1.stderr,
                                   rep2.empirical_tail, rep2.stderr):
             assert abs(e1 - e2) <= 3 * math.sqrt(s1 ** 2 + s2 ** 2) + 1e-12
@@ -126,14 +127,15 @@ class TestTailCheck:
         cfg = PenaltyConfig(sigma2=1.0, r=2.5)
         for A in (np.eye(4), np.diag(1.0 / np.arange(1.0, 9.0))):
             spec = QuadFormSpec(A, GaussianNoise(1.0), 4000, seed=5)
-            rep = tail_check(spec, cfg, default_u_grid(A), weight=0.0)
+            rep = tail_check(spec, spec.eta_squared_samples(), cfg, default_u_grid(A),
+                             weight=0.0)
             assert rep.violations == 0
 
     def test_two_point_noise_also_dominated(self):
         A = np.eye(3)
         spec = QuadFormSpec(A, TwoPointNoise(1.0), 4000, seed=9)
-        rep = tail_check(spec, PenaltyConfig(sigma2=1.0), default_u_grid(A),
-                         weight=0.0)
+        rep = tail_check(spec, spec.eta_squared_samples(), PenaltyConfig(sigma2=1.0),
+                         default_u_grid(A), weight=0.0)
         assert rep.violations == 0
 
     def test_replication_streams_are_order_independent(self):
@@ -153,7 +155,8 @@ class TestTailCheck:
 class TestMomentCheck:
     def test_positive_part_vanishes_above_the_sample(self):
         spec = QuadFormSpec(np.eye(2), GaussianNoise(1.0), 2000, seed=13)
-        rep = moment_check(spec, PenaltyConfig(sigma2=1.0), 1, weight=200.0)
+        rep = moment_check(spec, spec.eta_squared_samples(), PenaltyConfig(sigma2=1.0),
+                           1, weight=200.0)
         assert rep.empirical_moment == 0.0
         assert rep.defined
 
@@ -161,13 +164,13 @@ class TestMomentCheck:
         # q = 1, A = I_2: E[chi2_2 - c]_+ integrated directly
         L, r = 1.0, 2.5
         spec = QuadFormSpec(np.eye(2), GaussianNoise(1.0), 20_000, seed=17)
-        rep = moment_check(spec, PenaltyConfig(sigma2=1.0, r=r), 1, weight=L)
+        etasq = spec.eta_squared_samples()
+        rep = moment_check(spec, etasq, PenaltyConfig(sigma2=1.0, r=r), 1, weight=L)
         c = 3.0 * (r / 2.0) * (1.0 + L)
         oracle, _ = integrate.quad(lambda x: (x - c) * stats.chi2.pdf(x, 2),
                                    c, np.inf)
         closed_form = 2.0 * math.exp(-c / 2.0)
         assert oracle == pytest.approx(closed_form, rel=1e-8)
-        etasq = spec.eta_squared_samples()
         sd = float(np.std(np.clip(etasq - c, 0, None), ddof=1))
         assert abs(rep.empirical_moment - oracle) <= 4 * sd / math.sqrt(20_000)
 
@@ -177,15 +180,56 @@ class TestMomentCheck:
         for A in (np.eye(2), np.eye(4), np.diag(1.0 / np.arange(1.0, 9.0))):
             for L in (0.5, 2.0):
                 spec = QuadFormSpec(A, GaussianNoise(1.0), 4000, seed=3)
-                ratios.append(moment_check(spec, cfg, 1, weight=L).ratio)
+                ratios.append(moment_check(spec, spec.eta_squared_samples(), cfg, 1,
+                                           weight=L).ratio)
         assert np.all(np.isfinite(ratios))
         assert max(ratios) <= 10.0
 
     def test_zero_weight_flags_undefined_bound(self):
         spec = QuadFormSpec(np.eye(2), GaussianNoise(1.0), 500, seed=1)
-        rep = moment_check(spec, PenaltyConfig(sigma2=1.0), 1, weight=0.0)
+        rep = moment_check(spec, spec.eta_squared_samples(), PenaltyConfig(sigma2=1.0),
+                           1, weight=0.0)
         assert not rep.defined
         assert math.isnan(rep.bound_shape)
+
+
+class CountingNoise(GaussianNoise):
+    """Gaussian noise law that counts its draws."""
+
+    def __init__(self, sigma):
+        super().__init__(sigma)
+        self.calls = 0
+
+    def sample(self, rng, n):
+        self.calls += 1
+        return super().sample(rng, n)
+
+
+class TestSharedSample:
+    CFG = PenaltyConfig(sigma2=1.0, r=2.5)
+
+    def test_tail_and_moment_check_draw_each_replication_once(self):
+        noise = CountingNoise(1.0)
+        spec = QuadFormSpec(np.diag([1.0, 0.5, 0.25]), noise, 300, seed=6)
+        etasq = spec.eta_squared_samples()
+        tail_check(spec, etasq, self.CFG, default_u_grid(spec.A), weight=1.0)
+        moment_check(spec, etasq, self.CFG, 1, weight=1.0)
+        assert noise.calls == spec.replications
+
+    def test_shared_sample_reports_equal_independent_draws(self):
+        spec = QuadFormSpec(np.diag([1.0, 0.5, 0.25]), GaussianNoise(1.0), 500,
+                            seed=6)
+        shared = spec.eta_squared_samples()
+        u = default_u_grid(spec.A)
+        for L in (0.0, 1.0):
+            a = tail_check(spec, shared, self.CFG, u, weight=L)
+            b = tail_check(spec, spec.eta_squared_samples(), self.CFG, u, weight=L)
+            assert a.to_csv_rows() == b.to_csv_rows()
+            assert a.header_lines() == b.header_lines()
+            assert a.violations == b.violations
+        ma = moment_check(spec, shared, self.CFG, 2, weight=1.0)
+        mb = moment_check(spec, spec.eta_squared_samples(), self.CFG, 2, weight=1.0)
+        assert ma == mb
 
 
 class TestMomentCondition:

@@ -2,7 +2,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invreg import (
@@ -22,9 +22,11 @@ from invreg import (
     objectives,
     penalties,
     penalty,
+    prefix_stats,
     projection_family,
     select,
     select_by_threshold,
+    threshold_objectives,
     tikhonov_family,
 )
 
@@ -216,6 +218,45 @@ class TestObjectives:
             scaled = PenaltyConfig(sigma2=c * c * cfg.sigma2, r=cfg.r, weights=w)
             assert (select(fam, base, op, y).chosen
                     == select(fam, scaled, op, c * y).chosen)
+
+    @SETTINGS
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 12),
+           n_factor=st.integers(1, 4), scale=st.floats(0.0, 3.0), data=st.data())
+    def test_argmin_follows_a_permutation_of_the_candidates(self, seed, d,
+                                                            n_factor, scale, data):
+        op, m, y, cfg = _prefix_instance(seed, d, n_factor, scale)
+        C = op.svd_coefficients(y)[None, :]
+        for fam in (projection_family(op, range(1, m + 1)),
+                    tikhonov_family(op, count=m)):
+            F = fam.filter_matrix
+            pens = penalties(fam.trace_stats(), fam.radius_stats(), cfg)
+            _, objs = objectives(F, op.singular_values, C, pens)
+            best = int(np.argmin(objs[0]))
+            assume(np.sum(objs[0] == objs[0, best]) == 1)
+            perm = np.array(data.draw(st.permutations(range(len(fam)))))
+            _, permuted = objectives(F[perm], op.singular_values, C, pens[perm])
+            assert perm[int(np.argmin(permuted[0]))] == best
+
+
+class TestThresholdObjectives:
+    @pytest.mark.parametrize("m0", [20, 13, 1])
+    def test_rows_equal_select_by_threshold(self, rng, m0):
+        op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
+                                 midpoint_grid(80), 20)
+        cfg = PenaltyConfig(sigma2=0.04, weights=np.full(m0, 0.7))
+        ys = np.array([op.forward(rng.standard_normal(20) * rng.uniform(0, 2))
+                       + rng.normal(0, 0.2, 80) for _ in range(30)])
+        C = np.array([op.svd_coefficients(y) for y in ys])[:, :m0]
+        lam = op.singular_values[:m0]
+        _, objs = threshold_objectives(lam, C, penalties(*prefix_stats(lam, op.n), cfg))
+        assert objs.shape == (30, m0)
+        chosen = set()
+        for y, row in zip(ys, objs):
+            res = select_by_threshold(op, y, cfg, m0=m0)
+            assert int(np.argmin(row)) == res.chosen
+            assert row.tolist() == [c.objective for c in res.per_candidate]
+            chosen.add(res.chosen)
+        assert m0 == 1 or len(chosen) > 1     # the data move the choice
 
 
 class TestKraftSum:
