@@ -2,8 +2,8 @@
 
 Every command reads a flat key=value config, is deterministic given
 (config, seed), writes CSV outputs plus a manifest.json, and exits 0 on
-success, 2 on config errors, 3 on data errors, 4 when an internal
-acceptance check is violated.
+success, 3 when a file under ``--data`` is at fault, 4 when an internal
+acceptance check is violated and 2 on every other invalid input.
 """
 
 from __future__ import annotations
@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
 from . import concentration as conc
 from . import configio as cio
 from .configio import ConfigError, DataError, cfg_list, cfg_value
-from .errors import InsufficientDataError, InvregError, ParameterError
+from .errors import InvregError
 from .experiments import (
     ExperimentConfig,
     SourceSpec,
@@ -52,19 +51,19 @@ class ViolationError(InvregError):
     """An internal acceptance check failed (nonzero violation flags)."""
 
 
-@contextmanager
-def _from_config():
-    """A ParameterError raised while building objects from config values is
-    a config error (exit 2); raised on data files it stays a data error."""
-    try:
-        yield
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _ensure_out(out: str) -> str:
     os.makedirs(out, exist_ok=True)
     return out
+
+
+def _seed(cp, section: str, seed_override) -> int:
+    """``--seed`` if given, else ``[section] seed`` (default 0)."""
+    if seed_override is not None:
+        return seed_override
+    seed = cfg_value(cp, section, "seed", int, 0)
+    if seed < 0:
+        raise ConfigError(f"[{section}] seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _problem_from_config(cp, seed_override):
@@ -73,13 +72,11 @@ def _problem_from_config(cp, seed_override):
     nu = cfg_value(cp, "problem", "nu", float, 0.5)
     rho = cfg_value(cp, "problem", "rho", float, 1.0)
     sigma = cfg_value(cp, "problem", "sigma", float, 0.1)
-    seed = seed_override if seed_override is not None else \
-        cfg_value(cp, "problem", "seed", int, 0)
+    seed = _seed(cp, "problem", seed_override)
     omega = cfg_value(cp, "problem", "omega", str, "log-uniform")
     d_ext = cfg_value(cp, "problem", "d_ext", int, None)
-    with _from_config():
-        source = SourceSpec(nu, rho, omega)
-        return synth_problem(p, nu, rho, n, seed, sigma, source, d_ext), seed
+    source = SourceSpec(nu, rho, omega)
+    return synth_problem(p, nu, rho, n, seed, sigma, source, d_ext), seed
 
 
 def cmd_synth(args) -> int:
@@ -108,13 +105,20 @@ def cmd_synth(args) -> int:
 
 
 def _operator_from_data(cp, data_dir: str):
-    grid_cols = cio.read_csv_columns(os.path.join(data_dir, "grid.csv"), ["t"])
-    grid = DesignGrid(grid_cols["t"])
-    S = cio.read_matrix_csv(os.path.join(data_dir, "operator.csv"))
-    if S.shape[0] != grid.n:
-        raise DataError(f"operator.csv has {S.shape[0]} rows, grid has {grid.n}")
+    """The operator sampled in ``data_dir``; any fault found while building it
+    from the files is a data error (exit 3)."""
     p = cfg_value(cp, "problem", "p", float, 1.0)
-    return discretize_operator(S, cosine_basis(), grid, S.shape[1], p)
+    if not p > 0:
+        raise ConfigError(f"[problem] p must be positive, got {p}")
+    try:
+        grid_cols = cio.read_csv_columns(os.path.join(data_dir, "grid.csv"), ["t"])
+        grid = DesignGrid(grid_cols["t"])
+        S = cio.read_matrix_csv(os.path.join(data_dir, "operator.csv"))
+        if S.shape[0] != grid.n:
+            raise DataError(f"operator.csv has {S.shape[0]} rows, grid has {grid.n}")
+        return discretize_operator(S, cosine_basis(), grid, S.shape[1], p)
+    except InvregError as exc:
+        raise DataError(str(exc)) from exc
 
 
 def _family_from_config(cp, op):
@@ -125,10 +129,9 @@ def _family_from_config(cp, op):
             cfg_value(cp, "family", "alpha_max", float, 1.0),
             cfg_value(cp, "family", "ratio", float, 0.5),
             cfg_value(cp, "family", "count", int, None),
-        ), kind
+        )
     if kind == "projection":
-        dims = cfg_list(cp, "family", "dims", int, None)
-        return projection_family(op, dims), kind
+        return projection_family(op, cfg_list(cp, "family", "dims", int, None))
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
@@ -146,22 +149,21 @@ def cmd_select(args) -> int:
         raise ConfigError(
             "missing [penalty] sigma2: the noise variance must be known "
             "(noise moment assumption AN); pass it explicitly")
-    with _from_config():
-        family, kind = _family_from_config(cp, op)
-        base = PenaltyConfig(sigma2=sigma2,
-                             r=cfg_value(cp, "penalty", "r", float, 2.5),
-                             kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0))
-        weights_key = cfg_value(cp, "penalty", "weights", str, "auto")
-        if weights_key == "auto":
-            w = default_weights(family, base,
-                                target=cfg_value(cp, "penalty", "kraft_target",
-                                                 float, 1.0))
-        elif weights_key == "zero":
-            w = np.zeros(len(family))
-        else:
-            w = np.array(cfg_list(cp, "penalty", "weights", float, required=True))
-        pcfg = PenaltyConfig(sigma2=sigma2, r=base.r, weights=w,
-                             kraft_d=base.kraft_d)
+    family = _family_from_config(cp, op)
+    base = PenaltyConfig(sigma2=sigma2,
+                         r=cfg_value(cp, "penalty", "r", float, 2.5),
+                         kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0))
+    weights_key = cfg_value(cp, "penalty", "weights", str, "auto")
+    if weights_key == "auto":
+        w = default_weights(family, base,
+                            target=cfg_value(cp, "penalty", "kraft_target",
+                                             float, 1.0))
+    elif weights_key == "zero":
+        w = np.zeros(len(family))
+    else:
+        w = np.array(cfg_list(cp, "penalty", "weights", float, required=True))
+    pcfg = PenaltyConfig(sigma2=sigma2, r=base.r, weights=w,
+                         kraft_d=base.kraft_d)
 
     seed = args.seed if args.seed is not None else 0
     man = cio.RunManifest("select", cio.config_echo(cp), seed).start()
@@ -169,7 +171,7 @@ def cmd_select(args) -> int:
     agreement = ""
     # The thresholding form covers nested prefixes {1..j}, j = 1..m only.
     m = len(family)
-    if kind == "projection" and family.parameters == list(range(1, m + 1)):
+    if family.kind == "projection" and family.parameters == list(range(1, m + 1)):
         thr = select_by_threshold(op, y, pcfg, m0=m)
         agreement = str(int(thr.chosen == result.chosen))
 
@@ -202,28 +204,25 @@ def cmd_select(args) -> int:
 
 
 def _experiment_config(cp, seed_override) -> ExperimentConfig:
-    seed = seed_override if seed_override is not None else \
-        cfg_value(cp, "experiment", "seed", int, 0)
     n_grid = cfg_list(cp, "experiment", "n_grid", int,
                       [256, 512, 1024, 2048, 4096, 8192])
-    with _from_config():
-        return ExperimentConfig(
-            p=cfg_value(cp, "problem", "p", float, 1.0),
-            nu=cfg_value(cp, "problem", "nu", float, 0.5),
-            rho=cfg_value(cp, "problem", "rho", float, 1.0),
-            sigma=cfg_value(cp, "problem", "sigma", float, 0.1),
-            n_grid=tuple(n_grid),
-            replications=cfg_value(cp, "experiment", "replications", int, 200),
-            family=cfg_value(cp, "family", "kind", str, "both"),
-            r=cfg_value(cp, "penalty", "r", float, 2.5),
-            kraft_target=cfg_value(cp, "penalty", "kraft_target", float, 1.0),
-            kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0),
-            seed=seed,
-            alpha_max=cfg_value(cp, "family", "alpha_max", float, 1.0),
-            alpha_ratio=cfg_value(cp, "family", "ratio", float, 0.5),
-            ext_factor=cfg_value(cp, "problem", "ext_factor", int, 4),
-            omega=cfg_value(cp, "problem", "omega", str, "log-uniform"),
-        )
+    return ExperimentConfig(
+        p=cfg_value(cp, "problem", "p", float, 1.0),
+        nu=cfg_value(cp, "problem", "nu", float, 0.5),
+        rho=cfg_value(cp, "problem", "rho", float, 1.0),
+        sigma=cfg_value(cp, "problem", "sigma", float, 0.1),
+        n_grid=tuple(n_grid),
+        replications=cfg_value(cp, "experiment", "replications", int, 200),
+        family=cfg_value(cp, "family", "kind", str, "both"),
+        r=cfg_value(cp, "penalty", "r", float, 2.5),
+        kraft_target=cfg_value(cp, "penalty", "kraft_target", float, 1.0),
+        kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0),
+        seed=_seed(cp, "experiment", seed_override),
+        alpha_max=cfg_value(cp, "family", "alpha_max", float, 1.0),
+        alpha_ratio=cfg_value(cp, "family", "ratio", float, 0.5),
+        ext_factor=cfg_value(cp, "problem", "ext_factor", int, 4),
+        omega=cfg_value(cp, "problem", "omega", str, "log-uniform"),
+    )
 
 
 def cmd_risk(args) -> int:
@@ -248,7 +247,7 @@ def cmd_rates(args) -> int:
     out = _ensure_out(args.out)
     cfg = _experiment_config(cp, args.seed)
     if len(set(cfg.n_grid)) < 4:
-        raise InsufficientDataError(
+        raise ConfigError(
             f"rate fit needs at least 4 distinct n values, got {len(set(cfg.n_grid))}")
     man = cio.RunManifest("rates", cio.config_echo(cp), cfg.seed).start()
     report = monte_carlo_risk(cfg)
@@ -268,29 +267,34 @@ def cmd_rates(args) -> int:
 
 def _concentration_matrix(token: str, op_cache: dict) -> np.ndarray:
     name, _, size = token.partition(":")
+    # default size: d, or d x n for a regularizer
+    default = {"identity": "4", "decay": "8", "regularizer": "4x16"}.get(name)
+    if default is None:
+        raise ConfigError(f"unknown concentration matrix {token!r}")
+    try:
+        dims = tuple(int(v) for v in (size or default).split("x"))
+    except ValueError:
+        dims = ()
+    if len(dims) != default.count("x") + 1 or min(dims) < 1:
+        raise ConfigError(f"bad size in concentration matrix {token!r}: "
+                          f"need positive integers shaped like {default}")
     if name == "identity":
-        return np.eye(int(size or 4))
+        return np.eye(dims[0])
     if name == "decay":
-        d = int(size or 8)
-        return np.diag(1.0 / np.arange(1.0, d + 1.0))
-    if name == "regularizer":
-        dims = size or "4x16"
-        d, n = (int(v) for v in dims.split("x"))
-        key = (d, n)
-        if key not in op_cache:
-            op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
-                                     midpoint_grid(n), d)
-            fam = tikhonov_family(op, alpha_max=0.25, count=1)
-            op_cache[key] = fam.candidates[0].matrix
-        return op_cache[key]
-    raise ConfigError(f"unknown concentration matrix {token!r}")
+        return np.diag(1.0 / np.arange(1.0, dims[0] + 1.0))
+    if dims not in op_cache:
+        d, n = dims
+        op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
+                                 midpoint_grid(n), d)
+        fam = tikhonov_family(op, alpha_max=0.25, count=1)
+        op_cache[dims] = fam.candidates[0].matrix
+    return op_cache[dims]
 
 
 def cmd_concentration(args) -> int:
     cp = cio.load_config(args.config)
     out = _ensure_out(args.out)
-    seed = args.seed if args.seed is not None else \
-        cfg_value(cp, "concentration", "seed", int, 0)
+    seed = _seed(cp, "concentration", args.seed)
     reps = cfg_value(cp, "concentration", "replications", int, 10_000)
     u_count = cfg_value(cp, "concentration", "u_count", int, 8)
     weight = cfg_value(cp, "concentration", "weight", float, 1.0)
@@ -298,15 +302,18 @@ def cmd_concentration(args) -> int:
     moment_q = cfg_value(cp, "concentration", "moment_q", int, 1)
     tokens = cfg_value(cp, "concentration", "matrices", str,
                        "identity:4 decay:8 regularizer:4x16").split()
+    trials = cfg_value(cp, "concentration", "identity_trials", int, 20)
+    if not tokens or trials < 1:
+        raise ConfigError("[concentration] needs at least one matrix and "
+                          "identity_trials >= 1")
     cache: dict = {}
-    with _from_config():
-        pcfg = PenaltyConfig(sigma2=sigma ** 2,
-                             r=cfg_value(cp, "penalty", "r", float, 2.5),
-                             weights=np.array([weight]),
-                             kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0))
-        specs = [(token, conc.QuadFormSpec(_concentration_matrix(token, cache),
-                                           conc.GaussianNoise(sigma), reps, seed))
-                 for token in tokens]
+    pcfg = PenaltyConfig(sigma2=sigma ** 2,
+                         r=cfg_value(cp, "penalty", "r", float, 2.5),
+                         weights=np.array([weight]),
+                         kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0))
+    specs = [(token, conc.QuadFormSpec(_concentration_matrix(token, cache),
+                                       conc.GaussianNoise(sigma), reps, seed))
+             for token in tokens]
     man = cio.RunManifest("concentration", cio.config_echo(cp), seed).start()
 
     tail_rows, moment_rows, comments = [], [], []
@@ -333,7 +340,7 @@ def cmd_concentration(args) -> int:
 
     rng = np.random.default_rng((seed, 0xA11))
     id_rows = []
-    for trial in range(cfg_value(cp, "concentration", "identity_trials", int, 20)):
+    for trial in range(trials):
         n = int(rng.integers(8, 33))
         d = int(rng.integers(1, min(n, 8) + 1))
         G = build_design_matrix(cosine_basis(), midpoint_grid(n), d)
@@ -371,6 +378,14 @@ def cmd_diagnostics(args) -> int:
     return 0
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type for ``--seed``; a ValueError becomes a usage error (exit 2)."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invreg",
@@ -381,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, data=False):
         sp.add_argument("--config", required=True, help="key=value config file")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
+        sp.add_argument("--seed", type=nonnegative_int, default=None,
                         help="override the config seed")
         sp.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; has no effect")
@@ -422,15 +437,12 @@ def main(argv=None) -> int:
     except ViolationError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (ConfigError, InsufficientDataError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except InvregError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -229,6 +229,8 @@ def penalized_level(A, sigma: float, r: float, weight: float) -> float:
 
 def default_u_grid(A, count: int = 8) -> np.ndarray:
     """Geometric grid of sigma^2-unit offsets scaled to the matrix energy."""
+    if count < 1:
+        raise ParameterError("the u grid needs at least one point")
     tr, rho = _gram_stats(np.atleast_2d(np.asarray(A, dtype=float)))
     return (tr + rho) * 0.25 * 2.0 ** np.arange(count)
 

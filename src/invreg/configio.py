@@ -98,6 +98,9 @@ def read_csv_columns(path: str, expect: list[str] | None = None):
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise DataError(f"{path}: repeated column names {repeated}")
     if expect is not None:
         missing = [c for c in expect if c not in header]
         if missing:

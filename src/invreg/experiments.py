@@ -115,6 +115,8 @@ def synth_problem(p: float, nu: float, rho: float, n: int, seed: int = 0,
     to ``d_ext`` coefficients (default four times the model size, capped
     at n) with singular values continuing the same decay.
     """
+    if not sigma >= 0:
+        raise ParameterError("noise level sigma must be nonnegative")
     d = choose_m0(n, p)
     if d_ext is None:
         d_ext = min(4 * d, n)
@@ -168,6 +170,8 @@ class ExperimentConfig:
             raise ParameterError(f"unknown family policy {self.family!r}")
         if len(self.n_grid) == 0:
             raise ParameterError("empty n grid")
+        if not self.sigma > 0:
+            raise ParameterError("noise level sigma must be positive")
         # out-of-range source and penalty constants fail here, before the study
         SourceSpec(self.nu, self.rho, self.omega)
         PenaltyConfig(sigma2=self.sigma ** 2, r=self.r, kraft_d=self.kraft_d)

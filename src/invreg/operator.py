@@ -84,24 +84,14 @@ def empirical_scalar_product(y, e, grid: DesignGrid) -> float:
 
 
 class BasisFamily:
-    """A family of functions evaluable on (a superset of) the design grid.
+    """A family of functions sampled on a design grid: the analytic cosine
+    family on [0, 1], or a user-supplied sample table tied to a fixed grid
+    (``d_max`` functions)."""
 
-    ``kind`` is "cosine" for the analytic cosine family on [0, 1] or
-    "table" for a user-supplied sample table tied to a fixed grid.
-    """
-
-    def __init__(self, kind: str, evaluator: Callable[[int, float], float],
-                 sampler: Callable[[int, DesignGrid], np.ndarray], d_max: int | None):
-        self.kind = kind
-        self._evaluator = evaluator
+    def __init__(self, sampler: Callable[[int, DesignGrid], np.ndarray],
+                 d_max: int | None):
         self._sampler = sampler
         self.d_max = d_max
-
-    def evaluate(self, j: int, t: float) -> float:
-        """Value of the j-th basis function (1-based) at abscissa t."""
-        if j < 1 or (self.d_max is not None and j > self.d_max):
-            raise ParameterError(f"basis index {j} out of range")
-        return self._evaluator(j, t)
 
     def sample(self, j: int, grid: DesignGrid) -> np.ndarray:
         if j < 1 or (self.d_max is not None and j > self.d_max):
@@ -112,17 +102,12 @@ class BasisFamily:
 def cosine_basis() -> BasisFamily:
     """phi_1 = 1, phi_j(t) = sqrt(2) cos((j-1) pi t); orthonormal in L2[0,1]."""
 
-    def ev(j: int, t: float) -> float:
-        if j == 1:
-            return 1.0
-        return math.sqrt(2.0) * math.cos((j - 1) * math.pi * t)
-
     def sample(j: int, grid: DesignGrid) -> np.ndarray:
         if j == 1:
             return np.ones(grid.n)
         return math.sqrt(2.0) * np.cos((j - 1) * math.pi * grid.points)
 
-    return BasisFamily("cosine", ev, sample, d_max=None)
+    return BasisFamily(sample, d_max=None)
 
 
 def table_basis(values, grid: DesignGrid) -> BasisFamily:
@@ -134,18 +119,12 @@ def table_basis(values, grid: DesignGrid) -> BasisFamily:
         raise ParameterError("basis sample table contains non-finite values")
     pts = grid.points
 
-    def ev(j: int, t: float) -> float:
-        hits = np.flatnonzero(np.isclose(pts, t, rtol=0.0, atol=1e-12))
-        if hits.size == 0:
-            raise ParameterError(f"table basis cannot be evaluated off-grid at t={t}")
-        return float(values[j - 1, hits[0]])
-
     def sample(j: int, g: DesignGrid) -> np.ndarray:
         if g.n != grid.n or not np.allclose(g.points, pts, rtol=0.0, atol=1e-12):
             raise ParameterError("table basis is tied to its own grid")
         return values[j - 1].copy()
 
-    return BasisFamily("table", ev, sample, d_max=values.shape[0])
+    return BasisFamily(sample, d_max=values.shape[0])
 
 
 def indicator_basis(grid: DesignGrid) -> BasisFamily:

@@ -148,24 +148,20 @@ def _kraft_terms(trace: np.ndarray, radius: np.ndarray, n: int, d_const: float,
             * np.exp(-np.sqrt(d_const * weights * (ratio + 1.0))))
 
 
-def kraft_sum(family: RegularizerFamily, cfg: PenaltyConfig,
-              n: int | None = None) -> float:
+def kraft_sum(family: RegularizerFamily, cfg: PenaltyConfig) -> float:
     """Weight-damped sum over the family controlling the union bound.
 
     The middle factor is read as n * rho^2(R_k), the only interpretation
     under which the summand is free of n for an orthonormal design.
     """
-    if n is None:
-        n = family.candidates[0].op.n
     w = cfg.weights_for(len(family))
-    terms = _kraft_terms(family.trace_stats(), family.radius_stats(), n,
-                         cfg.kraft_d, w)
+    terms = _kraft_terms(family.trace_stats(), family.radius_stats(),
+                         family.candidates[0].op.n, cfg.kraft_d, w)
     return float(np.sum(terms))
 
 
 def default_weights(family: RegularizerFamily, cfg: PenaltyConfig,
-                    n: int | None = None, target: float = 1.0,
-                    cap: float = 1e6) -> np.ndarray:
+                    target: float = 1.0, cap: float = 1e6) -> np.ndarray:
     """Smallest common weight L making the kraft sum reach the target.
 
     Found by bisection on the (strictly decreasing) map L -> kraft sum.
@@ -174,8 +170,7 @@ def default_weights(family: RegularizerFamily, cfg: PenaltyConfig,
     """
     if not target > 0:
         raise ParameterError("kraft target must be positive")
-    if n is None:
-        n = family.candidates[0].op.n
+    n = family.candidates[0].op.n
     tr = family.trace_stats()
     rad = family.radius_stats()
 

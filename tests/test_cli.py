@@ -1,3 +1,5 @@
+import configparser
+import io
 import os
 
 import pytest
@@ -268,6 +270,13 @@ dims = 1, 2, 3
 
 TIKHONOV_SELECT = SELECT_SECTIONS.format(kind="tikhonov", extra="")
 
+DIAG_CFG = """
+[problem]
+n = 32
+p = 1.0
+nu = 0.5
+"""
+
 
 def _select_argv(tmp_path, sections):
     _, out = run_synth(tmp_path)
@@ -275,40 +284,191 @@ def _select_argv(tmp_path, sections):
     return ["select", "--config", cfg, "--data", out, "--out", str(tmp_path / "sel")]
 
 
-def _unsorted_grid_argv(tmp_path):
-    argv = _select_argv(tmp_path, TIKHONOV_SELECT)
-    path = os.path.join(argv[4], "grid.csv")
+def _data_argv(tmp_path, name, edit, command="select"):
+    """argv of ``command --data`` on synth output whose ``name`` went through
+    ``edit`` (a map from the file's lines to new lines)."""
+    argv = [command] + _select_argv(tmp_path, TIKHONOV_SELECT)[1:]
+    path = os.path.join(argv[4], name)
     lines = open(path).read().splitlines()
-    lines[1], lines[2] = lines[2], lines[1]
-    open(path, "w").write("\n".join(lines) + "\n")
+    open(path, "w").write("\n".join(edit(lines)) + "\n")
     return argv
+
+
+def _swap_first_rows(lines):
+    return [lines[0], lines[2], lines[1]] + lines[3:]
+
+
+def _append_copy_of_first_column(name):
+    return lambda lines: ([f"{lines[0]},{name}"]
+                          + [f"{l},{l.split(',')[0]}" for l in lines[1:]])
+
+
+def _seventeen_columns(lines):
+    # 17 basis functions cannot be resolved on the 16-point grid
+    return ([",".join(f"phi{j}" for j in range(1, 18))]
+            + [",".join([l.split(",")[0]] * 17) for l in lines[1:]])
+
+
+def _rates_argv(tmp, cfg_text):
+    return ["rates", "--config", write_config(tmp, "risk.ini", cfg_text),
+            "--out", str(tmp / "r")]
+
+
+def _conc_argv(tmp, old, new):
+    return ["concentration", "--config", write_config(
+        tmp, "conc.ini", CONC_CFG.format(kraft_d=1.0).replace(old, new)),
+        "--out", str(tmp / "c")]
+
+
+def _diag_argv(tmp, cfg_text):
+    return ["diagnostics", "--config", write_config(tmp, "diag.ini", cfg_text),
+            "--out", str(tmp / "d")]
+
+
+def _synth_argv(tmp, old, new):
+    return ["synth", "--config", write_config(
+        tmp, "synth.ini", SYNTH_CFG.replace(old, new)), "--out", str(tmp / "s")]
+
+
+def _matrix_case(token):
+    return lambda tmp: _conc_argv(tmp, "identity:4 decay:8", token)
 
 
 OUT_OF_RANGE = {
     "select r": lambda tmp: _select_argv(
         tmp, TIKHONOV_SELECT.replace("r = 2.5", "r = 2.0")),
-    "rates r": lambda tmp: ["rates", "--config", write_config(
-        tmp, "risk.ini", RISK_CFG + "\n[penalty]\nr = 2.0\n"), "--out", str(tmp / "r")],
+    "rates r": lambda tmp: _rates_argv(tmp, RISK_CFG + "\n[penalty]\nr = 2.0\n"),
     "select ratio": lambda tmp: _select_argv(
         tmp, SELECT_SECTIONS.format(kind="tikhonov", extra="ratio = 1.5\n")),
-    "concentration weight": lambda tmp: ["concentration", "--config", write_config(
-        tmp, "conc.ini", CONC_CFG.format(kraft_d=1.0).replace(
-            "weight = 1.0", "weight = -1")), "--out", str(tmp / "c")],
-    "synth nu": lambda tmp: ["synth", "--config", write_config(
-        tmp, "synth.ini", SYNTH_CFG.replace("nu = 0.0", "nu = -1")),
-        "--out", str(tmp / "s")],
+    "concentration weight": lambda tmp: _conc_argv(tmp, "weight = 1.0", "weight = -1"),
+    "synth nu": lambda tmp: _synth_argv(tmp, "nu = 0.0", "nu = -1"),
+    "select weights length": lambda tmp: _select_argv(
+        tmp, TIKHONOV_SELECT + "weights = 1.0, 1.0\n"),
+    "select p": lambda tmp: _select_argv(tmp, TIKHONOV_SELECT + "[problem]\np = 0\n"),
+    "diagnostics dims": lambda tmp: _diag_argv(tmp, DIAG_CFG + "[diagnostics]\ndims = 0\n"),
+    "diagnostics data p": lambda tmp: ["diagnostics"] + _select_argv(
+        tmp, "[problem]\np = -1\n")[1:],
+    "rates kraft_target": lambda tmp: _rates_argv(
+        tmp, RISK_CFG + "\n[penalty]\nkraft_target = 0\n"),
+    "rates ratio": lambda tmp: _rates_argv(
+        tmp, RISK_CFG.replace("kind = tikhonov", "kind = tikhonov\nratio = 0")),
+    "rates alpha_max": lambda tmp: _rates_argv(
+        tmp, RISK_CFG.replace("kind = tikhonov", "kind = tikhonov\nalpha_max = 1e-300")),
+    "rates omega": lambda tmp: _rates_argv(
+        tmp, RISK_CFG.replace("nu = 0.5", "nu = 0.5\nomega = x")),
+    "rates ext_factor": lambda tmp: _rates_argv(
+        tmp, RISK_CFG.replace("nu = 0.5", "nu = 0.5\next_factor = 0")),
+    "rates p": lambda tmp: _rates_argv(tmp, RISK_CFG.replace("p = 1.0", "p = -1")),
+    "rates sigma": lambda tmp: _rates_argv(
+        tmp, RISK_CFG.replace("sigma = 0.1", "sigma = -0.1")),
+    "rates seed": lambda tmp: _rates_argv(tmp, RISK_CFG.replace("seed = 2", "seed = -1")),
+    "concentration moment_q": lambda tmp: _conc_argv(
+        tmp, "identity_trials", "moment_q = 0\nidentity_trials"),
+    "concentration u_count": lambda tmp: _conc_argv(tmp, "u_count = 8", "u_count = 0"),
+    "concentration seed": lambda tmp: _conc_argv(tmp, "seed = 0", "seed = -1"),
+    "concentration regularizer:8x4": _matrix_case("regularizer:8x4"),
+    "concentration decay:x": _matrix_case("decay:x"),
+    "concentration decay:0": _matrix_case("decay:0"),
+    "concentration identity:-1": _matrix_case("identity:-1"),
+    "concentration regularizer:4": _matrix_case("regularizer:4"),
+    "concentration no matrices": _matrix_case(""),
+    "concentration identity_trials": lambda tmp: _conc_argv(
+        tmp, "identity_trials = 5", "identity_trials = 0"),
+    "synth sigma": lambda tmp: _synth_argv(tmp, "sigma = 0.1", "sigma = -1"),
+}
+
+BAD_DATA = {
+    "unsorted grid": lambda tmp: _data_argv(tmp, "grid.csv", _swap_first_rows),
+    "copied operator column": lambda tmp: _data_argv(
+        tmp, "operator.csv", _append_copy_of_first_column("copy")),
+    "diagnostics copied operator column": lambda tmp: _data_argv(
+        tmp, "operator.csv", _append_copy_of_first_column("copy"), "diagnostics"),
+    "more operator columns than grid rows": lambda tmp: _data_argv(
+        tmp, "operator.csv", _seventeen_columns),
+    "repeated column name": lambda tmp: _data_argv(
+        tmp, "operator.csv", _append_copy_of_first_column("phi1")),
 }
 
 
 class TestOutOfRange:
     @pytest.mark.parametrize("case,code", [(case, 2) for case in OUT_OF_RANGE]
-                             + [("unsorted grid", 3)])
+                             + [(case, 3) for case in BAD_DATA])
     def test_exit_code(self, tmp_path, capsys, case, code):
-        argv = (_unsorted_grid_argv(tmp_path) if case == "unsorted grid"
-                else OUT_OF_RANGE[case](tmp_path))
+        argv = {**OUT_OF_RANGE, **BAD_DATA}[case](tmp_path)
         assert main(argv) == code
         err = capsys.readouterr().err
-        assert err.startswith("config error: " if code == 2 else "error: ")
+        assert err.startswith("config error: " if code == 2 else "data error: ")
+
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "synth.ini", SYNTH_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--config", cfg, "--out", str(tmp_path / "s"),
+                  "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
+def _set_key(text, section, key, value):
+    cp = configparser.ConfigParser()
+    cp.read_string(text)
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp.set(section, key, value)
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
+
+
+PROBLEM_KEYS = ["n", "p", "nu", "rho", "sigma", "seed", "omega", "d_ext"]
+
+# (command, reads --data, base config, {section: keys the command reads})
+SWEEP = [
+    ("synth", False, SYNTH_CFG, {"problem": PROBLEM_KEYS}),
+    ("diagnostics", False, DIAG_CFG,
+     {"problem": PROBLEM_KEYS, "diagnostics": ["dims"]}),
+    ("rates", False, RISK_CFG.replace("replications = 5", "replications = 3"),
+     {"problem": ["p", "nu", "rho", "sigma", "ext_factor", "omega"],
+      "experiment": ["seed", "n_grid", "replications"],
+      "family": ["kind", "alpha_max", "ratio"],
+      "penalty": ["r", "kraft_target", "kraft_d"]}),
+    ("concentration", False,
+     CONC_CFG.format(kraft_d=1.0).replace("replications = 2000", "replications = 200"),
+     {"concentration": ["seed", "replications", "u_count", "weight", "sigma",
+                        "moment_q", "matrices", "identity_trials"],
+      "penalty": ["r", "kraft_d"]}),
+    ("select", True, TIKHONOV_SELECT,
+     {"problem": ["p"], "family": ["kind", "alpha_max", "ratio", "count"],
+      "penalty": ["sigma2", "r", "kraft_d", "kraft_target", "weights"]}),
+    ("select", True, SELECT_SECTIONS.format(kind="projection", extra=""),
+     {"family": ["dims"]}),
+    ("diagnostics", True, "", {"problem": ["p"], "diagnostics": ["dims"]}),
+]
+
+
+class TestConfigSweep:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_config_value_exits_as_data_error_or_crash(self, tmp_path):
+        """Every config key each command reads, set to -1, 0, x or 1e-300,
+        gives success (0), a config error (2) or a violation (4)."""
+        _, data = run_synth(tmp_path, "data", SYNTH_CFG.replace("n = 16", "n = 64"))
+        bad = []
+        for command, uses_data, base, keys in SWEEP:
+            for section, names in keys.items():
+                for key in names:
+                    for value in ("-1", "0", "x", "1e-300"):
+                        cfg = write_config(tmp_path, "sweep.ini",
+                                           _set_key(base, section, key, value))
+                        argv = [command, "--config", cfg,
+                                "--out", str(tmp_path / "out")]
+                        if uses_data:
+                            argv += ["--data", data]
+                        try:
+                            code = main(argv)
+                        except Exception as exc:  # noqa: BLE001
+                            code = repr(exc)
+                        if code not in (0, 2, 4):
+                            bad.append((command, f"[{section}] {key} = {value}", code))
+        assert not bad
 
 
 class TestShippedConfigs:
