@@ -17,7 +17,7 @@ import numpy as np
 from . import concentration as conc
 from . import configio as cio
 from .configio import ConfigError, DataError, cfg_list, cfg_value
-from .errors import InvregError
+from .errors import InvregError, ParameterError
 from .experiments import (
     ExperimentConfig,
     SourceSpec,
@@ -38,6 +38,7 @@ from .regularizers import projection_family, tikhonov_family
 from .selection import (
     PenaltyConfig,
     default_weights,
+    kraft_sum,
     select,
     select_by_threshold,
 )
@@ -143,6 +144,11 @@ def cmd_select(args) -> int:
     y = data["y"]
     if y.size != op.n:
         raise DataError(f"data.csv has {y.size} observations, grid has {op.n}")
+    back = op.svd_coefficients(y) / op.singular_values
+    with np.errstate(over="ignore"):
+        overflow = not np.isfinite(np.dot(back, back))
+    if overflow:
+        raise DataError("data.csv overflows the inversion on the maximal model")
 
     sigma2 = cfg_value(cp, "penalty", "sigma2", float, None)
     if sigma2 is None:
@@ -155,15 +161,19 @@ def cmd_select(args) -> int:
                          kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0))
     weights_key = cfg_value(cp, "penalty", "weights", str, "auto")
     if weights_key == "auto":
-        w = default_weights(family, base,
-                            target=cfg_value(cp, "penalty", "kraft_target",
-                                             float, 1.0))
+        target = cfg_value(cp, "penalty", "kraft_target", float, 1.0)
+        w = default_weights(family, base, target=target)
     elif weights_key == "zero":
         w = np.zeros(len(family))
     else:
         w = np.array(cfg_list(cp, "penalty", "weights", float, required=True))
     pcfg = PenaltyConfig(sigma2=sigma2, r=base.r, weights=w,
                          kraft_d=base.kraft_d)
+    if weights_key == "auto":
+        kr = kraft_sum(family, pcfg)
+        if kr > target:
+            raise ParameterError(f"kraft target {target!r} unreachable: capped "
+                                 f"weights leave a kraft sum of {kr!r}")
 
     seed = args.seed if args.seed is not None else 0
     man = cio.RunManifest("select", cio.config_echo(cp), seed).start()

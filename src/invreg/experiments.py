@@ -269,8 +269,13 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
         family = _family_for(method, op, cfg)
         base = PenaltyConfig(sigma2=sigma2, r=cfg.r, kraft_d=cfg.kraft_d)
         w = default_weights(family, base, target=cfg.kraft_target)
-        setups[method] = (family, PenaltyConfig(sigma2=sigma2, r=cfg.r, weights=w,
-                                                kraft_d=cfg.kraft_d))
+        pcfg = PenaltyConfig(sigma2=sigma2, r=cfg.r, weights=w, kraft_d=cfg.kraft_d)
+        kr = kraft_sum(family, pcfg)
+        if kr > cfg.kraft_target:
+            raise ParameterError(
+                f"kraft target {cfg.kraft_target!r} unreachable for the {method} "
+                f"family at n = {n}: capped weights leave a kraft sum of {kr!r}")
+        setups[method] = (family, pcfg, kr)
 
     R = cfg.replications
     C = np.empty((R, op.d))
@@ -282,7 +287,7 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
     # exactly orthonormal, so x_vectors is the identity.
     c0 = op.svd_coefficients(prob.clean)
     rows = []
-    for method, (family, pcfg) in setups.items():
+    for method, (family, pcfg, kr) in setups.items():
         F = family.filter_matrix
         pens = penalties(family.trace_stats(), family.radius_stats(), pcfg)
         # deterministic oracle term: bias of the regularized truths + 2 pen
@@ -303,7 +308,6 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
         risk, se = _mean_se(err_sum, err_sumsq, R)
         k_star = int(np.argmin(cand_sum / R))
         orisk, ose = _mean_se(float(cand_sum[k_star]), cand_sumsq[k_star], R)
-        kr = kraft_sum(family, pcfg)
         ratio = (risk - 2.0 * tail - kr / n) / oracle_term
         agree = math.nan
         if method == "projection":

@@ -27,6 +27,9 @@ from .errors import (
 # Relative cliff below which a singular value counts as zero.
 RANK_RTOL = 1e-12
 
+# Rows of G^t per block in the blocked QR of the design's rank certificate.
+QR_BLOCK_ROWS = 8192
+
 
 # ---------------------------------------------------------------------------
 # design grid and empirical geometry
@@ -156,18 +159,32 @@ def build_design_matrix(basis: BasisFamily, grid: DesignGrid, d_m: int) -> Desig
     """Sample the first d_m basis functions on the grid.
 
     Raises DimensionError when d_m > n and DegenerateDesignError when the
-    sampled rows are not linearly independent.
+    sampled rows are not linearly independent: the smallest singular value
+    of G is at most RANK_RTOL times the largest.  The singular values are
+    those of the d_m x d_m R factor of a QR of G^t, which is built from the
+    R factors of row blocks of G^t (one TSQR step), so besides G itself the
+    certificate holds about two copies of one block of QR_BLOCK_ROWS x d_m.
     """
     if d_m < 1:
         raise ParameterError("model dimension must be positive")
     if d_m > grid.n:
         raise DimensionError(f"model dimension {d_m} exceeds grid size {grid.n}")
-    G = np.vstack([basis.sample(j, grid) for j in range(1, d_m + 1)])
-    sv = np.linalg.svd(G, compute_uv=False)
+    G = np.empty((d_m, grid.n))
+    for j in range(d_m):
+        G[j] = basis.sample(j + 1, grid)
+    sv = np.linalg.svd(_design_r_factor(G), compute_uv=False)
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise DegenerateDesignError(
             f"design matrix is rank deficient (d_m={d_m}, n={grid.n})")
     return DesignMatrix(G, d_m)
+
+
+def _design_r_factor(G: np.ndarray) -> np.ndarray:
+    """Triangular factor R of G^t = QR from the R factors of row blocks of G^t."""
+    d, n = G.shape
+    step = max(QR_BLOCK_ROWS, d)
+    blocks = [np.linalg.qr(G[:, i:i + step].T, mode="r") for i in range(0, n, step)]
+    return np.linalg.qr(np.vstack(blocks), mode="r")
 
 
 def empirical_projection(y, G: DesignMatrix) -> np.ndarray:

@@ -375,7 +375,16 @@ OUT_OF_RANGE = {
     "concentration identity_trials": lambda tmp: _conc_argv(
         tmp, "identity_trials = 5", "identity_trials = 0"),
     "synth sigma": lambda tmp: _synth_argv(tmp, "sigma = 0.1", "sigma = -1"),
+    # the Kraft target is out of reach below the weight cap
+    "rates kraft_d": lambda tmp: _rates_argv(
+        tmp, RISK_CFG + "\n[penalty]\nkraft_d = 1e-300\n"),
+    "select kraft_d": lambda tmp: _select_argv(
+        tmp, TIKHONOV_SELECT + "kraft_d = 1e-300\n"),
 }
+
+
+def _overflowing_y(lines):
+    return [lines[0]] + [l.rsplit(",", 1)[0] + ",1e300" for l in lines[1:]]
 
 BAD_DATA = {
     "unsorted grid": lambda tmp: _data_argv(tmp, "grid.csv", _swap_first_rows),
@@ -387,10 +396,12 @@ BAD_DATA = {
         tmp, "operator.csv", _seventeen_columns),
     "repeated column name": lambda tmp: _data_argv(
         tmp, "operator.csv", _append_copy_of_first_column("phi1")),
+    "overflowing y": lambda tmp: _data_argv(tmp, "data.csv", _overflowing_y),
 }
 
 
 class TestOutOfRange:
+    @pytest.mark.filterwarnings("ignore:kraft target unreachable:RuntimeWarning")
     @pytest.mark.parametrize("case,code", [(case, 2) for case in OUT_OF_RANGE]
                              + [(case, 3) for case in BAD_DATA])
     def test_exit_code(self, tmp_path, capsys, case, code):

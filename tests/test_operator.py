@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from invreg import (
     midpoint_grid,
     table_basis,
 )
+from invreg.operator import QR_BLOCK_ROWS, _design_r_factor
 
 
 class TestEmpiricalNorm:
@@ -78,6 +80,50 @@ class TestDesignMatrix:
         table = np.vstack([np.ones(4), np.ones(4)])
         with pytest.raises(DegenerateDesignError):
             build_design_matrix(table_basis(table, grid), grid, 2)
+
+
+def _conditioned_table(n, d, cond, rng):
+    """d x n sample table with singular values spaced from 1 down to 1/cond."""
+    U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    return (U * np.geomspace(1.0, 1.0 / cond, d)) @ V.T
+
+
+class TestRankCertificate:
+    @pytest.mark.parametrize("n,d", [(QR_BLOCK_ROWS // 2, 7), (QR_BLOCK_ROWS, 7),
+                                     (2 * QR_BLOCK_ROWS + 5, 7), (40, 40)])
+    def test_blocked_singular_values_match_full_svd(self, n, d):
+        grid = midpoint_grid(n)
+        basis = indicator_basis(grid) if d == n else cosine_basis()
+        G = build_design_matrix(basis, grid, d).entries
+        full = np.linalg.svd(G, compute_uv=False)
+        blocked = np.linalg.svd(_design_r_factor(G), compute_uv=False)
+        assert np.max(np.abs(blocked - full)) <= 1e-13 * full[0]
+
+    def test_ill_conditioned_table_over_several_blocks_passes(self, rng):
+        n = 2 * QR_BLOCK_ROWS + 5
+        grid = midpoint_grid(n)
+        table = _conditioned_table(n, 6, 1e10, rng)
+        G = build_design_matrix(table_basis(table, grid), grid, 6)
+        assert np.array_equal(G.entries, table)
+
+    def test_duplicated_row_over_several_blocks_is_degenerate(self, rng):
+        n = 2 * QR_BLOCK_ROWS + 5
+        grid = midpoint_grid(n)
+        table = _conditioned_table(n, 6, 1e10, rng)
+        table[5] = table[2]
+        with pytest.raises(DegenerateDesignError):
+            build_design_matrix(table_basis(table, grid), grid, 6)
+
+    def test_peak_memory_stays_near_the_design_itself(self):
+        grid = midpoint_grid(32768)
+        tracemalloc.start()
+        try:
+            G = build_design_matrix(cosine_basis(), grid, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * G.entries.nbytes
 
 
 class TestEmpiricalProjection:
