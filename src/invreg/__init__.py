@@ -60,14 +60,8 @@ from .operator import (
     table_basis,
 )
 from .regularizers import (
-    Diagonal,
-    Projection,
-    Regularizer,
     RegularizerFamily,
-    Tikhonov,
-    build_regularizer,
     projection_family,
-    regularized_truth,
     tikhonov_family,
 )
 from .selection import (

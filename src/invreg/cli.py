@@ -17,7 +17,7 @@ import numpy as np
 from . import concentration as conc
 from . import configio as cio
 from .configio import ConfigError, DataError, cfg_list, cfg_value
-from .errors import InvregError, ParameterError
+from .errors import InvregError
 from .experiments import (
     ExperimentConfig,
     SourceSpec,
@@ -38,7 +38,6 @@ from .regularizers import projection_family, tikhonov_family
 from .selection import (
     PenaltyConfig,
     default_weights,
-    kraft_sum,
     select,
     select_by_threshold,
 )
@@ -169,11 +168,6 @@ def cmd_select(args) -> int:
         w = np.array(cfg_list(cp, "penalty", "weights", float, required=True))
     pcfg = PenaltyConfig(sigma2=sigma2, r=base.r, weights=w,
                          kraft_d=base.kraft_d)
-    if weights_key == "auto":
-        kr = kraft_sum(family, pcfg)
-        if kr > target:
-            raise ParameterError(f"kraft target {target!r} unreachable: capped "
-                                 f"weights leave a kraft sum of {kr!r}")
 
     seed = args.seed if args.seed is not None else 0
     man = cio.RunManifest("select", cio.config_echo(cp), seed).start()
@@ -187,10 +181,12 @@ def cmd_select(args) -> int:
 
     header, rows = result.to_csv_rows()
     cio.write_csv(man.add(os.path.join(out, "selection.csv")), header, rows)
+    stats = zip(family.parameters, family.trace_stats.tolist(),
+                family.radius_stats.tolist())
     cio.write_csv(man.add(os.path.join(out, "family.csv")),
                   ["k", "kind", "parameter", "trace_stat", "radius_stat"],
-                  [[k, kd, cio.fmt(float(par)), cio.fmt(tr), cio.fmt(rad)]
-                   for k, kd, par, tr, rad in family.statistics_rows()])
+                  [[k, family.kind, cio.fmt(par), cio.fmt(tr), cio.fmt(rad)]
+                   for k, (par, tr, rad) in enumerate(stats)])
     chosen = result.chosen_row()
     summary = [
         f"chosen_k = {result.chosen}",
@@ -297,7 +293,7 @@ def _concentration_matrix(token: str, op_cache: dict) -> np.ndarray:
         op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
                                  midpoint_grid(n), d)
         fam = tikhonov_family(op, alpha_max=0.25, count=1)
-        op_cache[dims] = fam.candidates[0].matrix
+        op_cache[dims] = fam.matrix(0)
     return op_cache[dims]
 
 

@@ -1,193 +1,69 @@
-"""Families of regularization operators realized as explicit matrices.
+"""Families of regularization operators, each one K x d filter matrix.
 
-Every supported smoothing choice is diagonal in the singular coordinates
-of the projected operator: a candidate is described by nonnegative (or
-infinite) damping weights a_j and acts through the spectral filter
+Every supported regularization method is a spectral filter in the singular
+coordinates of the projected operator: candidate k estimates coefficient j
+as F[k, j] times the empirical singular coefficient of the data.  A family
+stacks one filter row per tuning parameter, smoothest first:
 
-    f_j = lambda_j / (lambda_j^2 + a_j^2),
+    tikhonov    F[k, j] = lambda_j / (lambda_j^2 + alpha_k)
+    projection  F[k, j] = 1 / lambda_j for j <= m_k, exactly 0 beyond.
 
-so the estimate is f_j times the empirical singular coefficient of the
-data.  Infinite damping is realized as an exact zero filter value (the
-limit of the resolvent), never as a floating-point infinity.
+The selection rule reads F and, per row, the trace sum(F[k]^2) / n and the
+spectral radius max(F[k]^2) / n of R_k^t R_k.  The qualification of a
+filter is the largest source smoothness nu its bias can exploit: 1 for
+Tikhonov, unlimited for spectral cut-off.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 from .operator import DiscretizedOperator
 
-
-@dataclass(frozen=True)
-class Tikhonov:
-    """Uniform damping sqrt(alpha) on every coordinate."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ParameterError("tikhonov parameter must be positive")
-
-    def label(self) -> str:
-        return f"tikhonov(alpha={self.alpha!r})"
-
-
-@dataclass(frozen=True)
-class Projection:
-    """Exact inversion on an index subset, zero estimate off it (1-based)."""
-
-    indices: frozenset[int]
-
-    def __init__(self, indices):
-        object.__setattr__(self, "indices", frozenset(int(i) for i in indices))
-        if not self.indices:
-            raise ParameterError("projection index set must be nonempty")
-        if min(self.indices) < 1:
-            raise ParameterError("projection indices are 1-based")
-
-    def label(self) -> str:
-        return f"projection(m={{{','.join(str(i) for i in sorted(self.indices))}}})"
-
-
-@dataclass(frozen=True)
-class Diagonal:
-    """Per-coordinate damping weights in [0, +inf], at least one finite."""
-
-    entries: tuple[float, ...]
-
-    def __init__(self, entries: Sequence[float]):
-        ent = tuple(float(a) for a in entries)
-        if any(a < 0 for a in ent):
-            raise ParameterError("damping weights must be nonnegative")
-        if not any(math.isfinite(a) for a in ent):
-            raise ParameterError("at least one damping weight must be finite")
-        object.__setattr__(self, "entries", ent)
-
-    def label(self) -> str:
-        return f"diagonal(d={len(self.entries)})"
-
-
-RegularizerSpec = Union[Tikhonov, Projection, Diagonal]
-
-
-class Regularizer:
-    """One realized smoothing operator with cached spectral statistics.
-
-    ``filter_values`` are the diagonal factors in singular coordinates;
-    ``trace_stat`` and ``radius_stat`` are the trace and spectral radius of
-    the matrix composed with its transpose, i.e. sum(f^2)/n and max(f^2)/n.
-    """
-
-    def __init__(self, spec: RegularizerSpec, op: DiscretizedOperator,
-                 filter_values: np.ndarray):
-        self.spec = spec
-        self.op = op
-        self.filter_values = filter_values
-        f2 = filter_values ** 2
-        self.trace_stat = float(np.sum(f2)) / op.n
-        self.radius_stat = float(np.max(f2)) / op.n
-        if not self.radius_stat > 0:
-            raise ParameterError("regularizer is identically zero")
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense d x n matrix mapping a sample vector to coefficients."""
-        return self.op.x_vectors @ (self.filter_values[:, None]
-                                    * self.op.singular_design) / self.op.n
-
-    @property
-    def kind(self) -> str:
-        return type(self.spec).__name__.lower()
-
-    def apply(self, y) -> np.ndarray:
-        """Estimate coefficients from a sample vector (filter in SVD coordinates)."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.op.n,):
-            raise DimensionError(f"sample vector has length {y.size}, need {self.op.n}")
-        return self.op.x_vectors @ (self.filter_values * self.op.svd_coefficients(y))
-
-    def label(self) -> str:
-        return self.spec.label()
-
-
-def build_regularizer(spec: RegularizerSpec, op: DiscretizedOperator) -> Regularizer:
-    """Realize a smoothing choice against the projected operator."""
-    lam = op.singular_values
-    if isinstance(spec, Tikhonov):
-        f = lam / (lam ** 2 + spec.alpha)
-    elif isinstance(spec, Projection):
-        if max(spec.indices) > op.d:
-            raise ParameterError(
-                f"projection index {max(spec.indices)} exceeds model size {op.d}")
-        f = np.zeros(op.d)
-        idx = np.fromiter((i - 1 for i in sorted(spec.indices)), dtype=int)
-        f[idx] = 1.0 / lam[idx]
-    elif isinstance(spec, Diagonal):
-        if len(spec.entries) != op.d:
-            raise DimensionError(
-                f"diagonal spec has {len(spec.entries)} entries, operator has {op.d}")
-        a = np.asarray(spec.entries, dtype=float)
-        f = np.zeros(op.d)
-        finite = np.isfinite(a)
-        f[finite] = lam[finite] / (lam[finite] ** 2 + a[finite] ** 2)
-    else:
-        raise ParameterError(f"unknown regularizer spec {spec!r}")
-    return Regularizer(spec, op, f)
-
-
-def regularized_truth(reg: Regularizer, op: DiscretizedOperator, x0) -> np.ndarray:
-    """Noiseless image of the truth through the regularizer (bias carrier)."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (op.d,):
-        raise DimensionError(f"truth vector has length {x0.size}, need {op.d}")
-    xi = op.x_vectors.T @ x0
-    return op.x_vectors @ (reg.filter_values * op.singular_values * xi)
+QUALIFICATION = {"tikhonov": 1.0, "projection": math.inf}
 
 
 class RegularizerFamily:
-    """Ordered collection of candidates, smoothest first.
+    """Ordered candidates, smoothest first, as rows of ``filter_matrix``.
 
     The ordering is load-bearing: ties in the selection objective are
     broken toward the earliest candidate, so families must be assembled
-    from the smoothest (largest alpha, smallest index set) to the
-    roughest.
+    from the smoothest (largest alpha, smallest model) to the roughest.
     """
 
-    def __init__(self, candidates: Sequence[Regularizer], kind: str,
-                 parameters: Sequence[float]):
-        if not candidates:
+    def __init__(self, op: DiscretizedOperator, kind: str,
+                 parameters: Sequence[float], filter_matrix: np.ndarray):
+        if filter_matrix.shape[0] == 0:
             raise ParameterError("regularizer family must be nonempty")
-        self.candidates = list(candidates)
+        self.op = op
         self.kind = kind
         self.parameters = [float(v) for v in parameters]
+        self.filter_matrix = filter_matrix
+        F2 = filter_matrix ** 2
+        self.trace_stats = np.sum(F2, axis=1) / op.n
+        self.radius_stats = np.max(F2, axis=1) / op.n
+        if not np.all(self.radius_stats > 0):
+            raise ParameterError("regularizer is identically zero")
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return self.filter_matrix.shape[0]
 
-    def __iter__(self):
-        return iter(self.candidates)
+    def label(self, k: int) -> str:
+        """Name of candidate k in selection.csv and the summary."""
+        if self.kind == "tikhonov":
+            return f"tikhonov(alpha={self.parameters[k]!r})"
+        dims = ",".join(str(i) for i in range(1, int(self.parameters[k]) + 1))
+        return f"projection(m={{{dims}}})"
 
-    @cached_property
-    def filter_matrix(self) -> np.ndarray:
-        """K x d matrix stacking every candidate's filter values."""
-        return np.vstack([reg.filter_values for reg in self.candidates])
-
-    def trace_stats(self) -> np.ndarray:
-        return np.array([reg.trace_stat for reg in self.candidates])
-
-    def radius_stats(self) -> np.ndarray:
-        return np.array([reg.radius_stat for reg in self.candidates])
-
-    def statistics_rows(self):
-        """CSV rows (k, kind, parameter, trace_stat, radius_stat)."""
-        return [(k, reg.kind, self.parameters[k], reg.trace_stat, reg.radius_stat)
-                for k, reg in enumerate(self.candidates)]
+    def matrix(self, k: int) -> np.ndarray:
+        """Dense d x n matrix of candidate k: sample vector to coefficients."""
+        op = self.op
+        return op.x_vectors @ (self.filter_matrix[k][:, None]
+                               * op.singular_design) / op.n
 
 
 def tikhonov_family(op: DiscretizedOperator, alpha_max: float = 1.0,
@@ -208,8 +84,9 @@ def tikhonov_family(op: DiscretizedOperator, alpha_max: float = 1.0,
     if not alphas:
         raise ParameterError(
             f"empty tikhonov grid: alpha_max={alpha_max} below cutoff {alpha_min}")
-    regs = [build_regularizer(Tikhonov(a), op) for a in alphas]
-    return RegularizerFamily(regs, "tikhonov", alphas)
+    lam = op.singular_values
+    F = lam / (lam ** 2 + np.array(alphas)[:, None])
+    return RegularizerFamily(op, "tikhonov", alphas, F)
 
 
 def projection_family(op: DiscretizedOperator,
@@ -222,5 +99,6 @@ def projection_family(op: DiscretizedOperator,
         raise ParameterError(f"projection dimensions must lie in [1, {op.d}]")
     if sorted(dims) != dims:
         raise ParameterError("projection dimensions must increase (smoothest first)")
-    regs = [build_regularizer(Projection(range(1, j + 1)), op) for j in dims]
-    return RegularizerFamily(regs, "projection", dims)
+    F = np.where(np.arange(op.d) < np.array(dims)[:, None],
+                 1.0 / op.singular_values, 0.0)
+    return RegularizerFamily(op, "projection", dims, F)

@@ -18,14 +18,13 @@ coefficients; ``threshold_objectives`` computes it that way, as a cross-check.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .operator import DiscretizedOperator
-from .regularizers import Regularizer, RegularizerFamily
+from .regularizers import RegularizerFamily
 
 
 @dataclass
@@ -125,18 +124,21 @@ def objectives(F: np.ndarray, lam: np.ndarray, C: np.ndarray,
     return con, obj
 
 
-def penalty(reg: Regularizer, cfg: PenaltyConfig, k: int = 0) -> float:
-    """pen(k) of one candidate; ``k`` picks its weight from cfg.weights."""
+def penalty(family: RegularizerFamily, k: int, cfg: PenaltyConfig) -> float:
+    """pen(k) of one candidate (one-candidate reference reading of
+    ``penalties``); its weight is cfg.weights[k]."""
     one = replace(cfg, weights=None if cfg.weights is None else cfg.weights[k:k + 1])
-    return float(penalties([reg.trace_stat], [reg.radius_stat], one)[0])
+    return float(penalties(family.trace_stats[k:k + 1],
+                           family.radius_stats[k:k + 1], one)[0])
 
 
-def contrast(reg: Regularizer, op: DiscretizedOperator, y) -> float:
+def contrast(family: RegularizerFamily, k: int, y) -> float:
     """Squared distance, after inversion on the maximal model, between the
-    data and the image of the candidate estimate (one-candidate reference
+    data and the image of candidate k's estimate (one-candidate reference
     reading of ``objectives``)."""
+    op = family.op
     lam = op.singular_values
-    back = (1.0 - lam * reg.filter_values) * op.svd_coefficients(y) / lam
+    back = (1.0 - lam * family.filter_matrix[k]) * op.svd_coefficients(y) / lam
     return float(np.dot(back, back))
 
 
@@ -155,8 +157,8 @@ def kraft_sum(family: RegularizerFamily, cfg: PenaltyConfig) -> float:
     under which the summand is free of n for an orthonormal design.
     """
     w = cfg.weights_for(len(family))
-    terms = _kraft_terms(family.trace_stats(), family.radius_stats(),
-                         family.candidates[0].op.n, cfg.kraft_d, w)
+    terms = _kraft_terms(family.trace_stats, family.radius_stats, family.op.n,
+                         cfg.kraft_d, w)
     return float(np.sum(terms))
 
 
@@ -165,25 +167,22 @@ def default_weights(family: RegularizerFamily, cfg: PenaltyConfig,
     """Smallest common weight L making the kraft sum reach the target.
 
     Found by bisection on the (strictly decreasing) map L -> kraft sum.
-    When even the cap cannot reach the target a warning is emitted and the
-    cap is returned.
+    A target that even the cap cannot reach raises ParameterError.
     """
     if not target > 0:
         raise ParameterError("kraft target must be positive")
-    n = family.candidates[0].op.n
-    tr = family.trace_stats()
-    rad = family.radius_stats()
+    n = family.op.n
 
     def total(L: float) -> float:
-        return float(np.sum(_kraft_terms(tr, rad, n, cfg.kraft_d,
-                                         np.full(len(family), L))))
+        return float(np.sum(_kraft_terms(family.trace_stats, family.radius_stats, n,
+                                         cfg.kraft_d, np.full(len(family), L))))
 
     if total(0.0) <= target:
         return np.zeros(len(family))
     if total(cap) > target:
-        warnings.warn("kraft target unreachable below the bisection cap; "
-                      "returning the cap", RuntimeWarning)
-        return np.full(len(family), cap)
+        raise ParameterError(
+            f"kraft target {target!r} unreachable for the {family.kind} family at "
+            f"n = {n}: weights at the cap {cap!r} leave a kraft sum of {total(cap)!r}")
     lo, hi = 0.0, 1.0
     while total(hi) > target and hi < cap:
         hi = min(2.0 * hi, cap)
@@ -205,12 +204,12 @@ def select(family: RegularizerFamily, cfg: PenaltyConfig,
     """
     c = op.svd_coefficients(y)
     F = family.filter_matrix
-    pens = penalties(family.trace_stats(), family.radius_stats(), cfg)
+    pens = penalties(family.trace_stats, family.radius_stats, cfg)
     cons, objs = objectives(F, op.singular_values, c[None, :], pens)
     best = int(np.argmin(objs[0]))
-    rows = [CandidateRow(k, reg.label(), family.parameters[k], float(cons[0, k]),
+    rows = [CandidateRow(k, family.label(k), family.parameters[k], float(cons[0, k]),
                          float(pens[k]), float(objs[0, k]))
-            for k, reg in enumerate(family)]
+            for k in range(len(family))]
     rows[best].chosen = True
     estimate = op.x_vectors @ (F[best] * c)
     return SelectionResult(best, rows, estimate, kraft_sum(family, cfg))

@@ -19,9 +19,7 @@ from invreg import (
     PenaltyConfig,
     QuadFormSpec,
     SpectralSynthetic,
-    Tikhonov,
     build_design_matrix,
-    build_regularizer,
     cosine_basis,
     default_u_grid,
     default_weights,
@@ -139,11 +137,11 @@ def _single_matrix_weight(A, r=2.5, d_const=1.0, target=1.0):
 def _acceptance_matrices():
     op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
                              midpoint_grid(16), 4)
-    reg = build_regularizer(Tikhonov(0.25), op)
+    fam = tikhonov_family(op, alpha_max=0.25, count=1)
     return [
         ("identity4", np.eye(4)),
         ("decay8", np.diag(1.0 / np.arange(1.0, 9.0))),
-        ("regularizer4x16", reg.matrix),
+        ("regularizer4x16", fam.matrix(0)),
     ]
 
 
@@ -229,7 +227,7 @@ class TestCriterion7TraceRatioScaling:
         count = int(2 * p * 4) + 1
         fam = tikhonov_family(op, alpha_max=2.0 ** (-2 * p), ratio=0.5,
                               count=count)
-        ratios = [reg.trace_stat / reg.radius_stat for reg in fam]
+        ratios = fam.trace_stats / fam.radius_stats
         slope = float(np.polyfit(np.log(1.0 / np.array(fam.parameters)),
                                  np.log(ratios), 1)[0])
         target = 1.0 / (2.0 * p)

@@ -9,7 +9,16 @@ benchmark run.  This runs the tracer around tiny ``rates`` and
 import importlib.util
 import os
 
-from invreg import QuadFormSpec
+from invreg import (
+    QuadFormSpec,
+    SpectralSynthetic,
+    choose_m0,
+    cosine_basis,
+    discretize_operator,
+    midpoint_grid,
+    projection_family,
+    tikhonov_family,
+)
 from invreg.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,6 +51,19 @@ identity_trials = 2
 """
 
 
+def _candidates_in_traced_runs() -> int:
+    """Summed size of the families the two runs build, from the families."""
+    total = 0
+    for n in (64, 128, 256, 512):   # RATES_CFG: both families at every n
+        op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
+                                 midpoint_grid(n), choose_m0(n, 1.0))
+        total += len(tikhonov_family(op)) + len(projection_family(op))
+    # CONC_CFG's regularizer:4x16 is one candidate of a tikhonov family
+    op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
+                             midpoint_grid(16), 4)
+    return total + len(tikhonov_family(op, alpha_max=0.25, count=1))
+
+
 def test_traced_run_counts_the_monte_carlo_layers(tmp_path):
     rates = tmp_path / "rates.ini"
     rates.write_text(RATES_CFG)
@@ -62,3 +84,5 @@ def test_traced_run_counts_the_monte_carlo_layers(tmp_path):
     assert counts["operator.svd_coefficients.calls"] > 0
     assert counts["concentration.eta_squared_samples.calls"] > 0
     assert counts["concentration.samples_per_matrix"] == 1.0
+    assert counts["regularizers.family_build.calls"] > 0
+    assert counts["regularizers.candidates_built"] == _candidates_in_traced_runs()

@@ -1,4 +1,5 @@
 import configparser
+import csv
 import io
 import os
 
@@ -7,6 +8,7 @@ import pytest
 from invreg.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RATE_TOL = 0.15   # the slope tolerance of tests/test_acceptance.py
 
 
 def write_config(tmp_path, name, text):
@@ -205,6 +207,19 @@ class TestRiskAndRates:
         assert code == 2
         assert "4 distinct n" in capsys.readouterr().err
 
+    def test_theory_column_caps_smoothness_at_the_qualification(self, tmp_path):
+        # nu = 2 exceeds Tikhonov's qualification 1: the rate saturates at
+        # theoretical_exponent(p, 1) = -4/7, not -0.727
+        text = open(os.path.join(ROOT, "configs", "rates.ini")).read()
+        cfg = write_config(tmp_path, "nu2.ini", text.replace(
+            "nu = 0.5", "nu = 2.0").replace("kind = both", "kind = tikhonov"))
+        out = str(tmp_path / "rates")
+        assert main(["rates", "--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "rates.csv")) as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert float(row["theoretical"]) == pytest.approx(-4.0 / 7.0)
+        assert abs(float(row["slope"]) - float(row["theoretical"])) <= RATE_TOL
+
     def test_risk_writes_plot_data(self, tmp_path):
         cfg = write_config(tmp_path, "risk.ini", RISK_CFG)
         out = str(tmp_path / "risk")
@@ -380,6 +395,11 @@ OUT_OF_RANGE = {
         tmp, RISK_CFG + "\n[penalty]\nkraft_d = 1e-300\n"),
     "select kraft_d": lambda tmp: _select_argv(
         tmp, TIKHONOV_SELECT + "kraft_d = 1e-300\n"),
+    # every filter value underflows: the regularizer is identically zero
+    "select alpha_max zero filter": lambda tmp: _select_argv(
+        tmp, SELECT_SECTIONS.format(kind="tikhonov", extra="alpha_max = 1e300\n")),
+    "rates alpha_max zero filter": lambda tmp: _rates_argv(
+        tmp, RISK_CFG.replace("kind = tikhonov", "kind = tikhonov\nalpha_max = 1e300")),
 }
 
 
@@ -401,7 +421,6 @@ BAD_DATA = {
 
 
 class TestOutOfRange:
-    @pytest.mark.filterwarnings("ignore:kraft target unreachable:RuntimeWarning")
     @pytest.mark.parametrize("case,code", [(case, 2) for case in OUT_OF_RANGE]
                              + [(case, 3) for case in BAD_DATA])
     def test_exit_code(self, tmp_path, capsys, case, code):

@@ -143,6 +143,19 @@ class TestFitRate:
         assert fit.half_width == pytest.approx(0.0, abs=1e-10)
         assert fit.theoretical == pytest.approx(-0.4)
 
+    def test_theory_capped_at_the_qualification(self):
+        # nu = 2 lies beyond Tikhonov's qualification 1 but not projection's
+        cfg = ExperimentConfig(nu=2.0, n_grid=(256, 512, 1024, 2048), replications=1)
+        report = ExperimentReport(cfg)
+        for method in ("tikhonov", "projection"):
+            for n in cfg.n_grid:
+                report.rows.append(RiskRow(n, method, 1, float(n) ** -0.5, math.nan,
+                                           0.0, math.nan, 1.0, 0.0, 0.0, 1.0, 0.0,
+                                           math.nan))
+        assert fit_rate(report, "tikhonov").theoretical == pytest.approx(-4.0 / 7.0)
+        assert fit_rate(report, "projection").theoretical == pytest.approx(
+            theoretical_exponent(1.0, 2.0))
+
     def test_insufficient_points(self):
         cfg = ExperimentConfig(n_grid=(256, 512, 1024), replications=1)
         report = ExperimentReport(cfg)

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from invreg import (
     ParameterError,
     PenaltyConfig,
-    Projection,
     SpectralSynthetic,
-    Tikhonov,
-    build_regularizer,
     contrast,
     cosine_basis,
     default_weights,
@@ -31,28 +28,35 @@ from invreg import (
 )
 
 
+def tikhonov(op, alpha):
+    """One-candidate Tikhonov family at ``alpha``."""
+    return tikhonov_family(op, alpha_max=alpha, count=1)
+
+
 class TestPenalty:
     def test_direct_arithmetic(self):
-        stub = types.SimpleNamespace(trace_stat=2.0, radius_stat=1.0)
+        stub = types.SimpleNamespace(trace_stats=np.array([2.0]),
+                                     radius_stats=np.array([1.0]))
         cfg = PenaltyConfig(sigma2=1.0, r=3.0)
-        assert penalty(stub, cfg) == pytest.approx(9.0)
+        assert penalty(stub, 0, cfg) == pytest.approx(9.0)
 
     def test_linear_in_one_plus_weight(self):
-        stub = types.SimpleNamespace(trace_stat=2.0, radius_stat=1.0)
-        base = penalty(stub, PenaltyConfig(sigma2=1.0, r=3.0))
-        with_weight = penalty(stub, PenaltyConfig(sigma2=1.0, r=3.0,
-                                                  weights=np.array([1.0])), 0)
+        stub = types.SimpleNamespace(trace_stats=np.array([2.0]),
+                                     radius_stats=np.array([1.0]))
+        base = penalty(stub, 0, PenaltyConfig(sigma2=1.0, r=3.0))
+        with_weight = penalty(stub, 0, PenaltyConfig(sigma2=1.0, r=3.0,
+                                                     weights=np.array([1.0])))
         assert with_weight == pytest.approx(2 * base)
 
     def test_identity_operator_value(self, identity_op_d4_n16):
-        reg = build_regularizer(Tikhonov(1.0), identity_op_d4_n16)
+        fam = tikhonov(identity_op_d4_n16, 1.0)
         cfg = PenaltyConfig(sigma2=1.0, r=2.5)
-        assert penalty(reg, cfg) == pytest.approx(0.1953125)
+        assert penalty(fam, 0, cfg) == pytest.approx(0.1953125)
 
     def test_homogeneity_in_sigma2(self, identity_op_d4_n16):
-        reg = build_regularizer(Tikhonov(1.0), identity_op_d4_n16)
-        one = penalty(reg, PenaltyConfig(sigma2=1.0, r=2.5))
-        three = penalty(reg, PenaltyConfig(sigma2=3.0, r=2.5))
+        fam = tikhonov(identity_op_d4_n16, 1.0)
+        one = penalty(fam, 0, PenaltyConfig(sigma2=1.0, r=2.5))
+        three = penalty(fam, 0, PenaltyConfig(sigma2=3.0, r=2.5))
         assert three == pytest.approx(3 * one)
 
     def test_r_must_exceed_two(self):
@@ -74,22 +78,22 @@ class TestContrast:
     def test_noiseless_projection_on_support(self, op_p1_d4_n16):
         x0 = np.array([2.0, -1.0, 0.0, 0.0])
         y = op_p1_d4_n16.forward(x0)
-        reg = build_regularizer(Projection([1, 2, 3, 4]), op_p1_d4_n16)
-        assert contrast(reg, op_p1_d4_n16, y) == pytest.approx(0.0, abs=1e-20)
+        fam = projection_family(op_p1_d4_n16, dims=[4])
+        assert contrast(fam, 0, y) == pytest.approx(0.0, abs=1e-20)
 
     def test_zero_data(self, op_p1_d4_n16):
-        reg = build_regularizer(Tikhonov(0.5), op_p1_d4_n16)
-        assert contrast(reg, op_p1_d4_n16, np.zeros(16)) == 0.0
+        fam = tikhonov(op_p1_d4_n16, 0.5)
+        assert contrast(fam, 0, np.zeros(16)) == 0.0
 
     def test_dense_composition_oracle(self, op_p1_d4_n16, rng):
         # ||A (y - T xhat)||^2 with every factor evaluated densely
         op = op_p1_d4_n16
         y = rng.standard_normal(16)
-        reg = build_regularizer(Tikhonov(0.5), op)
+        fam = tikhonov(op, 0.5)
         A = op.x_vectors @ np.diag(1.0 / op.singular_values) @ op.singular_design / op.n
-        xhat = reg.matrix @ y
+        xhat = fam.matrix(0) @ y
         oracle = float(np.sum((A @ (y - op.sample_matrix @ xhat)) ** 2))
-        assert contrast(reg, op, y) == pytest.approx(oracle, abs=1e-12)
+        assert contrast(fam, 0, y) == pytest.approx(oracle, abs=1e-12)
 
 
 class TestSelect:
@@ -114,8 +118,7 @@ class TestSelect:
         cfg = PenaltyConfig(sigma2=1.0, r=2.5)
         res = select(fam, cfg, op_p1_d4_n16, y)
         # exhaustive oracle over the same family
-        objs = [contrast(reg, op_p1_d4_n16, y) + penalty(reg, cfg)
-                for reg in fam]
+        objs = [contrast(fam, k, y) + penalty(fam, k, cfg) for k in range(len(fam))]
         assert res.chosen == int(np.argmin(objs)) == 1   # model {1, 2}
 
     def test_objective_decomposition_and_argmin(self, op_p1_d4_n16, rng):
@@ -164,20 +167,20 @@ class TestObjectives:
                                 weights=default_weights(fam, PenaltyConfig(sigma2=0.3)))
             ys = rng.standard_normal((5, 16))
             C = np.array([op.svd_coefficients(y) for y in ys])
-            pens = penalties(fam.trace_stats(), fam.radius_stats(), cfg)
+            pens = penalties(fam.trace_stats, fam.radius_stats, cfg)
             cons, objs = objectives(fam.filter_matrix, op.singular_values, C, pens)
             assert objs.shape == (5, len(fam))
             for r, y in enumerate(ys):
-                for k, reg in enumerate(fam):
-                    assert cons[r, k] == contrast(reg, op, y)
-                    assert objs[r, k] == contrast(reg, op, y) + penalty(reg, cfg, k)
+                for k in range(len(fam)):
+                    assert cons[r, k] == contrast(fam, k, y)
+                    assert objs[r, k] == contrast(fam, k, y) + penalty(fam, k, cfg)
 
     def test_rows_match_select(self, op_p1_d4_n16, rng):
         fam = tikhonov_family(op_p1_d4_n16)
         cfg = PenaltyConfig(sigma2=0.5)
         ys = rng.standard_normal((8, 16))
         C = np.array([op_p1_d4_n16.svd_coefficients(y) for y in ys])
-        pens = penalties(fam.trace_stats(), fam.radius_stats(), cfg)
+        pens = penalties(fam.trace_stats, fam.radius_stats, cfg)
         _, objs = objectives(fam.filter_matrix, op_p1_d4_n16.singular_values, C, pens)
         chosen = np.argmin(objs, axis=1)
         for y, k in zip(ys, chosen):
@@ -185,7 +188,7 @@ class TestObjectives:
 
     def test_non_finite_objective_raises(self, op_p1_d4_n16):
         fam = tikhonov_family(op_p1_d4_n16)
-        pens = penalties(fam.trace_stats(), fam.radius_stats(),
+        pens = penalties(fam.trace_stats, fam.radius_stats,
                          PenaltyConfig(sigma2=1.0))
         C = np.zeros((2, 4))
         C[1, 2] = np.nan
@@ -199,7 +202,7 @@ class TestObjectives:
                                                            scale):
         op, m, y, cfg = _prefix_instance(seed, d, n_factor, scale)
         fam = projection_family(op, range(1, m + 1))
-        pens = penalties(fam.trace_stats(), fam.radius_stats(), cfg)
+        pens = penalties(fam.trace_stats, fam.radius_stats, cfg)
         _, objs = objectives(fam.filter_matrix, op.singular_values,
                              op.svd_coefficients(y)[None, :], pens)
         assert int(np.argmin(objs[0])) == select_by_threshold(op, y, cfg, m0=m).chosen
@@ -228,8 +231,11 @@ class TestObjectives:
         C = op.svd_coefficients(y)[None, :]
         for fam in (projection_family(op, range(1, m + 1)),
                     tikhonov_family(op, count=m)):
+            # the tikhonov grid cutoff may leave fewer than m candidates
+            w = np.full(len(fam), cfg.weights[0])
             F = fam.filter_matrix
-            pens = penalties(fam.trace_stats(), fam.radius_stats(), cfg)
+            pens = penalties(fam.trace_stats, fam.radius_stats,
+                             PenaltyConfig(sigma2=cfg.sigma2, r=cfg.r, weights=w))
             _, objs = objectives(F, op.singular_values, C, pens)
             best = int(np.argmin(objs[0]))
             assume(np.sum(objs[0] == objs[0, best]) == 1)
@@ -322,12 +328,10 @@ class TestDefaultWeights:
         total = kraft_sum(fam, PenaltyConfig(sigma2=1.0, weights=w))
         assert 0.99 <= total <= 1.0
 
-    def test_unreachable_target_warns_and_caps(self, op_p1_d4_n16):
+    def test_unreachable_target_raises(self, op_p1_d4_n16):
         fam = tikhonov_family(op_p1_d4_n16)
-        with pytest.warns(RuntimeWarning):
-            w = default_weights(fam, PenaltyConfig(sigma2=1.0), target=1e-6,
-                                cap=0.5)
-        assert np.all(w == 0.5)
+        with pytest.raises(ParameterError, match="tikhonov family at n = 16"):
+            default_weights(fam, PenaltyConfig(sigma2=1.0), target=1e-6, cap=0.5)
 
 
 class TestSelectByThreshold:
