@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .configio import ConfigError, DataError, cfg_list, cfg_value
 from .errors import InvregError
 from .experiments import (
     ExperimentConfig,
+    RiskRow,
     SourceSpec,
     fit_rate,
     monte_carlo_risk,
@@ -36,6 +38,7 @@ from .operator import (
 )
 from .regularizers import projection_family, tikhonov_family
 from .selection import (
+    CandidateRow,
     PenaltyConfig,
     default_weights,
     select,
@@ -49,11 +52,6 @@ EXIT_VIOLATION = 4
 
 class ViolationError(InvregError):
     """An internal acceptance check failed (nonzero violation flags)."""
-
-
-def _ensure_out(out: str) -> str:
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _seed(cp, section: str, seed_override) -> int:
@@ -81,26 +79,21 @@ def _problem_from_config(cp, seed_override):
 
 def cmd_synth(args) -> int:
     cp = cio.load_config(args.config)
-    out = _ensure_out(args.out)
     prob, seed = _problem_from_config(cp, args.seed)
-    man = cio.RunManifest("synth", cio.config_echo(cp), seed).start()
+    man = cio.RunManifest("synth", cio.config_echo(cp), seed, args.out).start()
     op = prob.op
+    t = op.grid.points.tolist()
 
-    cio.write_csv(man.add(os.path.join(out, "grid.csv")), ["t"],
-                  [[cio.fmt(float(t))] for t in op.grid.points])
-    header = [f"phi{j + 1}" for j in range(op.d)]
-    cio.write_csv(man.add(os.path.join(out, "operator.csv")), header,
-                  [[cio.fmt(float(v)) for v in row] for row in op.sample_matrix])
-    cio.write_csv(man.add(os.path.join(out, "truth.csv")), ["j", "x0"],
-                  [[j + 1, cio.fmt(float(v))] for j, v in enumerate(prob.x0)])
+    man.csv("grid.csv", ["t"], [[v] for v in t])
+    man.csv("operator.csv", [f"phi{j + 1}" for j in range(op.d)],
+            op.sample_matrix.tolist())
+    man.csv("truth.csv", ["j", "x0"], enumerate(prob.x0.tolist(), start=1))
     rng = np.random.default_rng((seed, op.n, 0))
     y = prob.clean + (rng.normal(0.0, prob.sigma, op.n) if prob.sigma > 0
                       else np.zeros(op.n))
-    cio.write_csv(man.add(os.path.join(out, "data.csv")), ["t", "clean", "y"],
-                  [[cio.fmt(float(t)), cio.fmt(float(c)), cio.fmt(float(v))]
-                   for t, c, v in zip(op.grid.points, prob.clean, y)])
-    man.finish(out)
-    print(f"synth: wrote {len(man.outputs)} files to {out}")
+    man.csv("data.csv", ["t", "clean", "y"], zip(t, prob.clean.tolist(), y.tolist()))
+    man.finish()
+    print(f"synth: wrote {len(man.outputs)} files to {args.out}")
     return 0
 
 
@@ -137,7 +130,6 @@ def _family_from_config(cp, op):
 
 def cmd_select(args) -> int:
     cp = cio.load_config(args.config)
-    out = _ensure_out(args.out)
     op = _operator_from_data(cp, args.data)
     data = cio.read_csv_columns(os.path.join(args.data, "data.csv"), ["t", "y"])
     y = data["y"]
@@ -170,7 +162,7 @@ def cmd_select(args) -> int:
                          kraft_d=base.kraft_d)
 
     seed = args.seed if args.seed is not None else 0
-    man = cio.RunManifest("select", cio.config_echo(cp), seed).start()
+    man = cio.RunManifest("select", cio.config_echo(cp), seed, args.out).start()
     result = select(family, pcfg, op, y)
     agreement = ""
     # The thresholding form covers nested prefixes {1..j}, j = 1..m only.
@@ -179,14 +171,12 @@ def cmd_select(args) -> int:
         thr = select_by_threshold(op, y, pcfg, m0=m)
         agreement = str(int(thr.chosen == result.chosen))
 
-    header, rows = result.to_csv_rows()
-    cio.write_csv(man.add(os.path.join(out, "selection.csv")), header, rows)
+    man.csv("selection.csv", [f.name for f in fields(CandidateRow)],
+            [astuple(r) for r in result.per_candidate])
     stats = zip(family.parameters, family.trace_stats.tolist(),
                 family.radius_stats.tolist())
-    cio.write_csv(man.add(os.path.join(out, "family.csv")),
-                  ["k", "kind", "parameter", "trace_stat", "radius_stat"],
-                  [[k, family.kind, cio.fmt(par), cio.fmt(tr), cio.fmt(rad)]
-                   for k, (par, tr, rad) in enumerate(stats)])
+    man.csv("family.csv", ["k", "kind", "parameter", "trace_stat", "radius_stat"],
+            [[k, family.kind, *s] for k, s in enumerate(stats)])
     chosen = result.chosen_row()
     summary = [
         f"chosen_k = {result.chosen}",
@@ -201,10 +191,8 @@ def cmd_select(args) -> int:
     ]
     if agreement:
         summary.append(f"threshold_agreement = {agreement}")
-    spath = man.add(os.path.join(out, "summary.txt"))
-    with open(spath, "w") as fh:
-        fh.write("\n".join(summary) + "\n")
-    man.finish(out)
+    man.text("summary.txt", "\n".join(summary) + "\n")
+    man.finish()
     print("\n".join(summary))
     return 0
 
@@ -231,18 +219,19 @@ def _experiment_config(cp, seed_override) -> ExperimentConfig:
     )
 
 
+def _write_risk(man, report) -> None:
+    man.csv("risk.csv", [f.name for f in fields(RiskRow)],
+            [astuple(r) for r in report.rows])
+
+
 def cmd_risk(args) -> int:
     cp = cio.load_config(args.config)
-    out = _ensure_out(args.out)
     cfg = _experiment_config(cp, args.seed)
-    man = cio.RunManifest("risk", cio.config_echo(cp), cfg.seed).start()
+    man = cio.RunManifest("risk", cio.config_echo(cp), cfg.seed, args.out).start()
     report = monte_carlo_risk(cfg)
-    header, rows = report.to_csv_rows()
-    cio.write_csv(man.add(os.path.join(out, "risk.csv")), header, rows)
-    cio.write_csv(man.add(os.path.join(out, "plotdata.csv")),
-                  ["method", "log_n", "log_risk"],
-                  [[m, cio.fmt(a), cio.fmt(b)] for m, a, b in report.plot_rows()])
-    man.finish(out)
+    _write_risk(man, report)
+    man.csv("plotdata.csv", ["method", "log_n", "log_risk"], report.plot_rows())
+    man.finish()
     print(f"risk: {len(report.rows)} cells "
           f"({'/'.join(cfg.methods())}, n in {list(cfg.n_grid)})")
     return 0
@@ -250,21 +239,18 @@ def cmd_risk(args) -> int:
 
 def cmd_rates(args) -> int:
     cp = cio.load_config(args.config)
-    out = _ensure_out(args.out)
     cfg = _experiment_config(cp, args.seed)
     if len(set(cfg.n_grid)) < 4:
         raise ConfigError(
             f"rate fit needs at least 4 distinct n values, got {len(set(cfg.n_grid))}")
-    man = cio.RunManifest("rates", cio.config_echo(cp), cfg.seed).start()
+    man = cio.RunManifest("rates", cio.config_echo(cp), cfg.seed, args.out).start()
     report = monte_carlo_risk(cfg)
-    header, rows = report.to_csv_rows()
-    cio.write_csv(man.add(os.path.join(out, "risk.csv")), header, rows)
+    _write_risk(man, report)
     fits = [fit_rate(report, m) for m in cfg.methods()]
-    cio.write_csv(man.add(os.path.join(out, "rates.csv")),
-                  ["method", "slope", "half_width", "theoretical", "n_count"],
-                  [[f.method, cio.fmt(f.slope), cio.fmt(f.half_width),
-                    cio.fmt(f.theoretical), len(f.n_values)] for f in fits])
-    man.finish(out)
+    man.csv("rates.csv", ["method", "slope", "half_width", "theoretical", "n_count"],
+            [[f.method, f.slope, f.half_width, f.theoretical, len(f.n_values)]
+             for f in fits])
+    man.finish()
     for f in fits:
         print(f"rates: {f.method} slope {f.slope:+.4f} +- {f.half_width:.4f} "
               f"(theoretical {f.theoretical:+.4f})")
@@ -299,7 +285,6 @@ def _concentration_matrix(token: str, op_cache: dict) -> np.ndarray:
 
 def cmd_concentration(args) -> int:
     cp = cio.load_config(args.config)
-    out = _ensure_out(args.out)
     seed = _seed(cp, "concentration", args.seed)
     reps = cfg_value(cp, "concentration", "replications", int, 10_000)
     u_count = cfg_value(cp, "concentration", "u_count", int, 8)
@@ -320,7 +305,8 @@ def cmd_concentration(args) -> int:
     specs = [(token, conc.QuadFormSpec(_concentration_matrix(token, cache),
                                        conc.GaussianNoise(sigma), reps, seed))
              for token in tokens]
-    man = cio.RunManifest("concentration", cio.config_echo(cp), seed).start()
+    man = cio.RunManifest("concentration", cio.config_echo(cp), seed,
+                          args.out).start()
 
     tail_rows, moment_rows, comments = [], [], []
     total_violations = 0
@@ -330,19 +316,18 @@ def cmd_concentration(args) -> int:
         total_violations += rep.violations
         comments.append(f"# {token}: " + "; ".join(
             l.lstrip("# ") for l in rep.header_lines()))
-        _, rows = rep.to_csv_rows()
-        tail_rows.extend([[token] + r for r in rows])
+        tail_rows.extend([token, *r] for r in zip(
+            rep.thresholds.tolist(), rep.empirical_tail.tolist(), rep.stderr.tolist(),
+            rep.theoretical_bound.tolist(), rep.violation_flags().tolist()))
         mom = conc.moment_check(spec, etasq, pcfg, moment_q)
-        moment_rows.append([token, mom.q, cio.fmt(mom.empirical_moment),
-                            cio.fmt(mom.bound_shape), cio.fmt(mom.ratio),
-                            int(mom.defined)])
+        moment_rows.append([token, mom.q, mom.empirical_moment, mom.bound_shape,
+                            mom.ratio, mom.defined])
 
-    cio.write_csv(man.add(os.path.join(out, "tails.csv")),
-                  ["matrix", "u", "empirical", "stderr", "bound", "violation"],
-                  tail_rows, comments=comments)
-    cio.write_csv(man.add(os.path.join(out, "moments.csv")),
-                  ["matrix", "q", "empirical", "bound_shape", "ratio", "defined"],
-                  moment_rows)
+    man.csv("tails.csv", ["matrix", "u", "empirical", "stderr", "bound", "violation"],
+            tail_rows, comments)
+    man.csv("moments.csv",
+            ["matrix", "q", "empirical", "bound_shape", "ratio", "defined"],
+            moment_rows)
 
     rng = np.random.default_rng((seed, 0xA11))
     id_rows = []
@@ -352,11 +337,9 @@ def cmd_concentration(args) -> int:
         G = build_design_matrix(cosine_basis(), midpoint_grid(n), d)
         eps = rng.normal(0.0, sigma, n)
         chk = conc.projection_identity_check(eps, G, seed=trial)
-        id_rows.append([trial, n, d, cio.fmt(chk.lhs), cio.fmt(chk.rhs),
-                        cio.fmt(chk.gap)])
-    cio.write_csv(man.add(os.path.join(out, "identity.csv")),
-                  ["trial", "n", "d", "lhs", "rhs", "gap"], id_rows)
-    man.finish(out)
+        id_rows.append([trial, n, d, chk.lhs, chk.rhs, chk.gap])
+    man.csv("identity.csv", ["trial", "n", "d", "lhs", "rhs", "gap"], id_rows)
+    man.finish()
     print(f"concentration: {total_violations} tail violations over "
           f"{len(tokens)} matrices")
     if total_violations > 0:
@@ -366,7 +349,6 @@ def cmd_concentration(args) -> int:
 
 def cmd_diagnostics(args) -> int:
     cp = cio.load_config(args.config)
-    out = _ensure_out(args.out)
     if args.data:
         op = _operator_from_data(cp, args.data)
         seed = args.seed if args.seed is not None else 0
@@ -374,12 +356,10 @@ def cmd_diagnostics(args) -> int:
         prob, seed = _problem_from_config(cp, args.seed)
         op = prob.op
     dims = cfg_list(cp, "diagnostics", "dims", int, list(range(1, op.d + 1)))
-    man = cio.RunManifest("diagnostics", cio.config_echo(cp), seed).start()
+    man = cio.RunManifest("diagnostics", cio.config_echo(cp), seed, args.out).start()
     diag = diagnostics(op, dims)
-    path = man.add(os.path.join(out, "diagnostics.txt"))
-    with open(path, "w") as fh:
-        fh.write(diag.to_report())
-    man.finish(out)
+    man.text("diagnostics.txt", diag.to_report())
+    man.finish()
     sys.stdout.write(diag.to_report())
     return 0
 

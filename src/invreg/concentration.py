@@ -178,7 +178,6 @@ class TailReport:
     empirical_tail: np.ndarray
     stderr: np.ndarray
     theoretical_bound: np.ndarray
-    violations: int
     trace: float
     radius: float
     r: float
@@ -191,6 +190,10 @@ class TailReport:
     def violation_flags(self) -> np.ndarray:
         return self.empirical_tail - 2.0 * self.stderr > self.theoretical_bound
 
+    @property
+    def violations(self) -> int:
+        return int(np.sum(self.violation_flags()))
+
     def header_lines(self) -> list[str]:
         return [
             f"# trace = {self.trace!r}",
@@ -202,16 +205,6 @@ class TailReport:
             f"# replications = {self.replications}",
             f"# seed = {self.seed}",
         ]
-
-    def to_csv_rows(self):
-        header = ["u", "empirical", "stderr", "bound", "violation"]
-        flags = self.violation_flags()
-        rows = [[repr(float(u)), repr(float(e)), repr(float(s)), repr(float(b)),
-                 int(fl)]
-                for u, e, s, b, fl in zip(self.thresholds, self.empirical_tail,
-                                          self.stderr, self.theoretical_bound,
-                                          flags)]
-        return header, rows
 
 
 def _gram_stats(A: np.ndarray) -> tuple[float, float]:
@@ -253,8 +246,7 @@ def tail_check(spec: QuadFormSpec, etasq, cfg: PenaltyConfig, u_grid,
     se = np.sqrt(emp * (1.0 - emp) / spec.replications)
     bound = np.exp(-np.sqrt(cfg.kraft_d * (u_grid / rho
                                            + (cfg.r / 2.0) * weight * (tr / rho + 1.0))))
-    flags = emp - 2.0 * se > bound
-    return TailReport(u_grid, emp, se, bound, int(np.sum(flags)), tr, rho,
+    return TailReport(u_grid, emp, se, bound, tr, rho,
                       cfg.r, weight, cfg.kraft_d, spec.noise.sigma,
                       spec.replications, spec.seed)
 

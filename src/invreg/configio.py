@@ -1,8 +1,9 @@
 """Flat key=value configs, CSV files and run manifests.
 
 Configs are INI sections of scalar keys, archivable and diffable.  CSVs
-carry a header row, period decimal separator and repr-round-trip floats,
-so identical runs produce identical bytes.
+carry a header row and one text per cell (``cell``), so identical runs
+produce identical bytes.  A command's ``RunManifest`` owns its output
+directory and writes every file in it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ def load_config(path: str) -> configparser.ConfigParser:
     try:
         with open(path) as fh:
             cp.read_file(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
     return cp
@@ -77,24 +78,36 @@ def cfg_list(cp, section: str, key: str, kind=float, default=None, required=Fals
 # CSV
 
 
+def cell(v) -> str:
+    """The text of one CSV cell: a float (Python or numpy) as its repr, NaN
+    as the NA marker, a flag as 0/1, anything else as str."""
+    if type(v) is float:
+        return repr(v) if v == v else "NA"
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (float, np.floating)):
+        return cell(float(v))
+    return str(v)
+
+
 def write_csv(path: str, header, rows, comments=()) -> None:
+    """Comment lines, the header, then ``rows`` with every value through ``cell``."""
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(line + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(map(cell, row) for row in rows)
 
 
 def read_csv_columns(path: str, expect: list[str] | None = None):
     """Read a numeric CSV into {column: ndarray}; cites the failing row."""
     try:
-        fh = open(path, newline="")
-    except FileNotFoundError:
-        raise DataError(f"data file not found: {path}")
-    with fh:
-        rows = [r for r in csv.reader(fh)
-                if r and not r[0].lstrip().startswith("#")]
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(fh)
+                    if r and not r[0].lstrip().startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}")
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
@@ -125,15 +138,6 @@ def read_matrix_csv(path: str) -> np.ndarray:
     return np.column_stack(list(cols.values()))
 
 
-def fmt(v) -> str:
-    """Round-trip float formatting; NaN prints as the NA marker."""
-    if isinstance(v, float):
-        if v != v:
-            return "NA"
-        return repr(v)
-    return str(v)
-
-
 # ---------------------------------------------------------------------------
 # run manifests
 
@@ -143,23 +147,43 @@ ARTIFACT_VERSION = "0.1.0"
 
 @dataclass
 class RunManifest:
-    """Reproducibility record written next to every command's outputs."""
+    """Reproducibility record of one command, and the writer of its outputs.
+
+    ``start`` creates ``out_dir``; ``csv`` and ``text`` write a file into
+    it and record its name; ``finish`` writes the record as manifest.json.
+    """
 
     command: str
     config: dict
     seed: int | None
+    out_dir: str
     version: str = ARTIFACT_VERSION
     started: str = ""
     finished: str = ""
     outputs: list[str] = field(default_factory=list)
 
     def start(self):
+        try:
+            os.makedirs(self.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {self.out_dir}: {exc}")
         self.started = datetime.now(timezone.utc).isoformat()
         return self
 
-    def finish(self, out_dir: str, path: str = "manifest.json") -> str:
+    def _path(self, name: str) -> str:
+        self.outputs.append(name)
+        return os.path.join(self.out_dir, name)
+
+    def csv(self, name: str, header, rows, comments=()) -> None:
+        write_csv(self._path(name), header, rows, comments)
+
+    def text(self, name: str, text: str) -> None:
+        with open(self._path(name), "w") as fh:
+            fh.write(text)
+
+    def finish(self, path: str = "manifest.json") -> str:
         self.finished = datetime.now(timezone.utc).isoformat()
-        target = os.path.join(out_dir, path)
+        target = os.path.join(self.out_dir, path)
         with open(target, "w") as fh:
             json.dump({
                 "command": self.command,
@@ -172,10 +196,6 @@ class RunManifest:
             }, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return target
-
-    def add(self, path: str) -> str:
-        self.outputs.append(os.path.basename(path))
-        return path
 
 
 def config_echo(cp) -> dict:

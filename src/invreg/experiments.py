@@ -10,7 +10,7 @@ bias of the maximal model is genuinely nonzero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -224,25 +224,10 @@ class ExperimentReport:
     def rows_for(self, method: str) -> list[RiskRow]:
         return [r for r in self.rows if r.method == method]
 
-    def to_csv_rows(self):
-        header = ["n", "method", "replications", "risk", "risk_se", "oracle_risk",
-                  "oracle_risk_se", "oracle_term", "bias_m0", "kraft_sum",
-                  "ratio_C", "weight", "threshold_agreement"]
-        na = lambda v: "NA" if (isinstance(v, float) and math.isnan(v)) else repr(v)
-        rows = [[r.n, r.method, r.replications, na(r.risk), na(r.risk_se),
-                 na(r.oracle_risk), na(r.oracle_risk_se), na(r.oracle_term),
-                 na(r.bias_m0), na(r.kraft_sum), na(r.ratio_C), na(r.weight),
-                 na(r.threshold_agreement)]
-                for r in self.rows]
-        return header, rows
-
     def plot_rows(self):
         """(method, log n, log risk) triples for external plotting."""
         return [(r.method, math.log(r.n), math.log(r.risk)) for r in self.rows
                 if r.risk > 0]
-
-    def config_echo(self) -> dict:
-        return asdict(self.config)
 
 
 def _family_for(method: str, op: DiscretizedOperator,

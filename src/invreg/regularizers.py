@@ -76,6 +76,9 @@ def tikhonov_family(op: DiscretizedOperator, alpha_max: float = 1.0,
     if not (alpha_max > 0) or not (0 < ratio < 1):
         raise ParameterError("need alpha_max > 0 and 0 < ratio < 1")
     alpha_min = float(op.d) ** (-2.0 * op.p)
+    if not alpha_min > 0:
+        raise ParameterError(
+            f"tikhonov grid cutoff d^(-2p) underflows to 0 (d={op.d}, p={op.p})")
     alphas = []
     a = alpha_max
     while a >= alpha_min and (count is None or len(alphas) < count):

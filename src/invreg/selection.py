@@ -88,13 +88,6 @@ class SelectionResult:
     def chosen_row(self) -> CandidateRow:
         return self.per_candidate[self.chosen]
 
-    def to_csv_rows(self):
-        header = ["k", "label", "parameter", "contrast", "penalty", "objective",
-                  "chosen"]
-        rows = [[r.k, r.label, repr(r.parameter), repr(r.contrast), repr(r.penalty),
-                 repr(r.objective), int(r.chosen)] for r in self.per_candidate]
-        return header, rows
-
 
 def penalties(trace, radius, cfg: PenaltyConfig) -> np.ndarray:
     """pen(k) = r sigma^2 (1 + L_k)(Tr_k + rho_k) for every candidate k.

@@ -3,7 +3,8 @@
 ``bench/tracing.py`` looks up ``invreg`` functions and methods by name, so a
 renamed function or a method turned into a property breaks only the traced
 benchmark run.  This runs the tracer around tiny ``rates`` and
-``concentration`` invocations.
+``concentration`` invocations and checks that every CSV and manifest they
+write passes through the traced ``configio`` layer.
 """
 
 import importlib.util
@@ -86,3 +87,9 @@ def test_traced_run_counts_the_monte_carlo_layers(tmp_path):
     assert counts["concentration.samples_per_matrix"] == 1.0
     assert counts["regularizers.family_build.calls"] > 0
     assert counts["regularizers.candidates_built"] == _candidates_in_traced_runs()
+    csvs = [os.path.join(tmp_path, d, name) for d in ("r", "c")
+            for name in os.listdir(tmp_path / d) if name.endswith(".csv")]
+    assert len(csvs) == 5
+    assert counts["configio.write_csv.calls"] == len(csvs)
+    assert counts["configio.write_csv.bytes"] == sum(map(os.path.getsize, csvs))
+    assert counts["configio.manifest.calls"] == 2

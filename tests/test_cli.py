@@ -3,6 +3,7 @@ import csv
 import io
 import os
 
+import numpy as np
 import pytest
 
 from invreg.cli import main
@@ -349,6 +350,33 @@ def _matrix_case(token):
     return lambda tmp: _conc_argv(tmp, "identity:4 decay:8", token)
 
 
+def _latin1_config(tmp):
+    path = tmp / "latin1.ini"
+    path.write_bytes(SYNTH_CFG.encode() + "# caf\xe9\n".encode("latin-1"))
+    return ["synth", "--config", str(path), "--out", str(tmp / "s")]
+
+
+def _out_is_a_file(tmp):
+    (tmp / "taken").write_text("")
+    return ["synth", "--config", write_config(tmp, "synth.ini", SYNTH_CFG),
+            "--out", str(tmp / "taken")]
+
+
+def _grid_csv_is_a_directory(tmp):
+    argv = _select_argv(tmp, TIKHONOV_SELECT)
+    grid = os.path.join(argv[4], "grid.csv")
+    os.remove(grid)
+    os.mkdir(grid)
+    return argv
+
+
+def _latin1_data(tmp):
+    argv = _select_argv(tmp, TIKHONOV_SELECT)
+    with open(os.path.join(argv[4], "data.csv"), "ab") as fh:
+        fh.write("# caf\xe9\n".encode("latin-1"))
+    return argv
+
+
 OUT_OF_RANGE = {
     "select r": lambda tmp: _select_argv(
         tmp, TIKHONOV_SELECT.replace("r = 2.5", "r = 2.0")),
@@ -400,6 +428,14 @@ OUT_OF_RANGE = {
         tmp, SELECT_SECTIONS.format(kind="tikhonov", extra="alpha_max = 1e300\n")),
     "rates alpha_max zero filter": lambda tmp: _rates_argv(
         tmp, RISK_CFG.replace("kind = tikhonov", "kind = tikhonov\nalpha_max = 1e300")),
+    # the tikhonov cutoff d^(-2p) underflows to 0: the alpha grid never ends
+    "rates p underflow": lambda tmp: _rates_argv(tmp, RISK_CFG.replace("p = 1.0", "p = 600")),
+    "select p underflow": lambda tmp: _select_argv(
+        tmp, TIKHONOV_SELECT + "[problem]\np = 600\n"),
+    "config is a directory": lambda tmp: ["synth", "--config", str(tmp),
+                                          "--out", str(tmp / "s")],
+    "config not utf-8": _latin1_config,
+    "out is a file": _out_is_a_file,
 }
 
 
@@ -417,6 +453,8 @@ BAD_DATA = {
     "repeated column name": lambda tmp: _data_argv(
         tmp, "operator.csv", _append_copy_of_first_column("phi1")),
     "overflowing y": lambda tmp: _data_argv(tmp, "data.csv", _overflowing_y),
+    "grid.csv is a directory": _grid_csv_is_a_directory,
+    "data.csv not utf-8": _latin1_data,
 }
 
 
@@ -499,6 +537,20 @@ class TestConfigSweep:
                         if code not in (0, 2, 4):
                             bad.append((command, f"[{section}] {key} = {value}", code))
         assert not bad
+
+
+class TestCell:
+    def test_one_rule_for_every_cell(self):
+        from invreg.configio import cell
+        assert cell(float("nan")) == "NA"
+        assert cell(np.float64("nan")) == "NA"
+        assert cell(np.float64(0.1)) == "0.1"
+        assert cell(0.1) == repr(0.1)
+        assert cell(np.True_) == "1"
+        assert cell(False) == "0"
+        assert cell(7) == "7"
+        assert cell(np.int64(7)) == "7"
+        assert cell("projection") == "projection"
 
 
 class TestShippedConfigs:
