@@ -37,8 +37,8 @@ class GaussianNoise:
             raise ParameterError("noise scale must be positive")
         self.sigma = float(sigma)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.normal(0.0, self.sigma, n)
+    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
+        return rng.normal(0.0, self.sigma, shape)
 
     def absolute_moment(self, q: int) -> float:
         """E|eps|^q / sigma^q (closed form)."""
@@ -53,8 +53,8 @@ class TwoPointNoise:
             raise ParameterError("noise scale must be positive")
         self.sigma = float(sigma)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.sigma * rng.choice([-1.0, 1.0], size=n)
+    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
+        return self.sigma * rng.choice([-1.0, 1.0], size=shape)
 
     def absolute_moment(self, q: int) -> float:
         return 1.0
@@ -98,9 +98,10 @@ class QuadFormSpec:
     """A matrix, a noise law and a replication budget for the Monte Carlo.
 
     ``noise`` is any object with attributes ``sigma`` and
-    ``sample(rng, n)``; the shipped laws are GaussianNoise and
-    TwoPointNoise.  Replication r draws its stream from (seed, r), so
-    results do not depend on execution order.
+    ``sample(rng, shape)``, which returns an array of that shape of
+    independent draws; the shipped laws are GaussianNoise and
+    TwoPointNoise.  All replications come from one generator seeded with
+    ``seed``, as one replications x n block.
     """
 
     A: np.ndarray
@@ -115,13 +116,9 @@ class QuadFormSpec:
             raise ParameterError("need at least one replication")
 
     def eta_squared_samples(self) -> np.ndarray:
-        n = self.A.shape[1]
-        out = np.empty(self.replications)
-        for r in range(self.replications):
-            rng = np.random.default_rng((self.seed, r))
-            v = self.A @ self.noise.sample(rng, n)
-            out[r] = v @ v
-        return out
+        shape = (self.replications, self.A.shape[1])
+        V = self.noise.sample(np.random.default_rng(self.seed), shape) @ self.A.T
+        return np.vecdot(V, V)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -170,32 +171,36 @@ class RunManifest:
         self.started = datetime.now(timezone.utc).isoformat()
         return self
 
-    def _path(self, name: str) -> str:
-        self.outputs.append(name)
-        return os.path.join(self.out_dir, name)
+    def _write(self, name: str, write) -> str:
+        """Call ``write(path)`` for the file ``name`` in the output directory;
+        a file that cannot be written there is a config error."""
+        path = os.path.join(self.out_dir, name)
+        try:
+            write(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}")
+        return path
 
     def csv(self, name: str, header, rows, comments=()) -> None:
-        write_csv(self._path(name), header, rows, comments)
+        self.outputs.append(name)
+        self._write(name, lambda path: write_csv(path, header, rows, comments))
 
     def text(self, name: str, text: str) -> None:
-        with open(self._path(name), "w") as fh:
-            fh.write(text)
+        self.outputs.append(name)
+        self._write(name, lambda path: Path(path).write_text(text))
 
     def finish(self, path: str = "manifest.json") -> str:
         self.finished = datetime.now(timezone.utc).isoformat()
-        target = os.path.join(self.out_dir, path)
-        with open(target, "w") as fh:
-            json.dump({
-                "command": self.command,
-                "config": self.config,
-                "seed": self.seed,
-                "version": self.version,
-                "started": self.started,
-                "finished": self.finished,
-                "outputs": sorted(self.outputs),
-            }, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return target
+        record = json.dumps({
+            "command": self.command,
+            "config": self.config,
+            "seed": self.seed,
+            "version": self.version,
+            "started": self.started,
+            "finished": self.finished,
+            "outputs": sorted(self.outputs),
+        }, indent=2, sort_keys=True) + "\n"
+        return self._write(path, lambda target: Path(target).write_text(record))
 
 
 def config_echo(cp) -> dict:

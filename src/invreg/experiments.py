@@ -5,6 +5,14 @@ exactly orthonormal in the empirical norm, with a spectral-synthetic
 operator of prescribed decay j^(-p).  The truth lives on a coefficient
 range several times larger than the estimation model, so the truncation
 bias of the maximal model is genuinely nonzero.
+
+On this design the first n cosines satisfy G G^t = n I, so the singular
+coefficients of y = clean + eps are exactly the Gaussian sequence model
+c = lambda x0 + (sigma / sqrt(n)) z: the clean part adds lambda x0 (the
+tail rows are orthogonal to the model rows) and the noise adds
+N(0, sigma^2/n I).  The risk study therefore draws the coefficients
+directly, one R x d block per grid point n, and never forms a sample
+vector.
 """
 
 from __future__ import annotations
@@ -106,10 +114,6 @@ class SynthProblem:
     def d_ext(self) -> int:
         return self.x0.size
 
-    def tail_bias(self) -> float:
-        """Truncation bias of the maximal model, squared."""
-        return float(np.sum(self.x0[self.op.d:] ** 2))
-
 
 def synth_problem(p: float, nu: float, rho: float, n: int, seed: int = 0,
                   sigma: float = 0.1, source: SourceSpec | None = None,
@@ -188,6 +192,11 @@ class ExperimentConfig:
         return (self.family,)
 
     def extended_dim(self) -> int:
+        """The truth's coefficient range, ext_factor times the largest model
+        size; it must cover every model and fit on the smallest grid."""
+        if self.ext_factor < 1:
+            raise ParameterError(
+                f"ext_factor must be at least 1, got {self.ext_factor}")
         d_top = choose_m0(max(self.n_grid), self.p)
         d_ext = self.ext_factor * d_top
         if d_ext > min(self.n_grid):
@@ -237,21 +246,20 @@ def _family_for(method: str, op: DiscretizedOperator,
     return projection_family(op)
 
 
-def _mean_se(total: float, total_sq: float, R: int) -> tuple[float, float]:
-    """Mean and its standard error from a sum and a sum of squares of R draws."""
-    mean = total / R
+def _mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of the R draws along axis 0 and its standard error (NaN for R = 1)."""
+    R = x.shape[0]
     if R == 1:
-        return mean, math.nan
-    var = max(total_sq / R - mean * mean, 0.0) * R / (R - 1)
-    return mean, math.sqrt(var / R)
+        return x[0], np.full(x.shape[1:], math.nan)
+    return x.mean(axis=0), x.std(axis=0, ddof=1) / math.sqrt(R)
 
 
 def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]:
-    source = SourceSpec(cfg.nu, cfg.rho, cfg.omega)
-    prob = synth_problem(cfg.p, cfg.nu, cfg.rho, n, cfg.seed, cfg.sigma,
-                         source, d_ext)
-    op, x0 = prob.op, prob.x0[:prob.op.d]
-    tail = prob.tail_bias()
+    op = discretize_operator(SpectralSynthetic(p=cfg.p), cosine_basis(),
+                             midpoint_grid(n), choose_m0(n, cfg.p))
+    x_ext = SourceSpec(cfg.nu, cfg.rho, cfg.omega).coefficients(cfg.p, d_ext, cfg.seed)
+    x0 = x_ext[:op.d]
+    tail = bias_m0(x_ext, op)
     sigma2 = cfg.sigma ** 2
 
     setups = {}
@@ -262,15 +270,12 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
         pcfg = PenaltyConfig(sigma2=sigma2, r=cfg.r, weights=w, kraft_d=cfg.kraft_d)
         setups[method] = (family, pcfg, kraft_sum(family, pcfg))
 
+    # singular coefficients of the data in the sequence model (module docstring)
     R = cfg.replications
-    C = np.empty((R, op.d))
-    for rep in range(R):
-        rng = np.random.default_rng((cfg.seed, n, rep))
-        C[rep] = op.svd_coefficients(prob.clean + rng.normal(0.0, cfg.sigma, n))
-
-    # The truth is given in singular coordinates: the synthetic design is
-    # exactly orthonormal, so x_vectors is the identity.
-    c0 = op.svd_coefficients(prob.clean)
+    lam = op.singular_values
+    c0 = lam * x0
+    rng = np.random.default_rng((cfg.seed, n))
+    C = c0 + cfg.sigma / math.sqrt(n) * rng.standard_normal((R, op.d))
     rows = []
     for method, (family, pcfg, kr) in setups.items():
         F = family.filter_matrix
@@ -278,37 +283,31 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
         # deterministic oracle term: bias of the regularized truths + 2 pen
         bias_k = np.sum((F * c0 - x0) ** 2, axis=1) + tail
         oracle_term = float(np.min(bias_k + 2.0 * pens))
-        _, objs = objectives(F, op.singular_values, C, pens)
+        _, objs = objectives(F, lam, C, pens)
         chosen = np.argmin(objs, axis=1)
         errs = np.sum((F * C[:, None, :] - x0) ** 2, axis=2) + tail
-        # summed in replication order, so that risk.csv keeps its bytes
-        err_sum = err_sumsq = 0.0
-        cand_sum = np.zeros(len(family))
-        cand_sumsq = np.zeros(len(family))
-        for err, cand in zip(errs[np.arange(R), chosen].tolist(), errs):
-            err_sum += err
-            err_sumsq += err * err
-            cand_sum += cand
-            cand_sumsq += cand * cand
-        risk, se = _mean_se(err_sum, err_sumsq, R)
-        k_star = int(np.argmin(cand_sum / R))
-        orisk, ose = _mean_se(float(cand_sum[k_star]), cand_sumsq[k_star], R)
+        risk, se = _mean_se(errs[np.arange(R), chosen])
+        cand_risk, cand_se = _mean_se(errs)
+        k_star = int(np.argmin(cand_risk))
         ratio = (risk - 2.0 * tail - kr / n) / oracle_term
         agree = math.nan
         if method == "projection":
-            lam = op.singular_values
             _, thr = threshold_objectives(lam, C, penalties(*prefix_stats(lam, n), pcfg))
             agree = float(np.sum(np.argmin(thr, axis=1) == chosen)) / R
-        rows.append(RiskRow(n, method, R, risk, se, orisk, ose, oracle_term, tail,
-                            kr, ratio, float(pcfg.weights[0]), agree))
+        rows.append(RiskRow(n, method, R, float(risk), float(se),
+                            float(cand_risk[k_star]), float(cand_se[k_star]),
+                            oracle_term, tail, kr, float(ratio),
+                            float(pcfg.weights[0]), agree))
     return rows
 
 
 def monte_carlo_risk(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the study over the n grid; deterministic for fixed (config, seed).
 
-    Replication streams are keyed by (seed, n, replication), so the report
-    does not depend on execution order.
+    Each grid point draws all its replications from one generator keyed by
+    (seed, n), so the report does not depend on the order of the grid.  The
+    study's only products are length-d dot products, so the report does not
+    depend on the BLAS thread count either.
     """
     d_ext = cfg.extended_dim()
     report = ExperimentReport(cfg)
@@ -389,15 +388,9 @@ def projection_error_bound_check(op: DiscretizedOperator, x0, nu: float,
         consts = np.where(orders > 0, biases / orders, 0.0)
     c_fit = float(np.max(consts)) if consts.size else 0.0
 
-    energy = np.zeros((replications, len(dims)))
-    for rep in range(replications):
-        rng = np.random.default_rng((seed, rep))
-        eps = rng.normal(0.0, sigma, op.n)
-        csum = np.cumsum(op.svd_coefficients(eps) ** 2)
-        energy[rep] = [csum[m - 1] for m in dims]
-    mean = energy.mean(axis=0)
-    se = (energy.std(axis=0, ddof=1) / math.sqrt(replications)
-          if replications > 1 else np.full(len(dims), math.nan))
+    eps = np.random.default_rng(seed).normal(0.0, sigma, (replications, op.n))
+    csum = np.cumsum((eps @ op.singular_design.T / op.n) ** 2, axis=1)
+    mean, se = _mean_se(csum[:, np.array(dims) - 1])
     rows = []
     for i, m in enumerate(dims):
         rows.append(ProjectionErrorRow(m, float(biases[i]), c_fit * float(orders[i]),

@@ -2,9 +2,11 @@
 
 ``bench/tracing.py`` looks up ``invreg`` functions and methods by name, so a
 renamed function or a method turned into a property breaks only the traced
-benchmark run.  This runs the tracer around tiny ``rates`` and
-``concentration`` invocations and checks that every CSV and manifest they
-write passes through the traced ``configio`` layer.
+benchmark run.  This runs the tracer around tiny ``rates``,
+``concentration``, ``synth`` and ``select --data`` invocations and checks
+that every CSV and manifest they write passes through the traced
+``configio`` layer.  The risk study works in singular coordinates, so the
+sample-space projection ``svd_coefficients`` is reached through ``select``.
 """
 
 import importlib.util
@@ -44,6 +46,21 @@ replications = 3
 seed = 2
 """
 
+SYNTH_CFG = """
+[problem]
+n = 16
+p = 1.0
+nu = 0.5
+sigma = 0.1
+seed = 1
+
+[family]
+kind = tikhonov
+
+[penalty]
+sigma2 = 0.01
+"""
+
 CONC_CFG = """
 [concentration]
 matrices = identity:4 regularizer:4x16
@@ -53,7 +70,7 @@ identity_trials = 2
 
 
 def _candidates_in_traced_runs() -> int:
-    """Summed size of the families the two runs build, from the families."""
+    """Summed size of the families the traced runs build, from the families."""
     total = 0
     for n in (64, 128, 256, 512):   # RATES_CFG: both families at every n
         op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
@@ -62,7 +79,11 @@ def _candidates_in_traced_runs() -> int:
     # CONC_CFG's regularizer:4x16 is one candidate of a tikhonov family
     op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
                              midpoint_grid(16), 4)
-    return total + len(tikhonov_family(op, alpha_max=0.25, count=1))
+    total += len(tikhonov_family(op, alpha_max=0.25, count=1))
+    # SYNTH_CFG's select: the default tikhonov family on the synth model size
+    op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
+                             midpoint_grid(16), choose_m0(16, 1.0))
+    return total + len(tikhonov_family(op))
 
 
 def test_traced_run_counts_the_monte_carlo_layers(tmp_path):
@@ -70,16 +91,21 @@ def test_traced_run_counts_the_monte_carlo_layers(tmp_path):
     rates.write_text(RATES_CFG)
     conc = tmp_path / "conc.ini"
     conc.write_text(CONC_CFG)
+    synth = tmp_path / "synth.ini"
+    synth.write_text(SYNTH_CFG)
     original = QuadFormSpec.__dict__["eta_squared_samples"]
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)
     try:
         codes = [main(["rates", "--config", str(rates), "--out", str(tmp_path / "r")]),
                  main(["concentration", "--config", str(conc),
-                       "--out", str(tmp_path / "c")])]
+                       "--out", str(tmp_path / "c")]),
+                 main(["synth", "--config", str(synth), "--out", str(tmp_path / "s")]),
+                 main(["select", "--config", str(synth), "--data", str(tmp_path / "s"),
+                       "--out", str(tmp_path / "sel")])]
     finally:
         tracing.uninstall(undo)
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0, 0]
     assert QuadFormSpec.__dict__["eta_squared_samples"] is original
     counts, _ = tracing.layer_metrics(tracer, tracer.op)
     assert counts["operator.svd_coefficients.calls"] > 0
@@ -87,9 +113,10 @@ def test_traced_run_counts_the_monte_carlo_layers(tmp_path):
     assert counts["concentration.samples_per_matrix"] == 1.0
     assert counts["regularizers.family_build.calls"] > 0
     assert counts["regularizers.candidates_built"] == _candidates_in_traced_runs()
-    csvs = [os.path.join(tmp_path, d, name) for d in ("r", "c")
-            for name in os.listdir(tmp_path / d) if name.endswith(".csv")]
-    assert len(csvs) == 5
+    files = [os.path.join(tmp_path, d, name) for d in ("r", "c", "s", "sel")
+             for name in os.listdir(tmp_path / d)]
+    csvs = [f for f in files if f.endswith(".csv")]
     assert counts["configio.write_csv.calls"] == len(csvs)
     assert counts["configio.write_csv.bytes"] == sum(map(os.path.getsize, csvs))
-    assert counts["configio.manifest.calls"] == 2
+    assert counts["configio.manifest.calls"] == sum(
+        os.path.basename(f) == "manifest.json" for f in files)

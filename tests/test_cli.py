@@ -2,6 +2,8 @@ import configparser
 import csv
 import io
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -229,6 +231,25 @@ class TestRiskAndRates:
         assert lines[0] == "method,log_n,log_risk"
         assert len(lines) == 5
 
+    def test_risk_csv_does_not_depend_on_blas_threads(self, tmp_path):
+        # a BLAS product over the n samples sums in an order set by the thread
+        # count, which at n = 65536 reaches the last digits of risk.csv
+        cfg = write_config(tmp_path, "threads.ini", RISK_CFG.replace(
+            "64, 128, 256, 512", "4096, 8192, 16384, 65536").replace(
+            "replications = 5", "replications = 20").replace("seed = 2", "seed = 0"))
+        path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "invreg.cli", "risk",
+                            "--config", cfg, "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            written.append((out / "risk.csv").read_bytes())
+        assert written[0] == written[1]
+
 
 CONC_CFG = """
 [concentration]
@@ -362,6 +383,14 @@ def _out_is_a_file(tmp):
             "--out", str(tmp / "taken")]
 
 
+def _out_file_is_a_directory(name):
+    def argv(tmp):
+        os.makedirs(tmp / "s" / name)
+        return ["synth", "--config", write_config(tmp, "synth.ini", SYNTH_CFG),
+                "--out", str(tmp / "s")]
+    return argv
+
+
 def _grid_csv_is_a_directory(tmp):
     argv = _select_argv(tmp, TIKHONOV_SELECT)
     grid = os.path.join(argv[4], "grid.csv")
@@ -436,6 +465,8 @@ OUT_OF_RANGE = {
                                           "--out", str(tmp / "s")],
     "config not utf-8": _latin1_config,
     "out is a file": _out_is_a_file,
+    "out grid.csv is a directory": _out_file_is_a_directory("grid.csv"),
+    "out manifest.json is a directory": _out_file_is_a_directory("manifest.json"),
 }
 
 

@@ -194,15 +194,16 @@ class TestMomentCheck:
 
 
 class CountingNoise(GaussianNoise):
-    """Gaussian noise law that counts its draws."""
+    """Gaussian noise law that counts the values it draws."""
 
     def __init__(self, sigma):
         super().__init__(sigma)
-        self.calls = 0
+        self.drawn = 0
 
-    def sample(self, rng, n):
-        self.calls += 1
-        return super().sample(rng, n)
+    def sample(self, rng, shape):
+        out = super().sample(rng, shape)
+        self.drawn += out.size
+        return out
 
 
 class TestSharedSample:
@@ -214,7 +215,7 @@ class TestSharedSample:
         etasq = spec.eta_squared_samples()
         tail_check(spec, etasq, self.CFG, default_u_grid(spec.A), weight=1.0)
         moment_check(spec, etasq, self.CFG, 1, weight=1.0)
-        assert noise.calls == spec.replications
+        assert noise.drawn == spec.replications * spec.A.shape[1]
 
     def test_shared_sample_reports_equal_independent_draws(self):
         spec = QuadFormSpec(np.diag([1.0, 0.5, 0.25]), GaussianNoise(1.0), 500,

@@ -71,6 +71,16 @@ class TestDesignMatrix:
         assert np.allclose(G.gram(), gram, atol=1e-12)
         assert np.allclose(gram, n * np.eye(d), atol=1e-12)
 
+    @pytest.mark.parametrize("n", [256, 65536])
+    def test_extended_cosine_design_is_orthonormal(self, n):
+        # The risk study draws singular coefficients instead of samples.  That
+        # is exact only if G G^t = n I over the truth's whole range, tail rows
+        # included: then the clean samples project to lambda x0 and the noise
+        # to N(0, sigma^2/n I).  d = 164 is the largest truth range of
+        # rates.ini and of its n = 65536 scale-up.
+        G = build_design_matrix(cosine_basis(), midpoint_grid(n), 164).entries
+        assert np.max(np.abs(G @ G.T / n - np.eye(164))) <= 1e-12
+
     def test_dimension_error_when_d_exceeds_n(self):
         with pytest.raises(DimensionError):
             build_design_matrix(cosine_basis(), midpoint_grid(4), 5)
