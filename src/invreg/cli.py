@@ -118,13 +118,14 @@ def _family_from_config(cp, op):
     kind = cfg_value(cp, "family", "kind", str, "tikhonov")
     if kind == "tikhonov":
         return tikhonov_family(
-            op,
+            op.singular_values, op.n, op.p,
             cfg_value(cp, "family", "alpha_max", float, 1.0),
             cfg_value(cp, "family", "ratio", float, 0.5),
             cfg_value(cp, "family", "count", int, None),
         )
     if kind == "projection":
-        return projection_family(op, cfg_list(cp, "family", "dims", int, None))
+        return projection_family(op.singular_values, op.n,
+                                 cfg_list(cp, "family", "dims", int, None))
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
@@ -278,8 +279,8 @@ def _concentration_matrix(token: str, op_cache: dict) -> np.ndarray:
         d, n = dims
         op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
                                  midpoint_grid(n), d)
-        fam = tikhonov_family(op, alpha_max=0.25, count=1)
-        op_cache[dims] = fam.matrix(0)
+        fam = tikhonov_family(op.singular_values, n, op.p, alpha_max=0.25, count=1)
+        op_cache[dims] = op.regularizer(fam.filter_matrix[0])
     return op_cache[dims]
 
 
@@ -298,12 +299,13 @@ def cmd_concentration(args) -> int:
         raise ConfigError("[concentration] needs at least one matrix and "
                           "identity_trials >= 1")
     cache: dict = {}
+    noise = conc.GaussianNoise(sigma)
     pcfg = PenaltyConfig(sigma2=sigma ** 2,
                          r=cfg_value(cp, "penalty", "r", float, 2.5),
                          weights=np.array([weight]),
                          kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0))
     specs = [(token, conc.QuadFormSpec(_concentration_matrix(token, cache),
-                                       conc.GaussianNoise(sigma), reps, seed))
+                                       noise, reps, seed))
              for token in tokens]
     man = cio.RunManifest("concentration", cio.config_echo(cp), seed,
                           args.out).start()

@@ -33,8 +33,8 @@ class GaussianNoise:
     """Centered gaussian with standard deviation sigma."""
 
     def __init__(self, sigma: float = 1.0):
-        if not sigma > 0:
-            raise ParameterError("noise scale must be positive")
+        if not (sigma > 0 and math.isfinite(sigma * sigma)):
+            raise ParameterError("noise scale must be positive, sigma^2 finite")
         self.sigma = float(sigma)
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
@@ -49,8 +49,8 @@ class TwoPointNoise:
     """Symmetric two-point law +-sigma; bounded, E|eps|^q = sigma^q for all q."""
 
     def __init__(self, sigma: float = 1.0):
-        if not sigma > 0:
-            raise ParameterError("noise scale must be positive")
+        if not (sigma > 0 and math.isfinite(sigma * sigma)):
+            raise ParameterError("noise scale must be positive, sigma^2 finite")
         self.sigma = float(sigma)
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
@@ -282,5 +282,11 @@ def moment_check(spec: QuadFormSpec, etasq, cfg: PenaltyConfig, q: int,
         return MomentReport(q, emp, math.nan, math.nan, weight, False)
     k1 = cfg.kraft_d / (rho * sigma2)
     k2 = cfg.kraft_d * (cfg.r / 2.0) * weight * (tr / rho + 1.0)
-    shape = k1 ** (-q) * (k2 ** (q - 0.5) + k2 ** (q - 1.0)) * math.exp(-math.sqrt(k2))
+    try:
+        shape = (k1 ** (-q) * (k2 ** (q - 0.5) + k2 ** (q - 1.0))
+                 * math.exp(-math.sqrt(k2)))
+    except OverflowError:
+        shape = math.inf
+    if not 0 < shape < math.inf:
+        raise ParameterError(f"moment bound shape {shape!r} is out of range")
     return MomentReport(q, emp, shape, emp / shape, weight, True)

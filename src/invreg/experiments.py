@@ -12,7 +12,7 @@ c = lambda x0 + (sigma / sqrt(n)) z: the clean part adds lambda x0 (the
 tail rows are orthogonal to the model rows) and the noise adds
 N(0, sigma^2/n I).  The risk study therefore draws the coefficients
 directly, one R x d block per grid point n, and never forms a sample
-vector.
+vector.  Its families need only j^(-p) and n, so it samples no design.
 """
 
 from __future__ import annotations
@@ -32,12 +32,7 @@ from .operator import (
     discretize_operator,
     midpoint_grid,
 )
-from .regularizers import (
-    QUALIFICATION,
-    RegularizerFamily,
-    projection_family,
-    tikhonov_family,
-)
+from .regularizers import QUALIFICATION, projection_family, tikhonov_family
 from .selection import (
     PenaltyConfig,
     default_weights,
@@ -142,12 +137,9 @@ def synth_problem(p: float, nu: float, rho: float, n: int, seed: int = 0,
     return SynthProblem(op, x0, float(sigma), clean)
 
 
-def bias_m0(x0, op: DiscretizedOperator, m0: int | None = None) -> float:
+def bias_m0(x0, m0: int) -> float:
     """Squared norm of the truth beyond the first m0 coefficients."""
-    x0 = np.asarray(x0, dtype=float)
-    if m0 is None:
-        m0 = op.d
-    return float(np.sum(x0[m0:] ** 2))
+    return float(np.sum(np.asarray(x0, dtype=float)[m0:] ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +171,8 @@ class ExperimentConfig:
             raise ParameterError(f"unknown family policy {self.family!r}")
         if len(self.n_grid) == 0:
             raise ParameterError("empty n grid")
-        if not self.sigma > 0:
-            raise ParameterError("noise level sigma must be positive")
+        if not (self.sigma > 0 and math.isfinite(self.sigma * self.sigma)):
+            raise ParameterError("noise level sigma must be positive, sigma^2 finite")
         # out-of-range source and penalty constants fail here, before the study
         SourceSpec(self.nu, self.rho, self.omega)
         PenaltyConfig(sigma2=self.sigma ** 2, r=self.r, kraft_d=self.kraft_d)
@@ -239,13 +231,6 @@ class ExperimentReport:
                 if r.risk > 0]
 
 
-def _family_for(method: str, op: DiscretizedOperator,
-                cfg: ExperimentConfig) -> RegularizerFamily:
-    if method == "tikhonov":
-        return tikhonov_family(op, cfg.alpha_max, cfg.alpha_ratio)
-    return projection_family(op)
-
-
 def _mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean of the R draws along axis 0 and its standard error (NaN for R = 1)."""
     R = x.shape[0]
@@ -255,16 +240,17 @@ def _mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]:
-    op = discretize_operator(SpectralSynthetic(p=cfg.p), cosine_basis(),
-                             midpoint_grid(n), choose_m0(n, cfg.p))
+    d = choose_m0(n, cfg.p)
+    lam = SpectralSynthetic(p=cfg.p).values(d)
     x_ext = SourceSpec(cfg.nu, cfg.rho, cfg.omega).coefficients(cfg.p, d_ext, cfg.seed)
-    x0 = x_ext[:op.d]
-    tail = bias_m0(x_ext, op)
+    x0 = x_ext[:d]
+    tail = bias_m0(x_ext, d)
     sigma2 = cfg.sigma ** 2
 
     setups = {}
     for method in cfg.methods():
-        family = _family_for(method, op, cfg)
+        family = (tikhonov_family(lam, n, cfg.p, cfg.alpha_max, cfg.alpha_ratio)
+                  if method == "tikhonov" else projection_family(lam, n))
         base = PenaltyConfig(sigma2=sigma2, r=cfg.r, kraft_d=cfg.kraft_d)
         w = default_weights(family, base, target=cfg.kraft_target)
         pcfg = PenaltyConfig(sigma2=sigma2, r=cfg.r, weights=w, kraft_d=cfg.kraft_d)
@@ -272,10 +258,9 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
 
     # singular coefficients of the data in the sequence model (module docstring)
     R = cfg.replications
-    lam = op.singular_values
     c0 = lam * x0
     rng = np.random.default_rng((cfg.seed, n))
-    C = c0 + cfg.sigma / math.sqrt(n) * rng.standard_normal((R, op.d))
+    C = c0 + cfg.sigma / math.sqrt(n) * rng.standard_normal((R, d))
     rows = []
     for method, (family, pcfg, kr) in setups.items():
         F = family.filter_matrix

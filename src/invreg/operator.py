@@ -227,7 +227,10 @@ class SpectralSynthetic:
             return lam[:d].copy()
         if self.p is None or self.p <= 0:
             raise ParameterError("spectral-synthetic spec needs p > 0 or explicit values")
-        return np.arange(1, d + 1, dtype=float) ** (-float(self.p))
+        lam = np.arange(1, d + 1, dtype=float) ** (-float(self.p))
+        if not np.all(lam > 0):
+            raise ParameterError(f"singular value j^(-p) underflows to 0 at p={self.p}")
+        return lam
 
 
 @dataclass(frozen=True)
@@ -285,6 +288,10 @@ class DiscretizedOperator:
         if y.shape != (self.n,):
             raise DimensionError(f"sample vector has length {y.size}, grid has {self.n}")
         return self.singular_design @ y / self.n
+
+    def regularizer(self, f) -> np.ndarray:
+        """Dense d x n matrix of the filter row f: sample vector to coefficients."""
+        return self.x_vectors @ (f[:, None] * self.singular_design) / self.n
 
 
 def discretize_operator(op_spec, basis: BasisFamily, grid: DesignGrid,
@@ -408,8 +415,8 @@ def diagnostics(op: DiscretizedOperator, dims: Sequence[int],
     assumption; a flag is advice, not an error.
     """
     dims = tuple(int(m) for m in dims)
-    if any(m < 1 or m > op.d for m in dims):
-        raise ParameterError(f"diagnostic dimensions must lie in [1, {op.d}]")
+    if not dims or any(m < 1 or m > op.d for m in dims):
+        raise ParameterError(f"diagnostic dimensions must be nonempty, in [1, {op.d}]")
     n = op.n
     S = op.sample_matrix
     B = op.singular_design.T / math.sqrt(n)

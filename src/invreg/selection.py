@@ -125,11 +125,10 @@ def penalty(family: RegularizerFamily, k: int, cfg: PenaltyConfig) -> float:
                            family.radius_stats[k:k + 1], one)[0])
 
 
-def contrast(family: RegularizerFamily, k: int, y) -> float:
+def contrast(family: RegularizerFamily, k: int, op: DiscretizedOperator, y) -> float:
     """Squared distance, after inversion on the maximal model, between the
     data and the image of candidate k's estimate (one-candidate reference
     reading of ``objectives``)."""
-    op = family.op
     lam = op.singular_values
     back = (1.0 - lam * family.filter_matrix[k]) * op.svd_coefficients(y) / lam
     return float(np.dot(back, back))
@@ -150,7 +149,7 @@ def kraft_sum(family: RegularizerFamily, cfg: PenaltyConfig) -> float:
     under which the summand is free of n for an orthonormal design.
     """
     w = cfg.weights_for(len(family))
-    terms = _kraft_terms(family.trace_stats, family.radius_stats, family.op.n,
+    terms = _kraft_terms(family.trace_stats, family.radius_stats, family.n,
                          cfg.kraft_d, w)
     return float(np.sum(terms))
 
@@ -159,12 +158,14 @@ def default_weights(family: RegularizerFamily, cfg: PenaltyConfig,
                     target: float = 1.0, cap: float = 1e6) -> np.ndarray:
     """Smallest common weight L making the kraft sum reach the target.
 
-    Found by bisection on the (strictly decreasing) map L -> kraft sum.
-    A target that even the cap cannot reach raises ParameterError.
+    Bisection on the (strictly decreasing) map L -> kraft sum keeps
+    total(lo) > target >= total(hi) until lo and hi are adjacent floats, so
+    L is the smallest float meeting the target.  A target that even the cap
+    cannot reach raises ParameterError.
     """
     if not target > 0:
         raise ParameterError("kraft target must be positive")
-    n = family.op.n
+    n = family.n
 
     def total(L: float) -> float:
         return float(np.sum(_kraft_terms(family.trace_stats, family.radius_stats, n,
@@ -179,12 +180,10 @@ def default_weights(family: RegularizerFamily, cfg: PenaltyConfig,
     lo, hi = 0.0, 1.0
     while total(hi) > target and hi < cap:
         hi = min(2.0 * hi, cap)
-    for _ in range(200):
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if total(mid) > target else (lo, mid)
         mid = 0.5 * (lo + hi)
-        if total(mid) > target:
-            lo = mid
-        else:
-            hi = mid
     return np.full(len(family), hi)
 
 
@@ -193,10 +192,13 @@ def select(family: RegularizerFamily, cfg: PenaltyConfig,
     """Penalized argmin over the family.
 
     Ties break toward the earlier (smoother) candidate; families are
-    ordered smoothest first by construction.
+    ordered smoothest first by construction.  The family must be built for op.
     """
-    c = op.svd_coefficients(y)
     F = family.filter_matrix
+    if family.n != op.n or F.shape[1] != op.d:
+        raise DimensionError(f"family built for n = {family.n}, d = {F.shape[1]}, "
+                             f"not the operator's n = {op.n}, d = {op.d}")
+    c = op.svd_coefficients(y)
     pens = penalties(family.trace_stats, family.radius_stats, cfg)
     cons, objs = objectives(F, op.singular_values, c[None, :], pens)
     best = int(np.argmin(objs[0]))

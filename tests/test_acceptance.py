@@ -137,11 +137,11 @@ def _single_matrix_weight(A, r=2.5, d_const=1.0, target=1.0):
 def _acceptance_matrices():
     op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
                              midpoint_grid(16), 4)
-    fam = tikhonov_family(op, alpha_max=0.25, count=1)
+    fam = tikhonov_family(op.singular_values, op.n, op.p, alpha_max=0.25, count=1)
     return [
         ("identity4", np.eye(4)),
         ("decay8", np.diag(1.0 / np.arange(1.0, 9.0))),
-        ("regularizer4x16", fam.matrix(0)),
+        ("regularizer4x16", op.regularizer(fam.filter_matrix[0])),
     ]
 
 
@@ -195,7 +195,7 @@ class TestCriterion6ThresholdEquivalence:
         d, n = 12, 64
         op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
                                  midpoint_grid(n), d)
-        fam = projection_family(op)
+        fam = projection_family(op.singular_values, op.n)
         base = PenaltyConfig(sigma2=0.04, r=2.5)
         w = default_weights(fam, base, target=1.0)
         cfg = PenaltyConfig(sigma2=0.04, r=2.5, weights=w)
@@ -225,8 +225,8 @@ class TestCriterion7TraceRatioScaling:
                                  midpoint_grid(n), d)
         # geometric grid whose filter peak sweeps j = 2 .. 32, inside [1, d]
         count = int(2 * p * 4) + 1
-        fam = tikhonov_family(op, alpha_max=2.0 ** (-2 * p), ratio=0.5,
-                              count=count)
+        fam = tikhonov_family(op.singular_values, op.n, op.p,
+                              alpha_max=2.0 ** (-2 * p), ratio=0.5, count=count)
         ratios = fam.trace_stats / fam.radius_stats
         slope = float(np.polyfit(np.log(1.0 / np.array(fam.parameters)),
                                  np.log(ratios), 1)[0])
@@ -295,7 +295,7 @@ class TestCriterion8Exactness:
         rng = np.random.default_rng(88888)
         op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
                                  midpoint_grid(32), 6)
-        fam = projection_family(op, dims=[6])
+        fam = projection_family(op.singular_values, op.n, dims=[6])
         worst = 0.0
         for _ in range(20):
             x0 = rng.standard_normal(6)

@@ -16,9 +16,6 @@ from invreg import (
     QuadFormSpec,
     SpectralSynthetic,
     choose_m0,
-    cosine_basis,
-    discretize_operator,
-    midpoint_grid,
     projection_family,
     tikhonov_family,
 )
@@ -70,20 +67,17 @@ identity_trials = 2
 
 
 def _candidates_in_traced_runs() -> int:
-    """Summed size of the families the traced runs build, from the families."""
+    """Summed size of the families the traced runs build, from the families,
+    each built from its singular values j^(-1) and its n."""
+    spectrum = SpectralSynthetic(p=1.0).values
     total = 0
     for n in (64, 128, 256, 512):   # RATES_CFG: both families at every n
-        op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
-                                 midpoint_grid(n), choose_m0(n, 1.0))
-        total += len(tikhonov_family(op)) + len(projection_family(op))
+        lam = spectrum(choose_m0(n, 1.0))
+        total += len(tikhonov_family(lam, n, 1.0)) + len(projection_family(lam, n))
     # CONC_CFG's regularizer:4x16 is one candidate of a tikhonov family
-    op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
-                             midpoint_grid(16), 4)
-    total += len(tikhonov_family(op, alpha_max=0.25, count=1))
+    total += len(tikhonov_family(spectrum(4), 16, 1.0, alpha_max=0.25, count=1))
     # SYNTH_CFG's select: the default tikhonov family on the synth model size
-    op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
-                             midpoint_grid(16), choose_m0(16, 1.0))
-    return total + len(tikhonov_family(op))
+    return total + len(tikhonov_family(spectrum(choose_m0(16, 1.0)), 16, 1.0))
 
 
 def test_traced_run_counts_the_monte_carlo_layers(tmp_path):

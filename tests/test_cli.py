@@ -418,6 +418,10 @@ OUT_OF_RANGE = {
         tmp, TIKHONOV_SELECT + "weights = 1.0, 1.0\n"),
     "select p": lambda tmp: _select_argv(tmp, TIKHONOV_SELECT + "[problem]\np = 0\n"),
     "diagnostics dims": lambda tmp: _diag_argv(tmp, DIAG_CFG + "[diagnostics]\ndims = 0\n"),
+    "diagnostics empty dims": lambda tmp: _diag_argv(
+        tmp, DIAG_CFG + "[diagnostics]\ndims =\n"),
+    "select count": lambda tmp: _select_argv(
+        tmp, SELECT_SECTIONS.format(kind="tikhonov", extra="count = 0\n")),
     "diagnostics data p": lambda tmp: ["diagnostics"] + _select_argv(
         tmp, "[problem]\np = -1\n")[1:],
     "rates kraft_target": lambda tmp: _rates_argv(
@@ -437,6 +441,9 @@ OUT_OF_RANGE = {
     "concentration moment_q": lambda tmp: _conc_argv(
         tmp, "identity_trials", "moment_q = 0\nidentity_trials"),
     "concentration u_count": lambda tmp: _conc_argv(tmp, "u_count = 8", "u_count = 0"),
+    # k2^(q - 1/2) overflows in the moment bound shape
+    "concentration moment bound overflow": lambda tmp: _conc_argv(
+        tmp, "weight = 1.0", "weight = 1e300\nmoment_q = 2"),
     "concentration seed": lambda tmp: _conc_argv(tmp, "seed = 0", "seed = -1"),
     "concentration regularizer:8x4": _matrix_case("regularizer:8x4"),
     "concentration decay:x": _matrix_case("decay:x"),
@@ -547,14 +554,14 @@ SWEEP = [
 class TestConfigSweep:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_config_value_exits_as_data_error_or_crash(self, tmp_path):
-        """Every config key each command reads, set to -1, 0, x or 1e-300,
-        gives success (0), a config error (2) or a violation (4)."""
+        """Every config key each command reads, set to -1, 0, x, 1e-300 or
+        1e300, gives success (0), a config error (2) or a violation (4)."""
         _, data = run_synth(tmp_path, "data", SYNTH_CFG.replace("n = 16", "n = 64"))
         bad = []
         for command, uses_data, base, keys in SWEEP:
             for section, names in keys.items():
                 for key in names:
-                    for value in ("-1", "0", "x", "1e-300"):
+                    for value in ("-1", "0", "x", "1e-300", "1e300"):
                         cfg = write_config(tmp_path, "sweep.ini",
                                            _set_key(base, section, key, value))
                         argv = [command, "--config", cfg,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from invreg import (
+    BasisFamily,
     ExperimentConfig,
     ExperimentReport,
     InsufficientDataError,
@@ -68,17 +69,17 @@ class TestSynthProblem:
 
 class TestBiasM0:
     def test_supported_inside_model(self, op_p1_d4_n16):
-        assert bias_m0(np.array([1.0, 2.0, 0.5, -1.0]), op_p1_d4_n16) == 0.0
+        assert bias_m0(np.array([1.0, 2.0, 0.5, -1.0]), op_p1_d4_n16.d) == 0.0
 
     def test_single_tail_coefficient(self, op_p1_d4_n16):
         x0 = np.array([1.0, 0.0, 0.0, 0.0, 3.0])
-        assert bias_m0(x0, op_p1_d4_n16) == pytest.approx(9.0)
+        assert bias_m0(x0, op_p1_d4_n16.d) == pytest.approx(9.0)
 
     def test_matches_direct_series_summation(self):
         prob = synth_problem(1.0, 0.5, 1.0, 64)
         d = prob.op.d
         oracle = sum(float(prob.x0[j]) ** 2 for j in range(d, prob.d_ext))
-        assert bias_m0(prob.x0, prob.op) == pytest.approx(oracle, abs=1e-15)
+        assert bias_m0(prob.x0, prob.op.d) == pytest.approx(oracle, abs=1e-15)
 
 
 SMALL = ExperimentConfig(n_grid=(64, 128, 256, 512), replications=20, seed=3)
@@ -111,6 +112,19 @@ class TestMonteCarloRisk:
         report = monte_carlo_risk(cfg)
         assert math.isnan(report.rows[0].risk_se)
         assert cell(report.rows[0].risk_se) == "NA"
+
+    def test_builds_no_design(self, monkeypatch):
+        # the families come from the singular values and n alone: no basis
+        # function is ever sampled, even at n = 65536
+        def refuse(self, j, grid):
+            raise AssertionError(f"basis sampled at j = {j}, n = {grid.n}")
+
+        monkeypatch.setattr(BasisFamily, "sample", refuse)
+        cfg = ExperimentConfig(n_grid=(4096, 8192, 16384, 32768, 65536),
+                               replications=2, seed=3)
+        report = monte_carlo_risk(cfg)
+        assert len(report.rows) == 10
+        assert all(math.isfinite(r.risk) for r in report.rows)
 
     def test_oracle_never_beats_adaptive_by_much(self):
         report = monte_carlo_risk(SMALL)

@@ -10,6 +10,7 @@ from invreg import (
     DimensionError,
     ParameterError,
     RankError,
+    SpectralSynthetic,
     build_design_matrix,
     choose_m0,
     cosine_basis,
@@ -219,6 +220,12 @@ class TestDiscretizeOperator:
         comp = np.column_stack([op.adjoint(op.forward(e)) for e in np.eye(d)])
         expected = op.x_vectors @ np.diag(op.singular_values ** 2) @ op.x_vectors.T
         assert np.allclose(comp, expected, atol=1e-10)
+
+    def test_spectrum_underflowing_to_zero_is_rejected(self):
+        # 2^(-1100) is below the smallest subnormal
+        assert SpectralSynthetic(p=600.0).values(2)[1] > 0
+        with pytest.raises(ParameterError, match="underflows"):
+            SpectralSynthetic(p=1100.0).values(2)
 
 
 class TestChooseM0:

@@ -6,9 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invreg import (
+    DimensionError,
     ParameterError,
     PenaltyConfig,
     SpectralSynthetic,
+    choose_m0,
     contrast,
     cosine_basis,
     default_weights,
@@ -28,9 +30,19 @@ from invreg import (
 )
 
 
+def tikhonov_of(op, **kwargs):
+    """Tikhonov family over the spectrum of ``op``."""
+    return tikhonov_family(op.singular_values, op.n, op.p, **kwargs)
+
+
+def projection_of(op, dims=None):
+    """Nested projection family over the spectrum of ``op``."""
+    return projection_family(op.singular_values, op.n, dims)
+
+
 def tikhonov(op, alpha):
     """One-candidate Tikhonov family at ``alpha``."""
-    return tikhonov_family(op, alpha_max=alpha, count=1)
+    return tikhonov_of(op, alpha_max=alpha, count=1)
 
 
 class TestPenalty:
@@ -78,12 +90,12 @@ class TestContrast:
     def test_noiseless_projection_on_support(self, op_p1_d4_n16):
         x0 = np.array([2.0, -1.0, 0.0, 0.0])
         y = op_p1_d4_n16.forward(x0)
-        fam = projection_family(op_p1_d4_n16, dims=[4])
-        assert contrast(fam, 0, y) == pytest.approx(0.0, abs=1e-20)
+        fam = projection_of(op_p1_d4_n16, dims=[4])
+        assert contrast(fam, 0, op_p1_d4_n16, y) == pytest.approx(0.0, abs=1e-20)
 
     def test_zero_data(self, op_p1_d4_n16):
         fam = tikhonov(op_p1_d4_n16, 0.5)
-        assert contrast(fam, 0, np.zeros(16)) == 0.0
+        assert contrast(fam, 0, op_p1_d4_n16, np.zeros(16)) == 0.0
 
     def test_dense_composition_oracle(self, op_p1_d4_n16, rng):
         # ||A (y - T xhat)||^2 with every factor evaluated densely
@@ -91,21 +103,21 @@ class TestContrast:
         y = rng.standard_normal(16)
         fam = tikhonov(op, 0.5)
         A = op.x_vectors @ np.diag(1.0 / op.singular_values) @ op.singular_design / op.n
-        xhat = fam.matrix(0) @ y
+        xhat = op.regularizer(fam.filter_matrix[0]) @ y
         oracle = float(np.sum((A @ (y - op.sample_matrix @ xhat)) ** 2))
-        assert contrast(fam, 0, y) == pytest.approx(oracle, abs=1e-12)
+        assert contrast(fam, 0, op, y) == pytest.approx(oracle, abs=1e-12)
 
 
 class TestSelect:
     def test_single_candidate(self, op_p1_d4_n16, rng):
-        fam = tikhonov_family(op_p1_d4_n16, alpha_max=1.0, count=1)
+        fam = tikhonov_of(op_p1_d4_n16, alpha_max=1.0, count=1)
         res = select(fam, PenaltyConfig(sigma2=1.0), op_p1_d4_n16,
                      rng.standard_normal(16))
         assert res.chosen == 0
         assert len(res.per_candidate) == 1
 
     def test_argmin_invariant_under_constant_penalty_shift(self, op_p1_d4_n16, rng):
-        fam = tikhonov_family(op_p1_d4_n16)
+        fam = tikhonov_of(op_p1_d4_n16)
         res = select(fam, PenaltyConfig(sigma2=1.0), op_p1_d4_n16,
                      rng.standard_normal(16))
         objs = np.array([r.objective for r in res.per_candidate])
@@ -114,15 +126,16 @@ class TestSelect:
     def test_noiseless_nested_projection_picks_the_support(self, op_p1_d4_n16):
         x0 = np.array([3.0, 2.0, 0.0, 0.0])
         y = op_p1_d4_n16.forward(x0)
-        fam = projection_family(op_p1_d4_n16)
+        fam = projection_of(op_p1_d4_n16)
         cfg = PenaltyConfig(sigma2=1.0, r=2.5)
         res = select(fam, cfg, op_p1_d4_n16, y)
         # exhaustive oracle over the same family
-        objs = [contrast(fam, k, y) + penalty(fam, k, cfg) for k in range(len(fam))]
+        objs = [contrast(fam, k, op_p1_d4_n16, y) + penalty(fam, k, cfg)
+                for k in range(len(fam))]
         assert res.chosen == int(np.argmin(objs)) == 1   # model {1, 2}
 
     def test_objective_decomposition_and_argmin(self, op_p1_d4_n16, rng):
-        fam = tikhonov_family(op_p1_d4_n16)
+        fam = tikhonov_of(op_p1_d4_n16)
         cfg = PenaltyConfig(sigma2=0.5)
         for _ in range(20):
             res = select(fam, cfg, op_p1_d4_n16, rng.standard_normal(16))
@@ -135,10 +148,16 @@ class TestSelect:
         # zero data: every projection prefix has zero contrast difference
         # only through the penalty, which increases; but with zero weights and
         # a constant-filter operator the first candidate must win ties
-        fam = projection_family(identity_op_d4_n16, dims=[1, 2])
+        fam = projection_of(identity_op_d4_n16, dims=[1, 2])
         res = select(fam, PenaltyConfig(sigma2=1.0), identity_op_d4_n16,
                      np.zeros(16))
         assert res.chosen == 0
+
+    def test_family_built_at_another_n_is_rejected(self, op_p1_d4_n16):
+        # same four singular values, but the family's statistics are for n = 32
+        fam = tikhonov_family(op_p1_d4_n16.singular_values, 32, 1.0)
+        with pytest.raises(DimensionError, match="n = 32"):
+            select(fam, PenaltyConfig(sigma2=1.0), op_p1_d4_n16, np.zeros(16))
 
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -162,7 +181,7 @@ def _prefix_instance(seed, d, n_factor, scale):
 class TestObjectives:
     def test_equals_per_candidate_reference_readings(self, op_p1_d4_n16, rng):
         op = op_p1_d4_n16
-        for fam in (tikhonov_family(op), projection_family(op)):
+        for fam in (tikhonov_of(op), projection_of(op)):
             cfg = PenaltyConfig(sigma2=0.3,
                                 weights=default_weights(fam, PenaltyConfig(sigma2=0.3)))
             ys = rng.standard_normal((5, 16))
@@ -172,11 +191,11 @@ class TestObjectives:
             assert objs.shape == (5, len(fam))
             for r, y in enumerate(ys):
                 for k in range(len(fam)):
-                    assert cons[r, k] == contrast(fam, k, y)
-                    assert objs[r, k] == contrast(fam, k, y) + penalty(fam, k, cfg)
+                    assert cons[r, k] == contrast(fam, k, op, y)
+                    assert objs[r, k] == contrast(fam, k, op, y) + penalty(fam, k, cfg)
 
     def test_rows_match_select(self, op_p1_d4_n16, rng):
-        fam = tikhonov_family(op_p1_d4_n16)
+        fam = tikhonov_of(op_p1_d4_n16)
         cfg = PenaltyConfig(sigma2=0.5)
         ys = rng.standard_normal((8, 16))
         C = np.array([op_p1_d4_n16.svd_coefficients(y) for y in ys])
@@ -187,7 +206,7 @@ class TestObjectives:
             assert select(fam, cfg, op_p1_d4_n16, y).chosen == k
 
     def test_non_finite_objective_raises(self, op_p1_d4_n16):
-        fam = tikhonov_family(op_p1_d4_n16)
+        fam = tikhonov_of(op_p1_d4_n16)
         pens = penalties(fam.trace_stats, fam.radius_stats,
                          PenaltyConfig(sigma2=1.0))
         C = np.zeros((2, 4))
@@ -201,7 +220,7 @@ class TestObjectives:
     def test_argmin_equals_thresholding_on_prefix_families(self, seed, d, n_factor,
                                                            scale):
         op, m, y, cfg = _prefix_instance(seed, d, n_factor, scale)
-        fam = projection_family(op, range(1, m + 1))
+        fam = projection_of(op, range(1, m + 1))
         pens = penalties(fam.trace_stats, fam.radius_stats, cfg)
         _, objs = objectives(fam.filter_matrix, op.singular_values,
                              op.svd_coefficients(y)[None, :], pens)
@@ -214,8 +233,8 @@ class TestObjectives:
     def test_choice_invariant_under_data_and_variance_scaling(self, seed, d,
                                                               n_factor, scale, c):
         op, m, y, cfg = _prefix_instance(seed, d, n_factor, scale)
-        for fam in (projection_family(op, range(1, m + 1)),
-                    tikhonov_family(op, count=m)):
+        for fam in (projection_of(op, range(1, m + 1)),
+                    tikhonov_of(op, count=m)):
             w = np.full(len(fam), cfg.weights[0])
             base = PenaltyConfig(sigma2=cfg.sigma2, r=cfg.r, weights=w)
             scaled = PenaltyConfig(sigma2=c * c * cfg.sigma2, r=cfg.r, weights=w)
@@ -229,8 +248,8 @@ class TestObjectives:
                                                             n_factor, scale, data):
         op, m, y, cfg = _prefix_instance(seed, d, n_factor, scale)
         C = op.svd_coefficients(y)[None, :]
-        for fam in (projection_family(op, range(1, m + 1)),
-                    tikhonov_family(op, count=m)):
+        for fam in (projection_of(op, range(1, m + 1)),
+                    tikhonov_of(op, count=m)):
             # the tikhonov grid cutoff may leave fewer than m candidates
             w = np.full(len(fam), cfg.weights[0])
             F = fam.filter_matrix
@@ -267,7 +286,7 @@ class TestThresholdObjectives:
 
 class TestKraftSum:
     def test_exponential_kill_and_monotonicity(self, op_p1_d4_n16):
-        fam = tikhonov_family(op_p1_d4_n16)
+        fam = tikhonov_of(op_p1_d4_n16)
         values = []
         for L in (0.0, 1.0, 10.0, 100.0, 1e4):
             cfg = PenaltyConfig(sigma2=1.0, weights=np.full(len(fam), L))
@@ -278,18 +297,18 @@ class TestKraftSum:
     def test_single_candidate_direct_arithmetic(self, identity_op_d4_n16):
         # full-model projection on the identity operator: Tr/rho^2 = 4,
         # n rho^2 = 1, so the L=0 term is 2 (sqrt(4) + 1) = 6
-        fam = projection_family(identity_op_d4_n16, dims=[4])
+        fam = projection_of(identity_op_d4_n16, dims=[4])
         assert kraft_sum(fam, PenaltyConfig(sigma2=1.0)) == pytest.approx(6.0)
 
     def test_decreasing_in_kraft_constant(self, op_p1_d4_n16):
-        fam = tikhonov_family(op_p1_d4_n16)
+        fam = tikhonov_of(op_p1_d4_n16)
         w = np.full(len(fam), 1.0)
         vals = [kraft_sum(fam, PenaltyConfig(sigma2=1.0, weights=w, kraft_d=dd))
                 for dd in (0.5, 1.0, 2.0, 4.0)]
         assert np.all(np.diff(vals) < 0)
 
     def test_strictly_decreasing_in_each_weight(self, op_p1_d4_n16):
-        fam = tikhonov_family(op_p1_d4_n16)
+        fam = tikhonov_of(op_p1_d4_n16)
         base_w = np.full(len(fam), 1.0)
         base = kraft_sum(fam, PenaltyConfig(sigma2=1.0, weights=base_w))
         for k in range(len(fam)):
@@ -298,7 +317,7 @@ class TestKraftSum:
             assert kraft_sum(fam, PenaltyConfig(sigma2=1.0, weights=bumped)) < base
 
     def test_default_family_with_default_weights_meets_target(self, op_p1_d4_n16):
-        fam = tikhonov_family(op_p1_d4_n16)
+        fam = tikhonov_of(op_p1_d4_n16)
         cfg = PenaltyConfig(sigma2=1.0)
         w = default_weights(fam, cfg, target=1.0)
         assert kraft_sum(fam, PenaltyConfig(sigma2=1.0, weights=w)) <= 1.0
@@ -306,7 +325,7 @@ class TestKraftSum:
 
 class TestDefaultWeights:
     def test_zero_when_target_already_met(self, identity_op_d4_n16):
-        fam = tikhonov_family(identity_op_d4_n16, alpha_max=2.0, count=1)
+        fam = tikhonov_of(identity_op_d4_n16, alpha_max=2.0, count=1)
         w = default_weights(fam, PenaltyConfig(sigma2=1.0), target=1.0)
         assert np.all(w == 0.0)
 
@@ -314,22 +333,35 @@ class TestDefaultWeights:
         op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
                                  midpoint_grid(32), 8)
         cfg = PenaltyConfig(sigma2=1.0)
-        small = default_weights(tikhonov_family(op, count=4), cfg)
-        large = default_weights(tikhonov_family(op, count=7), cfg)
+        small = default_weights(tikhonov_of(op, count=4), cfg)
+        large = default_weights(tikhonov_of(op, count=7), cfg)
         assert large[0] >= small[0]
 
     def test_bisection_post_check_eight_candidates(self):
         op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
                                  midpoint_grid(256), 16)
-        fam = tikhonov_family(op, count=8)
+        fam = tikhonov_of(op, count=8)
         assert len(fam) == 8
         cfg = PenaltyConfig(sigma2=1.0)
         w = default_weights(fam, cfg, target=1.0)
         total = kraft_sum(fam, PenaltyConfig(sigma2=1.0, weights=w))
         assert 0.99 <= total <= 1.0
 
+    @pytest.mark.parametrize("n", [256, 512, 1024, 2048, 4096, 8192])
+    def test_weight_is_the_smallest_float_meeting_the_target(self, n):
+        # the rates.ini families: the bisection stops on adjacent floats
+        lam = SpectralSynthetic(p=1.0).values(choose_m0(n, 1.0))
+        for fam in (tikhonov_family(lam, n, 1.0), projection_family(lam, n)):
+            w = default_weights(fam, PenaltyConfig(sigma2=0.01), target=1.0)[0]
+            below = np.nextafter(w, 0.0)
+            assert w > 0.0
+            assert kraft_sum(fam, PenaltyConfig(
+                sigma2=0.01, weights=np.full(len(fam), w))) <= 1.0
+            assert kraft_sum(fam, PenaltyConfig(
+                sigma2=0.01, weights=np.full(len(fam), below))) > 1.0
+
     def test_unreachable_target_raises(self, op_p1_d4_n16):
-        fam = tikhonov_family(op_p1_d4_n16)
+        fam = tikhonov_of(op_p1_d4_n16)
         with pytest.raises(ParameterError, match="tikhonov family at n = 16"):
             default_weights(fam, PenaltyConfig(sigma2=1.0), target=1e-6, cap=0.5)
 
@@ -350,7 +382,7 @@ class TestSelectByThreshold:
     def test_matches_exhaustive_prefix_search(self, rng):
         op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
                                  midpoint_grid(64), 10)
-        fam = projection_family(op)
+        fam = projection_of(op)
         cfg = PenaltyConfig(sigma2=0.04, weights=np.full(10, 0.7))
         for _ in range(100):
             x0 = rng.standard_normal(10) * rng.uniform(0, 2)
