@@ -82,16 +82,15 @@ def cmd_synth(args) -> int:
     prob, seed = _problem_from_config(cp, args.seed)
     man = cio.RunManifest("synth", cio.config_echo(cp), seed, args.out).start()
     op = prob.op
-    t = op.grid.points.tolist()
+    t = op.grid.points
 
-    man.csv("grid.csv", ["t"], [[v] for v in t])
-    man.csv("operator.csv", [f"phi{j + 1}" for j in range(op.d)],
-            op.sample_matrix.tolist())
+    man.csv("grid.csv", ["t"], t[:, None])
+    man.csv("operator.csv", [f"phi{j + 1}" for j in range(op.d)], op.sample_matrix)
     man.csv("truth.csv", ["j", "x0"], enumerate(prob.x0.tolist(), start=1))
     rng = np.random.default_rng((seed, op.n, 0))
     y = prob.clean + (rng.normal(0.0, prob.sigma, op.n) if prob.sigma > 0
                       else np.zeros(op.n))
-    man.csv("data.csv", ["t", "clean", "y"], zip(t, prob.clean.tolist(), y.tolist()))
+    man.csv("data.csv", ["t", "clean", "y"], np.column_stack([t, prob.clean, y]))
     man.finish()
     print(f"synth: wrote {len(man.outputs)} files to {args.out}")
     return 0

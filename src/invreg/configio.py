@@ -92,26 +92,69 @@ def cell(v) -> str:
 
 
 def write_csv(path: str, header, rows, comments=()) -> None:
-    """Comment lines, the header, then ``rows`` with every value through ``cell``."""
+    """Comment lines, the header, then the rows.
+
+    A 2-D float array is written row by row as float reprs, NaN as NA (the
+    rule of ``cell``); any other ``rows`` go value by value through ``cell``.
+    """
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(line + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(map(cell, row) for row in rows)
+        if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+            has_nan = np.isnan(rows).any(axis=1).tolist()
+            fh.writelines(",".join(map(cell if nan else repr, row)) + "\r\n"
+                          for row, nan in zip(rows.tolist(), has_nan))
+        else:
+            writer.writerows(map(cell, row) for row in rows)
+
+
+def _parse_field(token: str) -> float:
+    """A CSV number as ``np.loadtxt`` reads it: ASCII, no ``_`` separators,
+    finite."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a plain decimal token {token!r}")
+    return _parse(float, token)
+
+
+def _bad_body(path: str, header: list[str], body: list[str], reason) -> DataError:
+    """The error for a body that failed the fast parse: it cites the first
+    row with a wrong field count or a token that is not a finite number
+    (the header is row 1; comment and blank lines are not counted), else
+    states ``reason``."""
+    rows = (row for row in csv.reader(body) if row)
+    for i, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            return DataError(f"{path}: row {i} has {len(row)} fields, "
+                             f"expected {len(header)}")
+        for h, tok in zip(header, row):
+            try:
+                _parse_field(tok)
+            except ValueError:
+                return DataError(f"{path}: row {i}: cannot parse {tok!r} "
+                                 f"in column {h} as a finite number")
+    return DataError(f"{path}: {reason}")
 
 
 def read_csv_columns(path: str, expect: list[str] | None = None):
-    """Read a numeric CSV into {column: ndarray}; cites the failing row."""
+    """Read a numeric CSV into {column: ndarray}; cites the failing row.
+
+    Lines whose first non-blank character is ``#`` are comments; the first
+    other non-empty line is the header.  The body is parsed in one
+    ``np.loadtxt``; only when that fails, or finds a value that is not
+    finite, are the rows read again one by one to cite the first bad one.
+    """
     try:
         with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh)
-                    if r and not r[0].lstrip().startswith("#")]
+            lines = [line for line in fh if not line.lstrip().startswith("#")]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}")
-    if not rows:
+    reader = csv.reader(lines)
+    first = next((row for row in reader if row), None)
+    if first is None:
         raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in first]
     repeated = sorted({h for h in header if header.count(h) > 1})
     if repeated:
         raise DataError(f"{path}: repeated column names {repeated}")
@@ -119,18 +162,19 @@ def read_csv_columns(path: str, expect: list[str] | None = None):
         missing = [c for c in expect if c not in header]
         if missing:
             raise DataError(f"{path}: missing columns {missing}, have {header}")
-    cols = {h: [] for h in header}
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i} has {len(row)} fields, "
-                            f"expected {len(header)}")
-        for h, tok in zip(header, row):
-            try:
-                cols[h].append(_parse(float, tok))
-            except ValueError:
-                raise DataError(f"{path}: row {i}: cannot parse {tok!r} "
-                                f"in column {h} as a finite number")
-    return {h: np.array(v) for h, v in cols.items()}
+    body = lines[reader.line_num:]
+    if not any(line.strip("\r\n") for line in body):
+        raise DataError(f"{path}: no data rows below the header")
+    try:
+        values = np.loadtxt(body, delimiter=",", quotechar='"', comments=None,
+                            ndmin=2)
+    except ValueError as exc:
+        raise _bad_body(path, header, body, exc)
+    if values.shape[1] != len(header) or not np.isfinite(values).all():
+        raise _bad_body(path, header, body, "width or finiteness check failed")
+    # one contiguous array per column, so that products on a column take
+    # the same BLAS path whatever the width of the file
+    return dict(zip(header, np.ascontiguousarray(values.T)))
 
 
 def read_matrix_csv(path: str) -> np.ndarray:

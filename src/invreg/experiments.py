@@ -26,11 +26,11 @@ from .errors import InsufficientDataError, ParameterError
 from .operator import (
     DiscretizedOperator,
     SpectralSynthetic,
-    build_design_matrix,
     choose_m0,
     cosine_basis,
     discretize_operator,
     midpoint_grid,
+    sample_basis,
 )
 from .regularizers import QUALIFICATION, projection_family, tikhonov_family
 from .selection import (
@@ -131,9 +131,10 @@ def synth_problem(p: float, nu: float, rho: float, n: int, seed: int = 0,
     op = discretize_operator(SpectralSynthetic(p=p), basis, grid, d)
     src = source if source is not None else SourceSpec(nu, rho)
     x0 = src.coefficients(p, d_ext, seed)
-    G_ext = build_design_matrix(basis, grid, d_ext)
+    # only the samples are needed here; the model rows were certified above
+    G_ext = sample_basis(basis, grid, d_ext)
     lam_ext = np.arange(1, d_ext + 1, dtype=float) ** (-float(p))
-    clean = G_ext.entries.T @ (lam_ext * x0)
+    clean = G_ext.T @ (lam_ext * x0)
     return SynthProblem(op, x0, float(sigma), clean)
 
 

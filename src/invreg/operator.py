@@ -155,15 +155,10 @@ class DesignMatrix:
         return self.entries @ self.entries.T
 
 
-def build_design_matrix(basis: BasisFamily, grid: DesignGrid, d_m: int) -> DesignMatrix:
-    """Sample the first d_m basis functions on the grid.
+def sample_basis(basis: BasisFamily, grid: DesignGrid, d_m: int) -> np.ndarray:
+    """The d_m x n array G[j, i] = phi_{j+1}(t_i), with no rank check.
 
-    Raises DimensionError when d_m > n and DegenerateDesignError when the
-    sampled rows are not linearly independent: the smallest singular value
-    of G is at most RANK_RTOL times the largest.  The singular values are
-    those of the d_m x d_m R factor of a QR of G^t, which is built from the
-    R factors of row blocks of G^t (one TSQR step), so besides G itself the
-    certificate holds about two copies of one block of QR_BLOCK_ROWS x d_m.
+    Raises DimensionError when d_m > n.
     """
     if d_m < 1:
         raise ParameterError("model dimension must be positive")
@@ -172,6 +167,20 @@ def build_design_matrix(basis: BasisFamily, grid: DesignGrid, d_m: int) -> Desig
     G = np.empty((d_m, grid.n))
     for j in range(d_m):
         G[j] = basis.sample(j + 1, grid)
+    return G
+
+
+def build_design_matrix(basis: BasisFamily, grid: DesignGrid, d_m: int) -> DesignMatrix:
+    """Sample the first d_m basis functions on the grid and certify their rank.
+
+    Raises DimensionError when d_m > n and DegenerateDesignError when the
+    sampled rows are not linearly independent: the smallest singular value
+    of G is at most RANK_RTOL times the largest.  The singular values are
+    those of the d_m x d_m R factor of a QR of G^t, which is built from the
+    R factors of row blocks of G^t (one TSQR step), so besides G itself the
+    certificate holds about two copies of one block of QR_BLOCK_ROWS x d_m.
+    """
+    G = sample_basis(basis, grid, d_m)
     sv = np.linalg.svd(_design_r_factor(G), compute_uv=False)
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise DegenerateDesignError(

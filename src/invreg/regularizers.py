@@ -44,9 +44,16 @@ class RegularizerFamily:
         self.parameters = [float(v) for v in parameters]
         self.filter_matrix = filter_matrix
         self.n = n
-        F2 = filter_matrix ** 2
-        self.trace_stats = np.sum(F2, axis=1) / n
+        with np.errstate(over="ignore"):
+            F2 = filter_matrix ** 2
+            self.trace_stats = np.sum(F2, axis=1) / n
         self.radius_stats = np.max(F2, axis=1) / n
+        # radius <= trace, so a finite trace bounds both statistics
+        if not np.all(np.isfinite(self.trace_stats)):
+            raise ParameterError(
+                f"{kind} family: a squared filter value overflows (1/lambda_j^2 "
+                "for a singular value below about 1e-154): [problem] p is too large, "
+                "or the operator's singular values are too small")
         if not np.all(self.radius_stats > 0):
             raise ParameterError("regularizer is identically zero")
 
@@ -100,5 +107,6 @@ def projection_family(lam: np.ndarray, n: int,
         raise ParameterError(f"projection dimensions must lie in [1, {d}]")
     if sorted(dims) != dims:
         raise ParameterError("projection dimensions must increase (smoothest first)")
-    F = np.where(np.arange(d) < np.array(dims)[:, None], 1.0 / lam, 0.0)
+    with np.errstate(over="ignore"):
+        F = np.where(np.arange(d) < np.array(dims)[:, None], 1.0 / lam, 0.0)
     return RegularizerFamily("projection", dims, F, n)

@@ -1,12 +1,18 @@
 import configparser
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from invreg.cli import main
 
@@ -176,6 +182,54 @@ class TestSelect:
                      "--out", str(tmp_path / "sel")])
         assert code == 3
         assert "row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661"])
+    def test_underscore_and_non_ascii_digit_are_data_errors(self, tmp_path,
+                                                            capsys, token):
+        def edit(lines):
+            lines[2] = lines[2].rsplit(",", 1)[0] + "," + token
+            return lines
+        assert main(_data_argv(tmp_path, "data.csv", edit)) == 3
+        assert f"row 3: cannot parse {token!r} in column y" in capsys.readouterr().err
+
+    def test_wrong_field_count_on_one_row_cites_that_row(self, tmp_path, capsys):
+        def edit(lines):
+            lines[4] = lines[4].rsplit(",", 1)[0]
+            return lines
+        assert main(_data_argv(tmp_path, "data.csv", edit)) == 3
+        assert "row 5 has 2 fields, expected 3" in capsys.readouterr().err
+
+    def test_every_row_one_field_short_is_data_error(self, tmp_path, capsys):
+        def edit(lines):
+            return [lines[0]] + [line.rsplit(",", 1)[0] for line in lines[1:]]
+        assert main(_data_argv(tmp_path, "data.csv", edit)) == 3
+        assert "row 2 has 2 fields, expected 3" in capsys.readouterr().err
+
+    def test_header_only_data_is_data_error_without_warning(self, tmp_path, capsys):
+        argv = _data_argv(tmp_path, "data.csv", lambda lines: lines[:1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        assert "no data rows" in capsys.readouterr().err
+
+    def test_quoted_numeric_fields_read_as_unquoted(self, tmp_path):
+        argv = _select_argv(tmp_path, TIKHONOV_SELECT)
+        assert main(argv) == 0
+        plain = open(os.path.join(argv[6], "selection.csv")).read()
+        path = os.path.join(argv[4], "data.csv")
+        lines = open(path).read().splitlines()
+        open(path, "w").write("\n".join(
+            [lines[0]] + [",".join(f'"{v}"' for v in line.split(","))
+                          for line in lines[1:]]) + "\n")
+        assert main(argv) == 0
+        assert open(os.path.join(argv[6], "selection.csv")).read() == plain
+
+    def test_comment_and_blank_lines_are_not_counted_as_rows(self, tmp_path, capsys):
+        def edit(lines):
+            lines[2] = lines[2].rsplit(",", 1)[0] + ",not_a_number"
+            return ["# a leading comment", lines[0], "  # indented", "", *lines[1:]]
+        assert main(_data_argv(tmp_path, "data.csv", edit)) == 3
+        assert "row 3: cannot parse 'not_a_number'" in capsys.readouterr().err
 
 
 RISK_CFG = """
@@ -406,6 +460,9 @@ def _latin1_data(tmp):
     return argv
 
 
+P_OVERFLOW_CFG = RISK_CFG.replace("p = 1.0", "p = 600").replace(
+    "kind = tikhonov", "kind = projection")
+
 OUT_OF_RANGE = {
     "select r": lambda tmp: _select_argv(
         tmp, TIKHONOV_SELECT.replace("r = 2.5", "r = 2.0")),
@@ -466,6 +523,8 @@ OUT_OF_RANGE = {
         tmp, RISK_CFG.replace("kind = tikhonov", "kind = tikhonov\nalpha_max = 1e300")),
     # the tikhonov cutoff d^(-2p) underflows to 0: the alpha grid never ends
     "rates p underflow": lambda tmp: _rates_argv(tmp, RISK_CFG.replace("p = 1.0", "p = 600")),
+    # 1/lambda_2^2 = 2^1200 overflows in the projection family's statistics
+    "rates projection p overflow": lambda tmp: _rates_argv(tmp, P_OVERFLOW_CFG),
     "select p underflow": lambda tmp: _select_argv(
         tmp, TIKHONOV_SELECT + "[problem]\np = 600\n"),
     "config is a directory": lambda tmp: ["synth", "--config", str(tmp),
@@ -504,6 +563,12 @@ class TestOutOfRange:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("config error: " if code == 2 else "data error: ")
+
+    def test_statistics_overflow_names_p(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(_rates_argv(tmp_path, P_OVERFLOW_CFG)) == 2
+        assert "[problem] p" in capsys.readouterr().err
 
     def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "synth.ini", SYNTH_CFG)
@@ -577,6 +642,10 @@ class TestConfigSweep:
         assert not bad
 
 
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                  1e16, 9999999999999998.0, 1e-5, 0.1, 1.0]
+
+
 class TestCell:
     def test_one_rule_for_every_cell(self):
         from invreg.configio import cell
@@ -589,6 +658,23 @@ class TestCell:
         assert cell(7) == "7"
         assert cell(np.int64(7)) == "7"
         assert cell("projection") == "projection"
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2),
+                      elements=st.floats() | st.sampled_from(SPECIAL_FLOATS)))
+    @example(np.array([SPECIAL_FLOATS[:5], SPECIAL_FLOATS[5:]]))
+    def test_array_body_writes_the_bytes_of_cell(self, body):
+        """The array path writes the bytes of the ``cell`` path, and a finite
+        body reads back bit for bit."""
+        from invreg.configio import read_matrix_csv, write_csv
+        header = [f"c{j}" for j in range(body.shape[1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            fast, slow = os.path.join(tmp, "fast.csv"), os.path.join(tmp, "slow.csv")
+            write_csv(fast, header, body, ["# note"])
+            write_csv(slow, header, body.tolist(), ["# note"])
+            assert open(fast, "rb").read() == open(slow, "rb").read()
+            if np.isfinite(body).all():
+                assert read_matrix_csv(fast).tobytes() == body.tobytes()
 
 
 class TestShippedConfigs:
