@@ -41,23 +41,18 @@ from .experiments import (
     theoretical_exponent,
 )
 from .operator import (
-    BasisFamily,
     DesignGrid,
-    DesignMatrix,
     DiscretizedOperator,
     IllposednessDiagnostics,
     SpectralSynthetic,
     build_design_matrix,
     choose_m0,
-    cosine_basis,
+    cosine_design,
     diagnostics,
     discretize_operator,
     empirical_norm,
     empirical_projection,
-    empirical_scalar_product,
-    indicator_basis,
     midpoint_grid,
-    table_basis,
 )
 from .regularizers import (
     RegularizerFamily,
@@ -70,7 +65,6 @@ from .selection import (
     SelectionResult,
     contrast,
     default_weights,
-    estimate_noise_variance,
     kraft_sum,
     objectives,
     penalties,

@@ -18,7 +18,7 @@ import numpy as np
 from . import concentration as conc
 from . import configio as cio
 from .configio import ConfigError, DataError, cfg_list, cfg_value
-from .errors import InvregError
+from .errors import InvregError, RankError
 from .experiments import (
     ExperimentConfig,
     RiskRow,
@@ -31,7 +31,6 @@ from .operator import (
     DesignGrid,
     SpectralSynthetic,
     build_design_matrix,
-    cosine_basis,
     diagnostics,
     discretize_operator,
     midpoint_grid,
@@ -108,7 +107,7 @@ def _operator_from_data(cp, data_dir: str):
         S = cio.read_matrix_csv(os.path.join(data_dir, "operator.csv"))
         if S.shape[0] != grid.n:
             raise DataError(f"operator.csv has {S.shape[0]} rows, grid has {grid.n}")
-        return discretize_operator(S, cosine_basis(), grid, S.shape[1], p)
+        return discretize_operator(S, grid, S.shape[1], p)
     except InvregError as exc:
         raise DataError(str(exc)) from exc
 
@@ -146,7 +145,11 @@ def cmd_select(args) -> int:
         raise ConfigError(
             "missing [penalty] sigma2: the noise variance must be known "
             "(noise moment assumption AN); pass it explicitly")
-    family = _family_from_config(cp, op)
+    try:
+        family = _family_from_config(cp, op)
+    except RankError as exc:
+        # a squared filter overflows on the singular values of the files
+        raise DataError(f"operator.csv: {exc}") from exc
     base = PenaltyConfig(sigma2=sigma2,
                          r=cfg_value(cp, "penalty", "r", float, 2.5),
                          kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0))
@@ -276,8 +279,7 @@ def _concentration_matrix(token: str, op_cache: dict) -> np.ndarray:
         return np.diag(1.0 / np.arange(1.0, dims[0] + 1.0))
     if dims not in op_cache:
         d, n = dims
-        op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
-                                 midpoint_grid(n), d)
+        op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(n), d)
         fam = tikhonov_family(op.singular_values, n, op.p, alpha_max=0.25, count=1)
         op_cache[dims] = op.regularizer(fam.filter_matrix[0])
     return op_cache[dims]
@@ -335,7 +337,7 @@ def cmd_concentration(args) -> int:
     for trial in range(trials):
         n = int(rng.integers(8, 33))
         d = int(rng.integers(1, min(n, 8) + 1))
-        G = build_design_matrix(cosine_basis(), midpoint_grid(n), d)
+        G = build_design_matrix(midpoint_grid(n), d)
         eps = rng.normal(0.0, sigma, n)
         chk = conc.projection_identity_check(eps, G, seed=trial)
         id_rows.append([trial, n, d, chk.lhs, chk.rhs, chk.gap])

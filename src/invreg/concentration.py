@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .operator import DesignMatrix, empirical_projection
+from .operator import empirical_projection
 from .selection import PenaltyConfig, penalties
 
 
@@ -132,7 +132,7 @@ class IdentityCheck:
     gap: float
 
 
-def projection_identity_check(eps, G: DesignMatrix, probes: int = 32,
+def projection_identity_check(eps, G: np.ndarray, probes: int = 32,
                               seed: int = 0) -> IdentityCheck:
     """Supremum of the empirical inner product over the unit ball of the
     model space versus the empirical norm of the projected noise.
@@ -142,16 +142,16 @@ def projection_identity_check(eps, G: DesignMatrix, probes: int = 32,
     not an optimization error.
     """
     eps = np.asarray(eps, dtype=float)
-    n = G.n
+    d, n = G.shape
     coef = empirical_projection(eps, G)
-    proj = G.entries.T @ coef
+    proj = G.T @ coef
     rhs = float(np.linalg.norm(proj)) / math.sqrt(n)
     if rhs == 0.0:
         return IdentityCheck(0.0, 0.0, 0.0)
     best = abs(float(np.dot(eps, proj / rhs))) / n
     rng = np.random.default_rng(seed)
     for _ in range(probes):
-        y = G.entries.T @ rng.standard_normal(G.d_m)
+        y = G.T @ rng.standard_normal(d)
         norm_n = float(np.linalg.norm(y)) / math.sqrt(n)
         if norm_n > 0:
             best = max(best, abs(float(np.dot(eps, y))) / (n * norm_n))

@@ -14,7 +14,8 @@ class DegenerateDesignError(InvregError, ValueError):
 
 
 class RankError(InvregError, ValueError):
-    """Projected operator has a numerically zero singular value."""
+    """A singular value is numerically zero: below the rank cliff of the
+    projected operator, or so small that its squared inverse overflows."""
 
 
 class ParameterError(InvregError, ValueError):

@@ -27,10 +27,9 @@ from .operator import (
     DiscretizedOperator,
     SpectralSynthetic,
     choose_m0,
-    cosine_basis,
+    cosine_design,
     discretize_operator,
     midpoint_grid,
-    sample_basis,
 )
 from .regularizers import QUALIFICATION, projection_family, tikhonov_family
 from .selection import (
@@ -127,12 +126,11 @@ def synth_problem(p: float, nu: float, rho: float, n: int, seed: int = 0,
     if d_ext < d or d_ext > n:
         raise ParameterError(f"extended range must lie in [{d}, {n}]")
     grid = midpoint_grid(n)
-    basis = cosine_basis()
-    op = discretize_operator(SpectralSynthetic(p=p), basis, grid, d)
+    op = discretize_operator(SpectralSynthetic(p=p), grid, d)
     src = source if source is not None else SourceSpec(nu, rho)
     x0 = src.coefficients(p, d_ext, seed)
     # only the samples are needed here; the model rows were certified above
-    G_ext = sample_basis(basis, grid, d_ext)
+    G_ext = cosine_design(grid, d_ext)
     lam_ext = np.arange(1, d_ext + 1, dtype=float) ** (-float(p))
     clean = G_ext.T @ (lam_ext * x0)
     return SynthProblem(op, x0, float(sigma), clean)

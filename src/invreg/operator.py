@@ -2,16 +2,18 @@
 
 Everything is built on a fixed observation grid t_1 < ... < t_n.  The
 observation space carries the empirical norm ||y||_n = sqrt(mean(y_i^2));
-the coefficient space carries the Euclidean norm.  A forward operator is
-discretized by sampling the images of the first d basis functions on the
-grid, projecting onto the span of a basis of the observation side, and
-taking a singular value decomposition of the projected map.
+the coefficient space carries the Euclidean norm.  The observation side
+is spanned by the first d cosines sampled on the grid (the cosine design
+G, d x n).  A forward operator is discretized by sampling the images of
+the first d coefficient basis functions on the grid, projecting them onto
+the span of G, and taking a singular value decomposition of the
+projected map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import math
 
@@ -73,119 +75,46 @@ def empirical_norm(v, grid: DesignGrid) -> float:
     return math.sqrt(float(np.mean(v * v)))
 
 
-def empirical_scalar_product(y, e, grid: DesignGrid) -> float:
-    """Bilinear form (1/n) sum_i e_i y(t_i) associated with the empirical norm."""
-    y = np.asarray(y, dtype=float)
-    e = np.asarray(e, dtype=float)
-    if y.shape != (grid.n,) or e.shape != (grid.n,):
-        raise DimensionError("both vectors must match the grid length")
-    return float(np.dot(y, e)) / grid.n
-
-
 # ---------------------------------------------------------------------------
-# basis families
+# the cosine design and empirical projection
 
 
-class BasisFamily:
-    """A family of functions sampled on a design grid: the analytic cosine
-    family on [0, 1], or a user-supplied sample table tied to a fixed grid
-    (``d_max`` functions)."""
+def cosine_design(grid: DesignGrid, d_m: int) -> np.ndarray:
+    """The d_m x n array G[j, i] = phi_{j+1}(t_i) of the cosine basis
+    phi_1 = 1, phi_j(t) = sqrt(2) cos((j-1) pi t), orthonormal in L2[0,1].
 
-    def __init__(self, sampler: Callable[[int, DesignGrid], np.ndarray],
-                 d_max: int | None):
-        self._sampler = sampler
-        self.d_max = d_max
-
-    def sample(self, j: int, grid: DesignGrid) -> np.ndarray:
-        if j < 1 or (self.d_max is not None and j > self.d_max):
-            raise ParameterError(f"basis index {j} out of range")
-        return self._sampler(j, grid)
-
-
-def cosine_basis() -> BasisFamily:
-    """phi_1 = 1, phi_j(t) = sqrt(2) cos((j-1) pi t); orthonormal in L2[0,1]."""
-
-    def sample(j: int, grid: DesignGrid) -> np.ndarray:
-        if j == 1:
-            return np.ones(grid.n)
-        return math.sqrt(2.0) * np.cos((j - 1) * math.pi * grid.points)
-
-    return BasisFamily(sample, d_max=None)
-
-
-def table_basis(values, grid: DesignGrid) -> BasisFamily:
-    """Basis known only through its sample table (d_max rows, one per function)."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != grid.n:
-        raise DimensionError("sample table must be d_max x n for the supplied grid")
-    if not np.all(np.isfinite(values)):
-        raise ParameterError("basis sample table contains non-finite values")
-    pts = grid.points
-
-    def sample(j: int, g: DesignGrid) -> np.ndarray:
-        if g.n != grid.n or not np.allclose(g.points, pts, rtol=0.0, atol=1e-12):
-            raise ParameterError("table basis is tied to its own grid")
-        return values[j - 1].copy()
-
-    return BasisFamily(sample, d_max=values.shape[0])
-
-
-def indicator_basis(grid: DesignGrid) -> BasisFamily:
-    """phi_j = 1{t = t_j} on its own grid; design matrix is the identity."""
-    return table_basis(np.eye(grid.n), grid)
-
-
-# ---------------------------------------------------------------------------
-# design matrices and empirical projection
-
-
-@dataclass(frozen=True)
-class DesignMatrix:
-    """G[j, i] = phi_j(t_i), stored d_m x n with full row rank."""
-
-    entries: np.ndarray
-    d_m: int
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[1]
-
-    def gram(self) -> np.ndarray:
-        """G G^t, the d_m x d_m Gram matrix of the sampled rows."""
-        return self.entries @ self.entries.T
-
-
-def sample_basis(basis: BasisFamily, grid: DesignGrid, d_m: int) -> np.ndarray:
-    """The d_m x n array G[j, i] = phi_{j+1}(t_i), with no rank check.
-
-    Raises DimensionError when d_m > n.
+    No rank check; raises DimensionError when d_m > n.
     """
     if d_m < 1:
         raise ParameterError("model dimension must be positive")
     if d_m > grid.n:
         raise DimensionError(f"model dimension {d_m} exceeds grid size {grid.n}")
     G = np.empty((d_m, grid.n))
-    for j in range(d_m):
-        G[j] = basis.sample(j + 1, grid)
+    G[0] = 1.0
+    for j in range(1, d_m):
+        G[j] = math.sqrt(2.0) * np.cos(j * math.pi * grid.points)
     return G
 
 
-def build_design_matrix(basis: BasisFamily, grid: DesignGrid, d_m: int) -> DesignMatrix:
-    """Sample the first d_m basis functions on the grid and certify their rank.
+def build_design_matrix(grid: DesignGrid, d_m: int) -> np.ndarray:
+    """The cosine design of ``grid``, certified to have full row rank."""
+    return _certify_rank(cosine_design(grid, d_m))
 
-    Raises DimensionError when d_m > n and DegenerateDesignError when the
-    sampled rows are not linearly independent: the smallest singular value
-    of G is at most RANK_RTOL times the largest.  The singular values are
-    those of the d_m x d_m R factor of a QR of G^t, which is built from the
-    R factors of row blocks of G^t (one TSQR step), so besides G itself the
-    certificate holds about two copies of one block of QR_BLOCK_ROWS x d_m.
+
+def _certify_rank(G: np.ndarray) -> np.ndarray:
+    """G itself, once its rows are shown to be linearly independent.
+
+    Raises DegenerateDesignError when the smallest singular value of G is
+    at most RANK_RTOL times the largest.  The singular values are those of
+    the d x d R factor of a QR of G^t, which is built from the R factors of
+    row blocks of G^t (one TSQR step), so besides G itself the certificate
+    holds about two copies of one block of QR_BLOCK_ROWS x d.
     """
-    G = sample_basis(basis, grid, d_m)
     sv = np.linalg.svd(_design_r_factor(G), compute_uv=False)
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise DegenerateDesignError(
-            f"design matrix is rank deficient (d_m={d_m}, n={grid.n})")
-    return DesignMatrix(G, d_m)
+            f"design matrix is rank deficient (d_m={G.shape[0]}, n={G.shape[1]})")
+    return G
 
 
 def _design_r_factor(G: np.ndarray) -> np.ndarray:
@@ -196,17 +125,18 @@ def _design_r_factor(G: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.vstack(blocks), mode="r")
 
 
-def empirical_projection(y, G: DesignMatrix) -> np.ndarray:
+def empirical_projection(y, G: np.ndarray) -> np.ndarray:
     """Coefficients of the empirical-norm projection of y onto span(phi_1..phi_d).
 
     Solves the least squares problem min_c ||y - G^t c|| (the normal
     equations of the projection under the design measure).
     """
     y = np.asarray(y, dtype=float)
-    if y.shape != (G.n,):
-        raise DimensionError(f"sample vector has length {y.size}, design has {G.n}")
-    coef, _, rank, _ = np.linalg.lstsq(G.entries.T, y, rcond=RANK_RTOL)
-    if rank < G.d_m:
+    d, n = G.shape
+    if y.shape != (n,):
+        raise DimensionError(f"sample vector has length {y.size}, design has {n}")
+    coef, _, rank, _ = np.linalg.lstsq(G.T, y, rcond=RANK_RTOL)
+    if rank < d:
         raise DegenerateDesignError("normal matrix of the design is singular")
     return coef
 
@@ -217,25 +147,13 @@ def empirical_projection(y, G: DesignMatrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralSynthetic:
-    """Operator acting diagonally on the basis with prescribed singular values.
+    """Operator acting diagonally on the cosine basis with singular values j^(-p)."""
 
-    With ``p`` set the values are j^(-p); ``singular_values`` overrides
-    them explicitly.  "identity" is SpectralSynthetic(singular_values=1).
-    """
-
-    p: float | None = None
-    singular_values: Sequence[float] | None = None
+    p: float
 
     def values(self, d: int) -> np.ndarray:
-        if self.singular_values is not None:
-            lam = np.asarray(self.singular_values, dtype=float)
-            if lam.ndim == 0:
-                lam = np.full(d, float(lam))
-            if lam.size < d:
-                raise ParameterError("too few singular values for the model size")
-            return lam[:d].copy()
-        if self.p is None or self.p <= 0:
-            raise ParameterError("spectral-synthetic spec needs p > 0 or explicit values")
+        if not self.p > 0:
+            raise ParameterError("spectral-synthetic spec needs p > 0")
         lam = np.arange(1, d + 1, dtype=float) ** (-float(self.p))
         if not np.all(lam > 0):
             raise ParameterError(f"singular value j^(-p) underflows to 0 at p={self.p}")
@@ -257,7 +175,7 @@ class DiscretizedOperator:
     """
 
     grid: DesignGrid
-    G: DesignMatrix
+    G: np.ndarray
     sample_matrix: np.ndarray
     singular_values: np.ndarray
     x_vectors: np.ndarray
@@ -303,33 +221,26 @@ class DiscretizedOperator:
         return self.x_vectors @ (f[:, None] * self.singular_design) / self.n
 
 
-def discretize_operator(op_spec, basis: BasisFamily, grid: DesignGrid,
-                        m0: int, p: float | None = None) -> DiscretizedOperator:
-    """Project a forward operator onto the first m0 basis functions.
+def discretize_operator(op_spec, grid: DesignGrid, m0: int,
+                        p: float | None = None) -> DiscretizedOperator:
+    """Project a forward operator onto the first m0 cosines of the grid.
 
-    ``op_spec`` is either a SpectralSynthetic (prescribed spectrum acting
-    diagonally on the basis), the string "identity", or an n x d array of
-    sampled images of the coefficient basis.  ``p`` records the
-    ill-posedness index when op_spec does not imply one.
+    ``op_spec`` is either a SpectralSynthetic (singular values j^(-p)
+    acting diagonally on the cosines) or an n x m0 array of sampled images
+    of the coefficient basis.  ``p`` records the ill-posedness index when
+    op_spec does not imply one.
     """
     if p is not None and p <= 0:
         raise ParameterError("ill-posedness index must be positive")
-    if isinstance(op_spec, str):
-        if op_spec != "identity":
-            raise ParameterError(f"unknown operator spec {op_spec!r}")
-        op_spec = SpectralSynthetic(singular_values=np.ones(m0))
-    G = build_design_matrix(basis, grid, m0)
+    G = build_design_matrix(grid, m0)
 
     if isinstance(op_spec, SpectralSynthetic):
         lam = op_spec.values(m0)
-        if np.any(lam <= 0) or np.any(np.diff(lam) > 0):
-            raise ParameterError("singular values must be positive and non-increasing")
-        S = G.entries.T * lam
-        degree = float(p if p is not None else (op_spec.p or 1.0))
-        gram = G.gram()
-        if np.max(np.abs(gram / grid.n - np.eye(m0))) <= 1e-10:
-            # exactly orthonormal design: the given basis is the singular basis
-            return DiscretizedOperator(grid, G, S, lam, np.eye(m0), G.entries, degree)
+        S = G.T * lam
+        degree = float(p if p is not None else op_spec.p)
+        if np.max(np.abs(G @ G.T / grid.n - np.eye(m0))) <= 1e-10:
+            # exactly orthonormal design: the cosines are the singular basis
+            return DiscretizedOperator(grid, G, S, lam, np.eye(m0), G, degree)
         return _svd_operator(S, G, grid, degree)
 
     S = np.asarray(op_spec, dtype=float)
@@ -338,12 +249,12 @@ def discretize_operator(op_spec, basis: BasisFamily, grid: DesignGrid,
     return _svd_operator(S, G, grid, float(p if p is not None else 1.0))
 
 
-def _svd_operator(S: np.ndarray, G: DesignMatrix, grid: DesignGrid,
+def _svd_operator(S: np.ndarray, G: np.ndarray, grid: DesignGrid,
                   p: float) -> DiscretizedOperator:
     """Empirical SVD of the projection of the sampled images onto span(G)."""
     n, d = S.shape
     # Euclidean-orthonormal basis of the sampled observation space.
-    B, _ = np.linalg.qr(G.entries.T)
+    B, _ = np.linalg.qr(G.T)
     K = B.T @ S / math.sqrt(n)
     W, lam, Vt = np.linalg.svd(K)
     if lam[-1] <= RANK_RTOL * lam[0]:
@@ -450,7 +361,7 @@ def diagnostics(op: DiscretizedOperator, dims: Sequence[int],
     j = np.arange(1, op.d + 1, dtype=float)
     scaled = op.singular_values * j ** op.p
     k1, k2 = float(np.min(scaled)), float(np.max(scaled))
-    eigs = np.linalg.eigvalsh(op.G.gram())
+    eigs = np.linalg.eigvalsh(op.G @ op.G.T)
     a1, a2 = float(eigs[0] / n), float(eigs[-1] / n)
 
     sv_ok = k1 > 0 and k2 / k1 <= ratio_tol

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, RankError
 
 QUALIFICATION = {"tikhonov": 1.0, "projection": math.inf}
 
@@ -50,7 +50,7 @@ class RegularizerFamily:
         self.radius_stats = np.max(F2, axis=1) / n
         # radius <= trace, so a finite trace bounds both statistics
         if not np.all(np.isfinite(self.trace_stats)):
-            raise ParameterError(
+            raise RankError(
                 f"{kind} family: a squared filter value overflows (1/lambda_j^2 "
                 "for a singular value below about 1e-154): [problem] p is too large, "
                 "or the operator's singular values are too small")

@@ -258,18 +258,3 @@ def select_by_threshold(op: DiscretizedOperator, y, cfg: PenaltyConfig,
                                    cfg.weights_for(m0))))
     return SelectionResult(best, rows, estimate, kr)
 
-
-def estimate_noise_variance(op: DiscretizedOperator, y) -> float:
-    """Residual-based variance estimate from the maximal model.
-
-    Auxiliary only: the selection theory takes sigma^2 as known, so this
-    is never used unless explicitly called.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (op.n,):
-        raise DimensionError(f"sample vector has length {y.size}, need {op.n}")
-    if op.n <= op.d:
-        raise ParameterError("maximal model leaves no residual degrees of freedom")
-    c = op.svd_coefficients(y)
-    fitted_energy = op.n * float(np.dot(c, c))
-    return (float(np.dot(y, y)) - fitted_energy) / (op.n - op.d)

@@ -20,7 +20,6 @@ from invreg import (
     QuadFormSpec,
     SpectralSynthetic,
     build_design_matrix,
-    cosine_basis,
     default_u_grid,
     default_weights,
     discretize_operator,
@@ -135,8 +134,7 @@ def _single_matrix_weight(A, r=2.5, d_const=1.0, target=1.0):
 
 
 def _acceptance_matrices():
-    op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
-                             midpoint_grid(16), 4)
+    op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(16), 4)
     fam = tikhonov_family(op.singular_values, op.n, op.p, alpha_max=0.25, count=1)
     return [
         ("identity4", np.eye(4)),
@@ -183,7 +181,7 @@ class TestCriterion5ProjectionIdentity:
         for _ in range(100):
             n = int(rng.integers(8, 65))
             d = int(rng.integers(1, min(n, 8) + 1))
-            G = build_design_matrix(cosine_basis(), midpoint_grid(n), d)
+            G = build_design_matrix(midpoint_grid(n), d)
             eps = rng.standard_normal(n)
             worst = max(worst, projection_identity_check(eps, G).gap)
         report("5 projection-supremum identity", worst <= GAP_TOL,
@@ -193,8 +191,7 @@ class TestCriterion5ProjectionIdentity:
 class TestCriterion6ThresholdEquivalence:
     def test_hundred_random_instances(self):
         d, n = 12, 64
-        op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
-                                 midpoint_grid(n), d)
+        op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(n), d)
         fam = projection_family(op.singular_values, op.n)
         base = PenaltyConfig(sigma2=0.04, r=2.5)
         w = default_weights(fam, base, target=1.0)
@@ -221,8 +218,7 @@ class TestCriterion7TraceRatioScaling:
     ])
     def test_slope(self, p):
         d, n = 128, 256
-        op = discretize_operator(SpectralSynthetic(p=p), cosine_basis(),
-                                 midpoint_grid(n), d)
+        op = discretize_operator(SpectralSynthetic(p=p), midpoint_grid(n), d)
         # geometric grid whose filter peak sweeps j = 2 .. 32, inside [1, d]
         count = int(2 * p * 4) + 1
         fam = tikhonov_family(op.singular_values, op.n, op.p,
@@ -239,10 +235,10 @@ class TestCriterion8Exactness:
     def test_projection_idempotence(self):
         rng = np.random.default_rng(8)
         from invreg import empirical_projection
-        G = build_design_matrix(cosine_basis(), midpoint_grid(24), 6)
+        G = build_design_matrix(midpoint_grid(24), 6)
         y = rng.standard_normal(24)
         c1 = empirical_projection(y, G)
-        c2 = empirical_projection(G.entries.T @ c1, G)
+        c2 = empirical_projection(G.T @ c1, G)
         ok = np.max(np.abs(c1 - c2)) <= 1e-10
         report("8a projection idempotence", ok,
                f"max drift {np.max(np.abs(c1 - c2)):.2e} <= 1e-10")
@@ -251,11 +247,11 @@ class TestCriterion8Exactness:
         rng = np.random.default_rng(88)
         from invreg import empirical_norm, empirical_projection
         grid = midpoint_grid(24)
-        G = build_design_matrix(cosine_basis(), grid, 6)
+        G = build_design_matrix(grid, 6)
         worst = 0.0
         for _ in range(20):
             y = rng.standard_normal(24)
-            proj = G.entries.T @ empirical_projection(y, G)
+            proj = G.T @ empirical_projection(y, G)
             lhs = empirical_norm(y, grid) ** 2
             rhs = (empirical_norm(proj, grid) ** 2
                    + empirical_norm(y - proj, grid) ** 2)
@@ -267,8 +263,8 @@ class TestCriterion8Exactness:
         rng = np.random.default_rng(888)
         n, d = 20, 5
         S = rng.standard_normal((n, d))
-        op = discretize_operator(S, cosine_basis(), midpoint_grid(n), d, p=1.0)
-        G = op.G.entries
+        op = discretize_operator(S, midpoint_grid(n), d, p=1.0)
+        G = op.G
         P = G.T @ np.linalg.solve(G @ G.T, G)
         worst = 0.0
         for _ in range(20):
@@ -293,8 +289,7 @@ class TestCriterion8Exactness:
 
     def test_noiseless_exact_recovery(self):
         rng = np.random.default_rng(88888)
-        op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
-                                 midpoint_grid(32), 6)
+        op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(32), 6)
         fam = projection_family(op.singular_values, op.n, dims=[6])
         worst = 0.0
         for _ in range(20):

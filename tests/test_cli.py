@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,14 +66,14 @@ class TestSynth:
         _, out1 = run_synth(tmp_path, "a")
         _, out2 = run_synth(tmp_path, "b")
         for name in ("grid.csv", "operator.csv", "truth.csv", "data.csv"):
-            b1 = open(os.path.join(out1, name), "rb").read()
-            b2 = open(os.path.join(out2, name), "rb").read()
+            b1 = Path(out1, name).read_bytes()
+            b2 = Path(out2, name).read_bytes()
             assert b1 == b2
 
     def test_sigma_zero_gives_clean_observations(self, tmp_path):
         cfg_text = SYNTH_CFG.replace("sigma = 0.1", "sigma = 0.0")
         _, out = run_synth(tmp_path, "clean", cfg_text)
-        rows = open(os.path.join(out, "data.csv")).read().strip().splitlines()[1:]
+        rows = Path(out, "data.csv").read_text().strip().splitlines()[1:]
         for row in rows:
             _, clean, y = row.split(",")
             assert clean == y
@@ -91,9 +92,9 @@ class TestSelect:
         sel_out = str(tmp_path / "sel")
         assert main(["select", "--config", cfg, "--data", out,
                      "--out", sel_out]) == 0
-        summary = open(os.path.join(sel_out, "summary.txt")).read()
+        summary = Path(sel_out, "summary.txt").read_text()
         assert "chosen_label = tikhonov(alpha=1.0)" in summary
-        stats_lines = open(os.path.join(sel_out, "family.csv")).read().splitlines()
+        stats_lines = Path(sel_out, "family.csv").read_text().splitlines()
         assert stats_lines[0] == "k,kind,parameter,trace_stat,radius_stat"
         assert len(stats_lines) == 2
 
@@ -104,7 +105,7 @@ class TestSelect:
         sel_out = str(tmp_path / "sel")
         assert main(["select", "--config", cfg, "--data", out,
                      "--out", sel_out]) == 0
-        summary = open(os.path.join(sel_out, "summary.txt")).read()
+        summary = Path(sel_out, "summary.txt").read_text()
         assert "threshold_agreement = 1" in summary
 
     def run_select(self, tmp_path, kind="projection", extra="", sections=None):
@@ -119,13 +120,13 @@ class TestSelect:
         # model size is 3 here, so dims 1, 2 is a strict prefix
         code, sel_out = self.run_select(tmp_path, extra="dims = 1, 2\n")
         assert code == 0
-        summary = open(os.path.join(sel_out, "summary.txt")).read()
+        summary = Path(sel_out, "summary.txt").read_text()
         assert "threshold_agreement = 1" in summary
 
     def test_projection_dims_gap_skips_cross_check(self, tmp_path):
         code, sel_out = self.run_select(tmp_path, extra="dims = 1, 3\n")
         assert code == 0
-        summary = open(os.path.join(sel_out, "summary.txt")).read()
+        summary = Path(sel_out, "summary.txt").read_text()
         assert "chosen_k = " in summary
         assert "threshold_agreement" not in summary
 
@@ -147,11 +148,11 @@ class TestSelect:
                                                 column):
         _, out = run_synth(tmp_path)
         path = os.path.join(out, name)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         fields = lines[2].split(",")
         fields[column] = "nan"
         lines[2] = ",".join(fields)
-        open(path, "w").write("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n")
         cfg = write_config(tmp_path, "sel.ini",
                            SELECT_SECTIONS.format(kind="tikhonov", extra=""))
         code = main(["select", "--config", cfg, "--data", out,
@@ -173,9 +174,9 @@ class TestSelect:
     def test_malformed_csv_cites_row(self, tmp_path, capsys):
         _, out = run_synth(tmp_path)
         path = os.path.join(out, "data.csv")
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         lines[2] = lines[2].rsplit(",", 1)[0] + ",not_a_number"
-        open(path, "w").write("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n")
         cfg = write_config(tmp_path, "sel.ini",
                            SELECT_SECTIONS.format(kind="tikhonov", extra=""))
         code = main(["select", "--config", cfg, "--data", out,
@@ -215,14 +216,14 @@ class TestSelect:
     def test_quoted_numeric_fields_read_as_unquoted(self, tmp_path):
         argv = _select_argv(tmp_path, TIKHONOV_SELECT)
         assert main(argv) == 0
-        plain = open(os.path.join(argv[6], "selection.csv")).read()
+        plain = Path(argv[6], "selection.csv").read_text()
         path = os.path.join(argv[4], "data.csv")
-        lines = open(path).read().splitlines()
-        open(path, "w").write("\n".join(
+        lines = Path(path).read_text().splitlines()
+        Path(path).write_text("\n".join(
             [lines[0]] + [",".join(f'"{v}"' for v in line.split(","))
                           for line in lines[1:]]) + "\n")
         assert main(argv) == 0
-        assert open(os.path.join(argv[6], "selection.csv")).read() == plain
+        assert Path(argv[6], "selection.csv").read_text() == plain
 
     def test_comment_and_blank_lines_are_not_counted_as_rows(self, tmp_path, capsys):
         def edit(lines):
@@ -253,7 +254,7 @@ class TestRiskAndRates:
         cfg = write_config(tmp_path, "risk.ini", RISK_CFG)
         out = str(tmp_path / "rates")
         assert main(["rates", "--config", cfg, "--out", out]) == 0
-        text = open(os.path.join(out, "rates.csv")).read()
+        text = Path(out, "rates.csv").read_text()
         assert "-0.4" in text
         assert os.path.exists(os.path.join(out, "risk.csv"))
 
@@ -267,7 +268,7 @@ class TestRiskAndRates:
     def test_theory_column_caps_smoothness_at_the_qualification(self, tmp_path):
         # nu = 2 exceeds Tikhonov's qualification 1: the rate saturates at
         # theoretical_exponent(p, 1) = -4/7, not -0.727
-        text = open(os.path.join(ROOT, "configs", "rates.ini")).read()
+        text = Path(ROOT, "configs", "rates.ini").read_text()
         cfg = write_config(tmp_path, "nu2.ini", text.replace(
             "nu = 0.5", "nu = 2.0").replace("kind = both", "kind = tikhonov"))
         out = str(tmp_path / "rates")
@@ -281,7 +282,7 @@ class TestRiskAndRates:
         cfg = write_config(tmp_path, "risk.ini", RISK_CFG)
         out = str(tmp_path / "risk")
         assert main(["risk", "--config", cfg, "--out", out, "--threads", "2"]) == 0
-        lines = open(os.path.join(out, "plotdata.csv")).read().strip().splitlines()
+        lines = Path(out, "plotdata.csv").read_text().strip().splitlines()
         assert lines[0] == "method,log_n,log_risk"
         assert len(lines) == 5
 
@@ -326,7 +327,7 @@ class TestConcentration:
         cfg = write_config(tmp_path, "conc.ini", CONC_CFG.format(kraft_d=1.0))
         out = str(tmp_path / "conc")
         assert main(["concentration", "--config", cfg, "--out", out]) == 0
-        tails = open(os.path.join(out, "tails.csv")).read().splitlines()
+        tails = Path(out, "tails.csv").read_text().splitlines()
         flags = [line.rsplit(",", 1)[-1] for line in tails
                  if line and not line.startswith(("#", "matrix"))]
         assert flags and all(f == "0" for f in flags)
@@ -355,7 +356,7 @@ dims = 1, 2, 3
 """)
         out = str(tmp_path / "diag")
         assert main(["diagnostics", "--config", cfg, "--out", out]) == 0
-        text = open(os.path.join(out, "diagnostics.txt")).read()
+        text = Path(out, "diagnostics.txt").read_text()
         assert "sv_k1 = " in text and "ratio_bound = " in text
 
 
@@ -380,8 +381,8 @@ def _data_argv(tmp_path, name, edit, command="select"):
     ``edit`` (a map from the file's lines to new lines)."""
     argv = [command] + _select_argv(tmp_path, TIKHONOV_SELECT)[1:]
     path = os.path.join(argv[4], name)
-    lines = open(path).read().splitlines()
-    open(path, "w").write("\n".join(edit(lines)) + "\n")
+    lines = Path(path).read_text().splitlines()
+    Path(path).write_text("\n".join(edit(lines)) + "\n")
     return argv
 
 
@@ -539,6 +540,43 @@ OUT_OF_RANGE = {
 def _overflowing_y(lines):
     return [lines[0]] + [l.rsplit(",", 1)[0] + ",1e300" for l in lines[1:]]
 
+
+def _synth_small_argv(tmp, command, edits, sections=TIKHONOV_SELECT):
+    """argv of ``command --data`` on the output of configs/synth_small.ini
+    (n = 64, d = 4) after ``edits`` (file name -> map from its lines to new
+    lines)."""
+    data = str(tmp / "synth")
+    assert main(["synth", "--config", os.path.join(ROOT, "configs", "synth_small.ini"),
+                 "--out", data]) == 0
+    for name, edit in edits.items():
+        path = Path(data, name)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    return [command, "--config", write_config(tmp, "sel.ini", sections),
+            "--data", data, "--out", str(tmp / "out")]
+
+
+def _times_1e_160(first):
+    """Multiply every CSV column from index ``first`` on by 1e-160."""
+    def edit(lines):
+        rows = [l.split(",") for l in lines[1:]]
+        return [lines[0]] + [",".join(r[:first] + [repr(float(v) * 1e-160)
+                                                   for v in r[first:]])
+                             for r in rows]
+    return edit
+
+
+# 1/lambda_j^2 overflows for singular values below about 1e-154
+TINY_SPECTRUM = {"operator.csv": _times_1e_160(0),
+                 "data.csv": _times_1e_160(1)}   # t stays, clean and y shrink
+
+
+def _clustered_grid(lines):
+    # 64 points in three clusters 1e-15 apart: four cosines see three abscissae
+    t = [c + 1e-15 * i for c, size in ((0.2, 21), (0.5, 21), (0.8, 22))
+         for i in range(size)]
+    return [lines[0]] + [repr(v) for v in t]
+
+
 BAD_DATA = {
     "unsorted grid": lambda tmp: _data_argv(tmp, "grid.csv", _swap_first_rows),
     "copied operator column": lambda tmp: _data_argv(
@@ -552,6 +590,13 @@ BAD_DATA = {
     "overflowing y": lambda tmp: _data_argv(tmp, "data.csv", _overflowing_y),
     "grid.csv is a directory": _grid_csv_is_a_directory,
     "data.csv not utf-8": _latin1_data,
+    "tiny spectrum": lambda tmp: _synth_small_argv(
+        tmp, "select", TINY_SPECTRUM, SELECT_SECTIONS.format(kind="projection",
+                                                             extra="")),
+    "near-coincident grid points": lambda tmp: _synth_small_argv(
+        tmp, "select", {"grid.csv": _clustered_grid}),
+    "diagnostics near-coincident grid points": lambda tmp: _synth_small_argv(
+        tmp, "diagnostics", {"grid.csv": _clustered_grid}),
 }
 
 
@@ -672,7 +717,7 @@ class TestCell:
             fast, slow = os.path.join(tmp, "fast.csv"), os.path.join(tmp, "slow.csv")
             write_csv(fast, header, body, ["# note"])
             write_csv(slow, header, body.tolist(), ["# note"])
-            assert open(fast, "rb").read() == open(slow, "rb").read()
+            assert Path(fast).read_bytes() == Path(slow).read_bytes()
             if np.isfinite(body).all():
                 assert read_matrix_csv(fast).tobytes() == body.tobytes()
 

@@ -1,12 +1,13 @@
 import math
+import sys
 from dataclasses import astuple, replace
 from operator import attrgetter
 
 import numpy as np
 import pytest
 
+import invreg.operator
 from invreg import (
-    BasisFamily,
     ExperimentConfig,
     ExperimentReport,
     InsufficientDataError,
@@ -114,12 +115,16 @@ class TestMonteCarloRisk:
         assert cell(report.rows[0].risk_se) == "NA"
 
     def test_builds_no_design(self, monkeypatch):
-        # the families come from the singular values and n alone: no basis
-        # function is ever sampled, even at n = 65536
-        def refuse(self, j, grid):
-            raise AssertionError(f"basis sampled at j = {j}, n = {grid.n}")
+        # the families come from the singular values and n alone: no cosine
+        # design is ever sampled, even at n = 65536
+        def refuse(grid, d_m):
+            raise AssertionError(f"design sampled at d = {d_m}, n = {grid.n}")
 
-        monkeypatch.setattr(BasisFamily, "sample", refuse)
+        original = invreg.operator.cosine_design
+        for name, module in list(sys.modules.items()):
+            if (name.partition(".")[0] == "invreg"
+                    and getattr(module, "cosine_design", None) is original):
+                monkeypatch.setattr(module, "cosine_design", refuse)
         cfg = ExperimentConfig(n_grid=(4096, 8192, 16384, 32768, 65536),
                                replications=2, seed=3)
         report = monte_carlo_risk(cfg)

@@ -13,17 +13,14 @@ from invreg import (
     SpectralSynthetic,
     build_design_matrix,
     choose_m0,
-    cosine_basis,
+    cosine_design,
     diagnostics,
     discretize_operator,
     empirical_norm,
     empirical_projection,
-    empirical_scalar_product,
-    indicator_basis,
     midpoint_grid,
-    table_basis,
 )
-from invreg.operator import QR_BLOCK_ROWS, _design_r_factor
+from invreg.operator import QR_BLOCK_ROWS, _certify_rank, _design_r_factor
 
 
 class TestEmpiricalNorm:
@@ -44,24 +41,13 @@ class TestEmpiricalNorm:
         with pytest.raises(DimensionError):
             empirical_norm(np.ones(4), midpoint_grid(5))
 
-    def test_scalar_product_is_the_associated_form(self, rng):
-        grid = midpoint_grid(9)
-        y = rng.standard_normal(9)
-        assert empirical_scalar_product(y, y, grid) == pytest.approx(
-            empirical_norm(y, grid) ** 2)
-
 
 class TestDesignMatrix:
-    def test_indicator_basis_gives_identity(self):
-        grid = midpoint_grid(5)
-        G = build_design_matrix(indicator_basis(grid), grid, 5)
-        assert np.array_equal(G.entries, np.eye(5))
-
     def test_cosine_midpoint_gram_is_n_times_identity(self):
         # brute-force Gram at n=8, d=4
         n, d = 8, 4
         grid = midpoint_grid(n)
-        G = build_design_matrix(cosine_basis(), grid, d)
+        G = build_design_matrix(grid, d)
         gram = np.zeros((d, d))
         for j in range(d):
             for k in range(d):
@@ -69,7 +55,7 @@ class TestDesignMatrix:
                     fj = 1.0 if j == 0 else math.sqrt(2) * math.cos(j * math.pi * t)
                     fk = 1.0 if k == 0 else math.sqrt(2) * math.cos(k * math.pi * t)
                     gram[j, k] += fj * fk
-        assert np.allclose(G.gram(), gram, atol=1e-12)
+        assert np.allclose(G @ G.T, gram, atol=1e-12)
         assert np.allclose(gram, n * np.eye(d), atol=1e-12)
 
     @pytest.mark.parametrize("n", [256, 65536])
@@ -79,18 +65,18 @@ class TestDesignMatrix:
         # included: then the clean samples project to lambda x0 and the noise
         # to N(0, sigma^2/n I).  d = 164 is the largest truth range of
         # rates.ini and of its n = 65536 scale-up.
-        G = build_design_matrix(cosine_basis(), midpoint_grid(n), 164).entries
+        G = build_design_matrix(midpoint_grid(n), 164)
         assert np.max(np.abs(G @ G.T / n - np.eye(164))) <= 1e-12
 
     def test_dimension_error_when_d_exceeds_n(self):
         with pytest.raises(DimensionError):
-            build_design_matrix(cosine_basis(), midpoint_grid(4), 5)
+            build_design_matrix(midpoint_grid(4), 5)
 
     def test_degenerate_design(self):
-        grid = midpoint_grid(4)
-        table = np.vstack([np.ones(4), np.ones(4)])
+        # four points in two pairs 1e-15 apart: three cosines see two abscissae
+        grid = DesignGrid(np.array([0.25, 0.25 + 1e-15, 0.75, 0.75 + 1e-15]))
         with pytest.raises(DegenerateDesignError):
-            build_design_matrix(table_basis(table, grid), grid, 2)
+            build_design_matrix(grid, 3)
 
 
 def _conditioned_table(n, d, cond, rng):
@@ -104,68 +90,64 @@ class TestRankCertificate:
     @pytest.mark.parametrize("n,d", [(QR_BLOCK_ROWS // 2, 7), (QR_BLOCK_ROWS, 7),
                                      (2 * QR_BLOCK_ROWS + 5, 7), (40, 40)])
     def test_blocked_singular_values_match_full_svd(self, n, d):
-        grid = midpoint_grid(n)
-        basis = indicator_basis(grid) if d == n else cosine_basis()
-        G = build_design_matrix(basis, grid, d).entries
+        G = build_design_matrix(midpoint_grid(n), d)
         full = np.linalg.svd(G, compute_uv=False)
         blocked = np.linalg.svd(_design_r_factor(G), compute_uv=False)
         assert np.max(np.abs(blocked - full)) <= 1e-13 * full[0]
 
     def test_ill_conditioned_table_over_several_blocks_passes(self, rng):
         n = 2 * QR_BLOCK_ROWS + 5
-        grid = midpoint_grid(n)
         table = _conditioned_table(n, 6, 1e10, rng)
-        G = build_design_matrix(table_basis(table, grid), grid, 6)
-        assert np.array_equal(G.entries, table)
+        G = _certify_rank(table)
+        assert np.array_equal(G, table)
 
     def test_duplicated_row_over_several_blocks_is_degenerate(self, rng):
         n = 2 * QR_BLOCK_ROWS + 5
-        grid = midpoint_grid(n)
         table = _conditioned_table(n, 6, 1e10, rng)
         table[5] = table[2]
         with pytest.raises(DegenerateDesignError):
-            build_design_matrix(table_basis(table, grid), grid, 6)
+            _certify_rank(table)
 
     def test_peak_memory_stays_near_the_design_itself(self):
         grid = midpoint_grid(32768)
         tracemalloc.start()
         try:
-            G = build_design_matrix(cosine_basis(), grid, 64)
+            G = build_design_matrix(grid, 64)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * G.entries.nbytes
+        assert peak < 1.5 * G.nbytes
 
 
 class TestEmpiricalProjection:
     def test_idempotent_on_model_space(self, rng):
         grid = midpoint_grid(12)
-        G = build_design_matrix(cosine_basis(), grid, 4)
+        G = build_design_matrix(grid, 4)
         c = rng.standard_normal(4)
-        y = G.entries.T @ c
+        y = G.T @ c
         assert np.allclose(empirical_projection(y, G), c, atol=1e-10)
 
     def test_orthogonal_input_maps_to_zero(self):
         grid = midpoint_grid(12)
-        G = build_design_matrix(cosine_basis(), grid, 3)
-        y = cosine_basis().sample(5, grid)  # exactly orthogonal on this design
+        G = build_design_matrix(grid, 3)
+        y = cosine_design(grid, 5)[4]  # exactly orthogonal on this design
         assert np.allclose(empirical_projection(y, G), 0.0, atol=1e-12)
 
     def test_matches_normal_equations_oracle(self, rng):
         # independent least-squares route: solve G G^t c = G y
         pts = np.sort(rng.uniform(0, 1, 4))
         grid = DesignGrid(pts)
-        G = build_design_matrix(cosine_basis(), grid, 2)
+        G = build_design_matrix(grid, 2)
         y = rng.standard_normal(4)
-        oracle = np.linalg.solve(G.entries @ G.entries.T, G.entries @ y)
+        oracle = np.linalg.solve(G @ G.T, G @ y)
         assert np.allclose(empirical_projection(y, G), oracle, atol=1e-10)
 
     def test_pythagoras_in_empirical_norm(self, rng):
         grid = midpoint_grid(20)
         for d in (1, 3, 7):
-            G = build_design_matrix(cosine_basis(), grid, d)
+            G = build_design_matrix(grid, d)
             y = rng.standard_normal(20)
-            proj = G.entries.T @ empirical_projection(y, G)
+            proj = G.T @ empirical_projection(y, G)
             total = empirical_norm(y, grid) ** 2
             inside = empirical_norm(proj, grid) ** 2
             outside = empirical_norm(y - proj, grid) ** 2
@@ -186,8 +168,8 @@ class TestDiscretizeOperator:
         n, d = 6, 3
         grid = midpoint_grid(n)
         S = rng.standard_normal((n, d))
-        op = discretize_operator(S, cosine_basis(), grid, d, p=1.0)
-        G = build_design_matrix(cosine_basis(), grid, d).entries
+        op = discretize_operator(S, grid, d, p=1.0)
+        G = build_design_matrix(grid, d)
         P = G.T @ np.linalg.solve(G @ G.T, G)
         composed = S.T @ P @ S / n
         oracle = np.sqrt(np.sort(np.linalg.eigvalsh(composed))[::-1])
@@ -197,14 +179,14 @@ class TestDiscretizeOperator:
         grid = midpoint_grid(6)
         S = np.ones((6, 2))  # duplicated image, rank 1
         with pytest.raises(RankError):
-            discretize_operator(S, cosine_basis(), grid, 2, p=1.0)
+            discretize_operator(S, grid, 2, p=1.0)
 
     def test_forward_matches_projected_samples(self, rng):
         n, d = 10, 3
         grid = midpoint_grid(n)
         S = rng.standard_normal((n, d))
-        op = discretize_operator(S, cosine_basis(), grid, d, p=1.0)
-        G = build_design_matrix(cosine_basis(), grid, d).entries
+        op = discretize_operator(S, grid, d, p=1.0)
+        G = build_design_matrix(grid, d)
         P = G.T @ np.linalg.solve(G @ G.T, G)
         for _ in range(5):
             x = rng.standard_normal(d)
@@ -216,7 +198,7 @@ class TestDiscretizeOperator:
         n, d = 12, 4
         grid = midpoint_grid(n)
         S = rng.standard_normal((n, d))
-        op = discretize_operator(S, cosine_basis(), grid, d, p=1.0)
+        op = discretize_operator(S, grid, d, p=1.0)
         comp = np.column_stack([op.adjoint(op.forward(e)) for e in np.eye(d)])
         expected = op.x_vectors @ np.diag(op.singular_values ** 2) @ op.x_vectors.T
         assert np.allclose(comp, expected, atol=1e-10)
@@ -265,7 +247,7 @@ class TestDiagnostics:
         n, d = 14, 5
         grid = midpoint_grid(n)
         S = rng.standard_normal((n, d)) * 0.7
-        op = discretize_operator(S, cosine_basis(), grid, d, p=1.0)
+        op = discretize_operator(S, grid, d, p=1.0)
         diag = diagnostics(op, range(1, d + 1))
         assert np.all(diag.nu >= diag.gamma_lower - 1e-12)
 

@@ -4,7 +4,6 @@ import pytest
 from invreg import (
     ParameterError,
     SpectralSynthetic,
-    cosine_basis,
     discretize_operator,
     midpoint_grid,
     projection_family,
@@ -98,8 +97,7 @@ class TestTraceRadius:
 
     def test_rows_equal_the_per_candidate_sums(self):
         # the batched statistics keep the bytes of the one-row reductions
-        op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
-                                 midpoint_grid(4096), 64)
+        op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(4096), 64)
         for fam in (tikhonov_of(op), projection_of(op)):
             for k, f in enumerate(fam.filter_matrix):
                 assert fam.trace_stats[k] == float(np.sum(f ** 2)) / op.n
@@ -108,8 +106,7 @@ class TestTraceRadius:
     def test_trace_ratio_scaling_slope(self):
         # ratio grows like alpha^(-1/(2p)); fit inside the scaling window
         p, d, n = 1.0, 128, 256
-        op = discretize_operator(SpectralSynthetic(p=p), cosine_basis(),
-                                 midpoint_grid(n), d)
+        op = discretize_operator(SpectralSynthetic(p=p), midpoint_grid(n), d)
         fam = tikhonov_of(op, alpha_max=2.0 ** (-2 * p), ratio=0.5,
                               count=int(2 * p * 4) + 1)   # peaks from j=2 to j=32
         ratios = fam.trace_stats / fam.radius_stats
@@ -208,8 +205,7 @@ class TestInvariants:
         # n * radius and trace/radius do not depend on n at fixed spec
         stats = {}
         for n in (16, 64):
-            op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
-                                     midpoint_grid(n), 4)
+            op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(n), 4)
             fam = tikhonov(op, 0.25)
             tr, rad = fam.trace_stats[0], fam.radius_stats[0]
             stats[n] = (n * rad, tr / rad)

@@ -12,10 +12,8 @@ from invreg import (
     SpectralSynthetic,
     choose_m0,
     contrast,
-    cosine_basis,
     default_weights,
     discretize_operator,
-    estimate_noise_variance,
     kraft_sum,
     midpoint_grid,
     objectives,
@@ -168,7 +166,7 @@ def _prefix_instance(seed, d, n_factor, scale):
     rng = np.random.default_rng(seed)
     n = 4 * d * n_factor
     op = discretize_operator(SpectralSynthetic(p=float(rng.uniform(0.5, 2.0))),
-                             cosine_basis(), midpoint_grid(n), d)
+                             midpoint_grid(n), d)
     m = int(rng.integers(1, d + 1))
     x0 = rng.standard_normal(d) * scale
     sigma = float(rng.uniform(0.01, 1.0))
@@ -266,8 +264,7 @@ class TestObjectives:
 class TestThresholdObjectives:
     @pytest.mark.parametrize("m0", [20, 13, 1])
     def test_rows_equal_select_by_threshold(self, rng, m0):
-        op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
-                                 midpoint_grid(80), 20)
+        op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(80), 20)
         cfg = PenaltyConfig(sigma2=0.04, weights=np.full(m0, 0.7))
         ys = np.array([op.forward(rng.standard_normal(20) * rng.uniform(0, 2))
                        + rng.normal(0, 0.2, 80) for _ in range(30)])
@@ -330,16 +327,14 @@ class TestDefaultWeights:
         assert np.all(w == 0.0)
 
     def test_larger_family_never_needs_less(self):
-        op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
-                                 midpoint_grid(32), 8)
+        op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(32), 8)
         cfg = PenaltyConfig(sigma2=1.0)
         small = default_weights(tikhonov_of(op, count=4), cfg)
         large = default_weights(tikhonov_of(op, count=7), cfg)
         assert large[0] >= small[0]
 
     def test_bisection_post_check_eight_candidates(self):
-        op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
-                                 midpoint_grid(256), 16)
+        op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(256), 16)
         fam = tikhonov_of(op, count=8)
         assert len(fam) == 8
         cfg = PenaltyConfig(sigma2=1.0)
@@ -380,8 +375,7 @@ class TestSelectByThreshold:
         assert np.allclose(res.estimate, x0, atol=1e-10)
 
     def test_matches_exhaustive_prefix_search(self, rng):
-        op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
-                                 midpoint_grid(64), 10)
+        op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(64), 10)
         fam = projection_of(op)
         cfg = PenaltyConfig(sigma2=0.04, weights=np.full(10, 0.7))
         for _ in range(100):
@@ -398,12 +392,3 @@ class TestSelectByThreshold:
         y = rng.standard_normal(16)
         res = select_by_threshold(op_p1_d4_n16, y, PenaltyConfig(sigma2=5.0))
         assert np.all(res.estimate[res.chosen + 1:] == 0.0)
-
-
-class TestNoiseVarianceEstimate:
-    def test_recovers_scale_on_pure_noise(self, rng):
-        op = discretize_operator(SpectralSynthetic(p=1.0), cosine_basis(),
-                                 midpoint_grid(400), 5)
-        eps = rng.normal(0.0, 0.7, 400)
-        est = estimate_noise_variance(op, eps)
-        assert est == pytest.approx(0.49, rel=0.2)
