@@ -130,10 +130,15 @@ def _family_from_config(cp, op):
 def cmd_select(args) -> int:
     cp = cio.load_config(args.config)
     op = _operator_from_data(cp, args.data)
+    lam_min = float(op.singular_values[-1])
+    if lam_min < np.sqrt(np.finfo(float).tiny):
+        raise DataError(f"operator.csv: smallest singular value {lam_min!r} is below "
+                        "1.5e-154, so its square is not a normal double")
     data = cio.read_csv_columns(os.path.join(args.data, "data.csv"), ["t", "y"])
     y = data["y"]
-    if y.size != op.n:
-        raise DataError(f"data.csv has {y.size} observations, grid has {op.n}")
+    if not np.array_equal(data["t"], op.grid.points):
+        raise DataError(f"data.csv: column t ({y.size} values) does not repeat "
+                        f"grid.csv ({op.n} points)")
     back = op.svd_coefficients(y) / op.singular_values
     with np.errstate(over="ignore"):
         overflow = not np.isfinite(np.dot(back, back))

@@ -58,8 +58,6 @@ def cfg_value(cp, section: str, key: str, kind=str, default=None, required=False
         return default
     raw = cp.get(section, key).strip()
     try:
-        if kind is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
         return _parse(kind, raw)
     except ValueError:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}")

@@ -29,9 +29,6 @@ from .errors import (
 # Relative cliff below which a singular value counts as zero.
 RANK_RTOL = 1e-12
 
-# Rows of G^t per block in the blocked QR of the design's rank certificate.
-QR_BLOCK_ROWS = 8192
-
 
 # ---------------------------------------------------------------------------
 # design grid and empirical geometry
@@ -97,32 +94,20 @@ def cosine_design(grid: DesignGrid, d_m: int) -> np.ndarray:
 
 
 def build_design_matrix(grid: DesignGrid, d_m: int) -> np.ndarray:
-    """The cosine design of ``grid``, certified to have full row rank."""
-    return _certify_rank(cosine_design(grid, d_m))
-
-
-def _certify_rank(G: np.ndarray) -> np.ndarray:
-    """G itself, once its rows are shown to be linearly independent.
-
-    Raises DegenerateDesignError when the smallest singular value of G is
-    at most RANK_RTOL times the largest.  The singular values are those of
-    the d x d R factor of a QR of G^t, which is built from the R factors of
-    row blocks of G^t (one TSQR step), so besides G itself the certificate
-    holds about two copies of one block of QR_BLOCK_ROWS x d.
-    """
-    sv = np.linalg.svd(_design_r_factor(G), compute_uv=False)
-    if sv[-1] <= RANK_RTOL * sv[0]:
-        raise DegenerateDesignError(
-            f"design matrix is rank deficient (d_m={G.shape[0]}, n={G.shape[1]})")
+    """The cosine design of ``grid``, certified to have full row rank by the
+    R factor of one QR of G^t (DegenerateDesignError on failure)."""
+    G = cosine_design(grid, d_m)
+    _certify_rank(np.linalg.qr(G.T, mode="r"))
     return G
 
 
-def _design_r_factor(G: np.ndarray) -> np.ndarray:
-    """Triangular factor R of G^t = QR from the R factors of row blocks of G^t."""
-    d, n = G.shape
-    step = max(QR_BLOCK_ROWS, d)
-    blocks = [np.linalg.qr(G[:, i:i + step].T, mode="r") for i in range(0, n, step)]
-    return np.linalg.qr(np.vstack(blocks), mode="r")
+def _certify_rank(R: np.ndarray) -> None:
+    """Raise DegenerateDesignError unless the design G has full row rank:
+    R, the d x d factor of a QR of G^t, has the singular values of G, and
+    the smallest must exceed RANK_RTOL times the largest."""
+    sv = np.linalg.svd(R, compute_uv=False)
+    if sv[-1] <= RANK_RTOL * sv[0]:
+        raise DegenerateDesignError(f"design matrix is rank deficient (d_m={R.shape[0]})")
 
 
 def empirical_projection(y, G: np.ndarray) -> np.ndarray:
@@ -225,49 +210,48 @@ def discretize_operator(op_spec, grid: DesignGrid, m0: int,
                         p: float | None = None) -> DiscretizedOperator:
     """Project a forward operator onto the first m0 cosines of the grid.
 
-    ``op_spec`` is either a SpectralSynthetic (singular values j^(-p)
-    acting diagonally on the cosines) or an n x m0 array of sampled images
-    of the coefficient basis.  ``p`` records the ill-posedness index when
-    op_spec does not imply one.
+    ``op_spec`` is a SpectralSynthetic (singular values j^(-p) acting
+    diagonally on the cosines; needs G G^t = n I, as on ``midpoint_grid``,
+    and takes no ``p`` besides its own) or an n x m0 array of sampled
+    images of the coefficient basis, projected on the orthonormal basis of
+    one QR of G^t, whose R factor certifies the design's rank.  ``p``
+    records the arrays' ill-posedness index (default 1) for the families
+    and diagnostics.
     """
     if p is not None and p <= 0:
         raise ParameterError("ill-posedness index must be positive")
-    G = build_design_matrix(grid, m0)
+    G = cosine_design(grid, m0)
+    n = grid.n
 
     if isinstance(op_spec, SpectralSynthetic):
+        if p is not None:
+            raise ParameterError("a SpectralSynthetic spec records its own index p")
         lam = op_spec.values(m0)
-        S = G.T * lam
-        degree = float(p if p is not None else op_spec.p)
-        if np.max(np.abs(G @ G.T / grid.n - np.eye(m0))) <= 1e-10:
-            # exactly orthonormal design: the cosines are the singular basis
-            return DiscretizedOperator(grid, G, S, lam, np.eye(m0), G, degree)
-        return _svd_operator(S, G, grid, degree)
+        if np.max(np.abs(G @ G.T / n - np.eye(m0))) > 1e-10:
+            raise ParameterError("a SpectralSynthetic spec needs a design with "
+                                 "G G^t = n I (a midpoint grid)")
+        return DiscretizedOperator(grid, G, G.T * lam, lam, np.eye(m0), G,
+                                   float(op_spec.p))
 
     S = np.asarray(op_spec, dtype=float)
-    if S.shape != (grid.n, m0):
-        raise DimensionError(f"sample matrix must be {grid.n} x {m0}, got {S.shape}")
-    return _svd_operator(S, G, grid, float(p if p is not None else 1.0))
-
-
-def _svd_operator(S: np.ndarray, G: np.ndarray, grid: DesignGrid,
-                  p: float) -> DiscretizedOperator:
-    """Empirical SVD of the projection of the sampled images onto span(G)."""
-    n, d = S.shape
+    if S.shape != (n, m0):
+        raise DimensionError(f"sample matrix must be {n} x {m0}, got {S.shape}")
     # Euclidean-orthonormal basis of the sampled observation space.
-    B, _ = np.linalg.qr(G.T)
+    B, R = np.linalg.qr(G.T)
+    _certify_rank(R)
     K = B.T @ S / math.sqrt(n)
     W, lam, Vt = np.linalg.svd(K)
     if lam[-1] <= RANK_RTOL * lam[0]:
         raise RankError("projected operator has a numerically zero singular value")
     V = Vt.T
     # canonical signs: largest component of each coefficient vector positive
-    for j in range(d):
+    for j in range(m0):
         i = int(np.argmax(np.abs(V[:, j])))
         if V[i, j] < 0:
             V[:, j] = -V[:, j]
             W[:, j] = -W[:, j]
     Psi = math.sqrt(n) * (B @ W).T
-    return DiscretizedOperator(grid, G, S, lam, V, Psi, p)
+    return DiscretizedOperator(grid, G, S, lam, V, Psi, 1.0 if p is None else float(p))
 
 
 def choose_m0(n: int, p: float) -> int:

@@ -570,6 +570,11 @@ TINY_SPECTRUM = {"operator.csv": _times_1e_160(0),
                  "data.csv": _times_1e_160(1)}   # t stays, clean and y shrink
 
 
+def _shift_t(lines):
+    rows = [l.split(",", 1) for l in lines[1:]]
+    return [lines[0]] + [f"{float(t) + 0.3!r},{rest}" for t, rest in rows]
+
+
 def _clustered_grid(lines):
     # 64 points in three clusters 1e-15 apart: four cosines see three abscissae
     t = [c + 1e-15 * i for c, size in ((0.2, 21), (0.5, 21), (0.8, 22))
@@ -593,6 +598,10 @@ BAD_DATA = {
     "tiny spectrum": lambda tmp: _synth_small_argv(
         tmp, "select", TINY_SPECTRUM, SELECT_SECTIONS.format(kind="projection",
                                                              extra="")),
+    # the Tikhonov statistics would be subnormal, of two or three digits
+    "tiny spectrum tikhonov": lambda tmp: _synth_small_argv(
+        tmp, "select", TINY_SPECTRUM),
+    "data t off the grid": lambda tmp: _data_argv(tmp, "data.csv", _shift_t),
     "near-coincident grid points": lambda tmp: _synth_small_argv(
         tmp, "select", {"grid.csv": _clustered_grid}),
     "diagnostics near-coincident grid points": lambda tmp: _synth_small_argv(
@@ -685,6 +694,35 @@ class TestConfigSweep:
                         if code not in (0, 2, 4):
                             bad.append((command, f"[{section}] {key} = {value}", code))
         assert not bad
+
+    def test_sweep_lists_every_key_a_command_reads(self, tmp_path, monkeypatch):
+        """Each (section, key) a command looks up on a SWEEP base config is
+        among that command's SWEEP keys, so a new config key gets swept."""
+        from invreg import cli, configio
+        read = set()
+
+        def recording(lookup):
+            def wrapped(cp, section, key, *args, **kwargs):
+                read.add((section, key))
+                return lookup(cp, section, key, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "cfg_value", recording(configio.cfg_value))
+        monkeypatch.setattr(cli, "cfg_list", recording(configio.cfg_list))
+        _, data = run_synth(tmp_path, "data", SYNTH_CFG.replace("n = 16", "n = 64"))
+        swept = {}
+        for command, _, _, keys in SWEEP:
+            swept.setdefault(command, set()).update(
+                (section, key) for section, names in keys.items() for key in names)
+        unswept = []
+        for command, uses_data, base, _ in SWEEP:
+            read.clear()
+            argv = [command, "--config", write_config(tmp_path, "base.ini", base),
+                    "--out", str(tmp_path / "out")]
+            assert main(argv + (["--data", data] if uses_data else [])) == 0
+            assert read, command
+            unswept += [(command, *k) for k in sorted(read - swept[command])]
+        assert not unswept
 
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
