@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .errors import InvregError, RankError
 from .experiments import (
     ExperimentConfig,
     RiskRow,
-    SourceSpec,
     fit_rate,
     monte_carlo_risk,
     synth_problem,
@@ -72,8 +71,7 @@ def _problem_from_config(cp, seed_override):
     seed = _seed(cp, "problem", seed_override)
     omega = cfg_value(cp, "problem", "omega", str, "log-uniform")
     d_ext = cfg_value(cp, "problem", "d_ext", int, None)
-    source = SourceSpec(nu, rho, omega)
-    return synth_problem(p, nu, rho, n, seed, sigma, source, d_ext), seed
+    return synth_problem(p, nu, rho, n, seed, sigma, omega, d_ext), seed
 
 
 def cmd_synth(args) -> int:
@@ -166,8 +164,7 @@ def cmd_select(args) -> int:
         w = np.zeros(len(family))
     else:
         w = np.array(cfg_list(cp, "penalty", "weights", float, required=True))
-    pcfg = PenaltyConfig(sigma2=sigma2, r=base.r, weights=w,
-                         kraft_d=base.kraft_d)
+    pcfg = replace(base, weights=w)
 
     seed = args.seed if args.seed is not None else 0
     man = cio.RunManifest("select", cio.config_echo(cp), seed, args.out).start()
@@ -195,7 +192,7 @@ def cmd_select(args) -> int:
         f"r = {pcfg.r!r}",
         f"sigma2 = {pcfg.sigma2!r}",
         f"weight_policy = {weights_key}",
-        f"weight_common = {float(w[0]) if w.size else 0.0!r}",
+        f"weight_common = {float(w[0])!r}",
     ]
     if agreement:
         summary.append(f"threshold_agreement = {agreement}")
@@ -265,7 +262,7 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _concentration_matrix(token: str, op_cache: dict) -> np.ndarray:
+def _concentration_matrix(token: str) -> np.ndarray:
     name, _, size = token.partition(":")
     # default size: d, or d x n for a regularizer
     default = {"identity": "4", "decay": "8", "regularizer": "4x16"}.get(name)
@@ -282,12 +279,10 @@ def _concentration_matrix(token: str, op_cache: dict) -> np.ndarray:
         return np.eye(dims[0])
     if name == "decay":
         return np.diag(1.0 / np.arange(1.0, dims[0] + 1.0))
-    if dims not in op_cache:
-        d, n = dims
-        op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(n), d)
-        fam = tikhonov_family(op.singular_values, n, op.p, alpha_max=0.25, count=1)
-        op_cache[dims] = op.regularizer(fam.filter_matrix[0])
-    return op_cache[dims]
+    d, n = dims
+    op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(n), d)
+    fam = tikhonov_family(op.singular_values, n, op.p, alpha_max=0.25, count=1)
+    return op.regularizer(fam.filter_matrix[0])
 
 
 def cmd_concentration(args) -> int:
@@ -304,14 +299,12 @@ def cmd_concentration(args) -> int:
     if not tokens or trials < 1:
         raise ConfigError("[concentration] needs at least one matrix and "
                           "identity_trials >= 1")
-    cache: dict = {}
     noise = conc.GaussianNoise(sigma)
     pcfg = PenaltyConfig(sigma2=sigma ** 2,
                          r=cfg_value(cp, "penalty", "r", float, 2.5),
                          weights=np.array([weight]),
                          kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0))
-    specs = [(token, conc.QuadFormSpec(_concentration_matrix(token, cache),
-                                       noise, reps, seed))
+    specs = [(token, conc.QuadFormSpec(_concentration_matrix(token), noise, reps, seed))
              for token in tokens]
     man = cio.RunManifest("concentration", cio.config_echo(cp), seed,
                           args.out).start()
@@ -320,14 +313,15 @@ def cmd_concentration(args) -> int:
     total_violations = 0
     for token, spec in specs:
         etasq = spec.eta_squared_samples()
-        rep = conc.tail_check(spec, etasq, pcfg, conc.default_u_grid(spec.A, u_count))
+        rep = conc.tail_check(spec, etasq, pcfg, conc.default_u_grid(spec.A, u_count),
+                              weight)
         total_violations += rep.violations
         comments.append(f"# {token}: " + "; ".join(
             l.lstrip("# ") for l in rep.header_lines()))
         tail_rows.extend([token, *r] for r in zip(
             rep.thresholds.tolist(), rep.empirical_tail.tolist(), rep.stderr.tolist(),
             rep.theoretical_bound.tolist(), rep.violation_flags().tolist()))
-        mom = conc.moment_check(spec, etasq, pcfg, moment_q)
+        mom = conc.moment_check(spec, etasq, pcfg, moment_q, weight)
         moment_rows.append([token, mom.q, mom.empirical_moment, mom.bound_shape,
                             mom.ratio, mom.defined])
 

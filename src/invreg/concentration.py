@@ -16,7 +16,7 @@ compare it with the right side at an explicit binomial error budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,6 +93,12 @@ def z_envelope(A) -> np.ndarray:
     return col_sq / np.max(np.linalg.svd(A, compute_uv=False)) ** 2
 
 
+def _gram_stats(A: np.ndarray) -> tuple[float, float]:
+    """Trace and spectral radius of A^t A, from one SVD of A."""
+    sv = np.linalg.svd(A, compute_uv=False)
+    return float(np.sum(sv * sv)), float(sv[0] ** 2)
+
+
 @dataclass(frozen=True)
 class QuadFormSpec:
     """A matrix, a noise law and a replication budget for the Monte Carlo.
@@ -101,19 +107,25 @@ class QuadFormSpec:
     ``sample(rng, shape)``, which returns an array of that shape of
     independent draws; the shipped laws are GaussianNoise and
     TwoPointNoise.  All replications come from one generator seeded with
-    ``seed``, as one replications x n block.
+    ``seed``, as one replications x n block.  ``trace`` and ``radius`` are
+    those of A^t A.
     """
 
     A: np.ndarray
     noise: object
     replications: int = 10_000
     seed: int = 0
+    trace: float = field(init=False)
+    radius: float = field(init=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         object.__setattr__(self, "A", A)
         if self.replications < 1:
             raise ParameterError("need at least one replication")
+        tr, rho = _gram_stats(A)
+        object.__setattr__(self, "trace", tr)
+        object.__setattr__(self, "radius", rho)
 
     def eta_squared_samples(self) -> np.ndarray:
         shape = (self.replications, self.A.shape[1])
@@ -132,13 +144,12 @@ class IdentityCheck:
     gap: float
 
 
-def projection_identity_check(eps, G: np.ndarray, probes: int = 32,
-                              seed: int = 0) -> IdentityCheck:
+def projection_identity_check(eps, G: np.ndarray, seed: int = 0) -> IdentityCheck:
     """Supremum of the empirical inner product over the unit ball of the
     model space versus the empirical norm of the projected noise.
 
     The supremum is evaluated at its exact maximizer (the normalized
-    projection) plus random probes, so the gap measures a true identity,
+    projection) plus 32 random probes, so the gap measures a true identity,
     not an optimization error.
     """
     eps = np.asarray(eps, dtype=float)
@@ -150,7 +161,7 @@ def projection_identity_check(eps, G: np.ndarray, probes: int = 32,
         return IdentityCheck(0.0, 0.0, 0.0)
     best = abs(float(np.dot(eps, proj / rhs))) / n
     rng = np.random.default_rng(seed)
-    for _ in range(probes):
+    for _ in range(32):
         y = G.T @ rng.standard_normal(d)
         norm_n = float(np.linalg.norm(y)) / math.sqrt(n)
         if norm_n > 0:
@@ -175,14 +186,9 @@ class TailReport:
     empirical_tail: np.ndarray
     stderr: np.ndarray
     theoretical_bound: np.ndarray
-    trace: float
-    radius: float
-    r: float
+    spec: QuadFormSpec
+    cfg: PenaltyConfig
     weight: float
-    kraft_d: float
-    sigma: float
-    replications: int
-    seed: int
 
     def violation_flags(self) -> np.ndarray:
         return self.empirical_tail - 2.0 * self.stderr > self.theoretical_bound
@@ -192,29 +198,24 @@ class TailReport:
         return int(np.sum(self.violation_flags()))
 
     def header_lines(self) -> list[str]:
+        spec, cfg = self.spec, self.cfg
         return [
-            f"# trace = {self.trace!r}",
-            f"# radius = {self.radius!r}",
-            f"# r = {self.r!r}",
+            f"# trace = {spec.trace!r}",
+            f"# radius = {spec.radius!r}",
+            f"# r = {cfg.r!r}",
             f"# weight = {self.weight!r}",
-            f"# kraft_d = {self.kraft_d!r}",
-            f"# sigma = {self.sigma!r}",
-            f"# replications = {self.replications}",
-            f"# seed = {self.seed}",
+            f"# kraft_d = {cfg.kraft_d!r}",
+            f"# sigma = {spec.noise.sigma!r}",
+            f"# replications = {spec.replications}",
+            f"# seed = {spec.seed}",
         ]
 
 
-def _gram_stats(A: np.ndarray) -> tuple[float, float]:
-    sv = np.linalg.svd(A, compute_uv=False)
-    return float(np.sum(sv * sv)), float(sv[0] ** 2)
-
-
-def penalized_level(A, sigma: float, r: float, weight: float) -> float:
+def penalized_level(spec: QuadFormSpec, r: float, weight: float) -> float:
     """sigma^2 (Tr + rho) (r/2)(1 + L), the level the tail is measured from:
-    half the selection penalty of a candidate with Gram statistics (Tr, rho)."""
-    tr, rho = _gram_stats(np.atleast_2d(np.asarray(A, dtype=float)))
-    cfg = PenaltyConfig(sigma2=sigma ** 2, r=r, weights=np.array([weight]))
-    return 0.5 * float(penalties([tr], [rho], cfg)[0])
+    half the selection penalty of the candidate ``spec`` with weight L."""
+    cfg = PenaltyConfig(sigma2=spec.noise.sigma ** 2, r=r, weights=np.array([weight]))
+    return 0.5 * float(penalties([spec.trace], [spec.radius], cfg)[0])
 
 
 def default_u_grid(A, count: int = 8) -> np.ndarray:
@@ -222,30 +223,30 @@ def default_u_grid(A, count: int = 8) -> np.ndarray:
     if count < 1:
         raise ParameterError("the u grid needs at least one point")
     tr, rho = _gram_stats(np.atleast_2d(np.asarray(A, dtype=float)))
-    return (tr + rho) * 0.25 * 2.0 ** np.arange(count)
+    with np.errstate(over="ignore"):
+        grid = (tr + rho) * 0.25 * 2.0 ** np.arange(count)
+    if not np.isfinite(grid[-1]):
+        raise ParameterError(f"[concentration] u_count = {count} overflows the u grid")
+    return grid
 
 
 def tail_check(spec: QuadFormSpec, etasq, cfg: PenaltyConfig, u_grid,
-               weight: float | None = None) -> TailReport:
+               weight: float) -> TailReport:
     """Compare the Monte Carlo tail of eta^2 with the exponential bound.
 
-    ``etasq`` is the sample ``spec.eta_squared_samples()``.  ``weight`` is
-    the candidate weight L; when omitted it is taken from cfg.weights
-    (single-candidate reading) or zero.
+    ``etasq`` is the sample ``spec.eta_squared_samples()`` and ``weight``
+    the candidate weight L.  ``cfg`` supplies r and kraft_d only; sigma
+    comes from ``spec.noise``.
     """
-    if weight is None:
-        weight = float(cfg.weights[0]) if cfg.weights is not None else 0.0
     u_grid = np.asarray(u_grid, dtype=float)
-    sigma2 = spec.noise.sigma ** 2
-    tr, rho = _gram_stats(spec.A)
-    level = penalized_level(spec.A, spec.noise.sigma, cfg.r, weight)
-    emp = np.array([np.mean(etasq >= level + sigma2 * u) for u in u_grid])
+    tr, rho = spec.trace, spec.radius
+    level = penalized_level(spec, cfg.r, weight)
+    emp = np.array([np.mean(etasq >= level + spec.noise.sigma ** 2 * u)
+                    for u in u_grid])
     se = np.sqrt(emp * (1.0 - emp) / spec.replications)
     bound = np.exp(-np.sqrt(cfg.kraft_d * (u_grid / rho
                                            + (cfg.r / 2.0) * weight * (tr / rho + 1.0))))
-    return TailReport(u_grid, emp, se, bound, tr, rho,
-                      cfg.r, weight, cfg.kraft_d, spec.noise.sigma,
-                      spec.replications, spec.seed)
+    return TailReport(u_grid, emp, se, bound, spec, cfg, weight)
 
 
 @dataclass(frozen=True)
@@ -267,20 +268,18 @@ class MomentReport:
 
 
 def moment_check(spec: QuadFormSpec, etasq, cfg: PenaltyConfig, q: int,
-                 weight: float | None = None) -> MomentReport:
+                 weight: float) -> MomentReport:
     """Truncated q-th moment of the eta^2 sample ``etasq`` of ``spec`` above
-    the penalized level; ``weight`` as in ``tail_check``."""
+    the penalized level of weight L = ``weight``.  ``cfg`` supplies r and
+    kraft_d only; sigma comes from ``spec.noise``."""
     if q < 1:
         raise ParameterError("moment order must be at least 1")
-    if weight is None:
-        weight = float(cfg.weights[0]) if cfg.weights is not None else 0.0
-    sigma2 = spec.noise.sigma ** 2
-    tr, rho = _gram_stats(spec.A)
-    level = penalized_level(spec.A, spec.noise.sigma, cfg.r, weight)
+    tr, rho = spec.trace, spec.radius
+    level = penalized_level(spec, cfg.r, weight)
     emp = float(np.mean(np.clip(etasq - level, 0.0, None) ** q))
     if weight <= 0.0:
         return MomentReport(q, emp, math.nan, math.nan, weight, False)
-    k1 = cfg.kraft_d / (rho * sigma2)
+    k1 = cfg.kraft_d / (rho * spec.noise.sigma ** 2)
     k2 = cfg.kraft_d * (cfg.r / 2.0) * weight * (tr / rho + 1.0)
     try:
         shape = (k1 ** (-q) * (k2 ** (q - 0.5) + k2 ** (q - 1.0))

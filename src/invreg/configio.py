@@ -231,7 +231,7 @@ class RunManifest:
         self.outputs.append(name)
         self._write(name, lambda path: Path(path).write_text(text))
 
-    def finish(self, path: str = "manifest.json") -> str:
+    def finish(self) -> str:
         self.finished = datetime.now(timezone.utc).isoformat()
         record = json.dumps({
             "command": self.command,
@@ -242,7 +242,7 @@ class RunManifest:
             "finished": self.finished,
             "outputs": sorted(self.outputs),
         }, indent=2, sort_keys=True) + "\n"
-        return self._write(path, lambda target: Path(target).write_text(record))
+        return self._write("manifest.json", lambda path: Path(path).write_text(record))
 
 
 def config_echo(cp) -> dict:

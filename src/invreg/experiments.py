@@ -18,7 +18,7 @@ vector.  Its families need only j^(-p) and n, so it samples no design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,17 +51,16 @@ from .selection import (
 class SourceSpec:
     """Smoothness class of the truth: x0_j = lambda_j^(2 nu) omega_j.
 
-    ``omega`` may be an explicit vector (checked against the radius), the
-    name of a deterministic profile, or "random" for a seeded draw
-    rescaled to the radius.  The default "log-uniform" profile puts equal
-    energy per octave (|omega_j| ~ j^(-1/2), alternating signs), which
-    makes the smoothness class tight: the bias of a smoothing level alpha
-    then scales like alpha^(2 nu) instead of decaying faster.
+    ``omega`` names a deterministic profile, or "random" for a seeded
+    draw; either is rescaled to the radius.  The default "log-uniform"
+    profile puts equal energy per octave (|omega_j| ~ j^(-1/2), alternating
+    signs), which makes the smoothness class tight: the bias of a smoothing
+    level alpha then scales like alpha^(2 nu) instead of decaying faster.
     """
 
     nu: float
     rho: float = 1.0
-    omega: object = "log-uniform"
+    omega: str = "log-uniform"
 
     def __post_init__(self):
         if self.nu < 0:
@@ -71,23 +70,16 @@ class SourceSpec:
 
     def omega_vector(self, size: int, seed: int = 0) -> np.ndarray:
         j = np.arange(1, size + 1)
-        if isinstance(self.omega, str):
-            if self.omega == "log-uniform":
-                w = (-1.0) ** (j + 1) * j ** -0.5
-            elif self.omega == "equal":
-                w = (-1.0) ** (j + 1) * np.ones(size)
-            elif self.omega == "random":
-                rng = np.random.default_rng((seed, 0x03E6A))
-                w = rng.standard_normal(size)
-            else:
-                raise ParameterError(f"unknown omega profile {self.omega!r}")
-            return self.rho * w / np.linalg.norm(w)
-        w = np.asarray(self.omega, dtype=float)
-        if w.shape != (size,):
-            raise ParameterError(f"omega must have length {size}")
-        if np.linalg.norm(w) > self.rho * (1 + 1e-12):
-            raise ParameterError("omega exceeds the source radius")
-        return w.copy()
+        if self.omega == "log-uniform":
+            w = (-1.0) ** (j + 1) * j ** -0.5
+        elif self.omega == "equal":
+            w = (-1.0) ** (j + 1) * np.ones(size)
+        elif self.omega == "random":
+            rng = np.random.default_rng((seed, 0x03E6A))
+            w = rng.standard_normal(size)
+        else:
+            raise ParameterError(f"unknown omega profile {self.omega!r}")
+        return self.rho * w / np.linalg.norm(w)
 
     def coefficients(self, p: float, size: int, seed: int = 0) -> np.ndarray:
         """Truth coefficients j^(-2 p nu) omega_j."""
@@ -104,22 +96,20 @@ class SynthProblem:
     sigma: float
     clean: np.ndarray
 
-    @property
-    def d_ext(self) -> int:
-        return self.x0.size
-
 
 def synth_problem(p: float, nu: float, rho: float, n: int, seed: int = 0,
-                  sigma: float = 0.1, source: SourceSpec | None = None,
+                  sigma: float = 0.1, omega: str = "log-uniform",
                   d_ext: int | None = None) -> SynthProblem:
     """Spectral-synthetic problem on the midpoint cosine design.
 
-    The estimation model has dimension choose_m0(n, p); the truth extends
-    to ``d_ext`` coefficients (default four times the model size, capped
-    at n) with singular values continuing the same decay.
+    The truth is SourceSpec(nu, rho, omega) (a "random" profile drawn from
+    ``seed``).  The estimation model has dimension choose_m0(n, p); the
+    truth extends to ``d_ext`` coefficients (default four times the model
+    size, capped at n) with singular values continuing the same decay.
     """
     if not sigma >= 0:
         raise ParameterError("noise level sigma must be nonnegative")
+    source = SourceSpec(nu, rho, omega)
     d = choose_m0(n, p)
     if d_ext is None:
         d_ext = min(4 * d, n)
@@ -127,8 +117,7 @@ def synth_problem(p: float, nu: float, rho: float, n: int, seed: int = 0,
         raise ParameterError(f"extended range must lie in [{d}, {n}]")
     grid = midpoint_grid(n)
     op = discretize_operator(SpectralSynthetic(p=p), grid, d)
-    src = source if source is not None else SourceSpec(nu, rho)
-    x0 = src.coefficients(p, d_ext, seed)
+    x0 = source.coefficients(p, d_ext, seed)
     # only the samples are needed here; the model rows were certified above
     G_ext = cosine_design(grid, d_ext)
     lam_ext = np.arange(1, d_ext + 1, dtype=float) ** (-float(p))
@@ -244,15 +233,14 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
     x_ext = SourceSpec(cfg.nu, cfg.rho, cfg.omega).coefficients(cfg.p, d_ext, cfg.seed)
     x0 = x_ext[:d]
     tail = bias_m0(x_ext, d)
-    sigma2 = cfg.sigma ** 2
 
+    base = PenaltyConfig(sigma2=cfg.sigma ** 2, r=cfg.r, kraft_d=cfg.kraft_d)
     setups = {}
     for method in cfg.methods():
         family = (tikhonov_family(lam, n, cfg.p, cfg.alpha_max, cfg.alpha_ratio)
                   if method == "tikhonov" else projection_family(lam, n))
-        base = PenaltyConfig(sigma2=sigma2, r=cfg.r, kraft_d=cfg.kraft_d)
         w = default_weights(family, base, target=cfg.kraft_target)
-        pcfg = PenaltyConfig(sigma2=sigma2, r=cfg.r, weights=w, kraft_d=cfg.kraft_d)
+        pcfg = replace(base, weights=w)
         setups[method] = (family, pcfg, kraft_sum(family, pcfg))
 
     # singular coefficients of the data in the sequence model (module docstring)
@@ -331,7 +319,7 @@ def fit_rate(report: ExperimentReport, method: str) -> RateFit:
     resid = y - (slope * x + intercept)
     dof = x.size - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
-    se = math.sqrt(float(np.sum(resid ** 2)) / dof / sxx) if dof > 0 else 0.0
+    se = math.sqrt(float(np.sum(resid ** 2)) / dof / sxx)
     # the bias of a filter exploits smoothness only up to its qualification
     theo = theoretical_exponent(report.config.p,
                                 min(report.config.nu, QUALIFICATION[method]))

@@ -29,6 +29,9 @@ from .errors import (
 # Relative cliff below which a singular value counts as zero.
 RANK_RTOL = 1e-12
 
+# Largest ratio of fitted constants that the diagnostics accept.
+RATIO_TOL = 1e3
+
 
 # ---------------------------------------------------------------------------
 # design grid and empirical geometry
@@ -309,14 +312,14 @@ class IllposednessDiagnostics:
         return "\n".join(lines) + "\n"
 
 
-def diagnostics(op: DiscretizedOperator, dims: Sequence[int],
-                ratio_tol: float = 1e3) -> IllposednessDiagnostics:
+def diagnostics(op: DiscretizedOperator, dims: Sequence[int]) -> IllposednessDiagnostics:
     """Compute the ill-posedness diagnostics of the projected operator.
 
     All norms are largest singular values of explicit dense matrices; the
     maps go from Euclidean coefficient space to the empirical norm.  A
-    fitted constant ratio above ``ratio_tol`` flags the corresponding
-    assumption; a flag is advice, not an error.
+    fitted constant ratio above RATIO_TOL flags the corresponding
+    assumption; a flag is advice, not an error.  An index p for which j^p
+    overflows raises ParameterError.
     """
     dims = tuple(int(m) for m in dims)
     if not dims or any(m < 1 or m > op.d for m in dims):
@@ -343,13 +346,16 @@ def diagnostics(op: DiscretizedOperator, dims: Sequence[int],
     ratio_bound = float(np.max(finite)) if finite.size else math.inf
 
     j = np.arange(1, op.d + 1, dtype=float)
-    scaled = op.singular_values * j ** op.p
+    with np.errstate(over="ignore"):
+        scaled = op.singular_values * j ** op.p
+    if not np.all(np.isfinite(scaled)):
+        raise ParameterError(f"[problem] p = {op.p!r} is so large that j^p overflows")
     k1, k2 = float(np.min(scaled)), float(np.max(scaled))
     eigs = np.linalg.eigvalsh(op.G @ op.G.T)
     a1, a2 = float(eigs[0] / n), float(eigs[-1] / n)
 
-    sv_ok = k1 > 0 and k2 / k1 <= ratio_tol
-    sf_ok = a1 > 0 and a2 / a1 <= ratio_tol
-    as_ok = bool(np.all(g_lo > 0)) and ratio_bound <= ratio_tol
+    sv_ok = k1 > 0 and k2 / k1 <= RATIO_TOL
+    sf_ok = a1 > 0 and a2 / a1 <= RATIO_TOL
+    as_ok = bool(np.all(g_lo > 0)) and ratio_bound <= RATIO_TOL
     return IllposednessDiagnostics(dims, g_up, g_lo, nus, ratio_bound,
                                    (k1, k2), (a1, a2), sv_ok, sf_ok, as_ok)

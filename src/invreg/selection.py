@@ -146,12 +146,16 @@ def kraft_sum(family: RegularizerFamily, cfg: PenaltyConfig) -> float:
     """Weight-damped sum over the family controlling the union bound.
 
     The middle factor is read as n * rho^2(R_k), the only interpretation
-    under which the summand is free of n for an orthonormal design.
+    under which the summand is free of n for an orthonormal design.  A sum
+    that overflows raises ParameterError.
     """
     w = cfg.weights_for(len(family))
-    terms = _kraft_terms(family.trace_stats, family.radius_stats, family.n,
-                         cfg.kraft_d, w)
-    return float(np.sum(terms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(_kraft_terms(family.trace_stats, family.radius_stats,
+                                          family.n, cfg.kraft_d, w)))
+    if not math.isfinite(total):
+        raise ParameterError(f"kraft sum overflows at [penalty] kraft_d = {cfg.kraft_d!r}")
+    return total
 
 
 def default_weights(family: RegularizerFamily, cfg: PenaltyConfig,

@@ -3,6 +3,8 @@ import csv
 import io
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -499,6 +501,9 @@ OUT_OF_RANGE = {
     "concentration moment_q": lambda tmp: _conc_argv(
         tmp, "identity_trials", "moment_q = 0\nidentity_trials"),
     "concentration u_count": lambda tmp: _conc_argv(tmp, "u_count = 8", "u_count = 0"),
+    # the geometric u grid reaches 2^1099
+    "concentration u_count overflow": lambda tmp: _conc_argv(
+        tmp, "u_count = 8", "u_count = 1100"),
     # k2^(q - 1/2) overflows in the moment bound shape
     "concentration moment bound overflow": lambda tmp: _conc_argv(
         tmp, "weight = 1.0", "weight = 1e300\nmoment_q = 2"),
@@ -517,6 +522,12 @@ OUT_OF_RANGE = {
         tmp, RISK_CFG + "\n[penalty]\nkraft_d = 1e-300\n"),
     "select kraft_d": lambda tmp: _select_argv(
         tmp, TIKHONOV_SELECT + "kraft_d = 1e-300\n"),
+    # unweighted kraft terms n rho / kraft_d overflow
+    "select kraft sum overflow": lambda tmp: _select_argv(
+        tmp, TIKHONOV_SELECT + "weights = zero\nkraft_d = 1e-320\n"),
+    # j^p overflows in the decay constants of the files' singular values
+    "diagnostics data p overflow": lambda tmp: ["diagnostics"] + _select_argv(
+        tmp, "[problem]\np = 2000\n")[1:],
     # every filter value underflows: the regularizer is identically zero
     "select alpha_max zero filter": lambda tmp: _select_argv(
         tmp, SELECT_SECTIONS.format(kind="tikhonov", extra="alpha_max = 1e300\n")),
@@ -670,27 +681,36 @@ SWEEP = [
 ]
 
 
+# an inf, -inf or nan token; NA, the documented NaN cell, does not match
+NON_FINITE = re.compile(r"(?<![\w.])-?(?:inf|nan)(?![\w.])")
+
+
 class TestConfigSweep:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_config_value_exits_as_data_error_or_crash(self, tmp_path):
-        """Every config key each command reads, set to -1, 0, x, 1e-300 or
-        1e300, gives success (0), a config error (2) or a violation (4)."""
+        """Every config key each command reads, set to -1, 0, x, 1e-300, 2000
+        or 1e300, gives success (0) with finite outputs, a config error (2)
+        or a violation (4)."""
         _, data = run_synth(tmp_path, "data", SYNTH_CFG.replace("n = 16", "n = 64"))
+        out = tmp_path / "out"
         bad = []
         for command, uses_data, base, keys in SWEEP:
             for section, names in keys.items():
                 for key in names:
-                    for value in ("-1", "0", "x", "1e-300", "1e300"):
+                    for value in ("-1", "0", "x", "1e-300", "2000", "1e300"):
                         cfg = write_config(tmp_path, "sweep.ini",
                                            _set_key(base, section, key, value))
-                        argv = [command, "--config", cfg,
-                                "--out", str(tmp_path / "out")]
+                        argv = [command, "--config", cfg, "--out", str(out)]
                         if uses_data:
                             argv += ["--data", data]
+                        shutil.rmtree(out, ignore_errors=True)
                         try:
                             code = main(argv)
                         except Exception as exc:  # noqa: BLE001
                             code = repr(exc)
+                        if code == 0:
+                            code = [f.name for f in sorted(out.iterdir())
+                                    if NON_FINITE.search(f.read_text())] or 0
                         if code not in (0, 2, 4):
                             bad.append((command, f"[{section}] {key} = {value}", code))
         assert not bad

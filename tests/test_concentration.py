@@ -17,6 +17,7 @@ from invreg import (
     midpoint_grid,
     moment_check,
     moment_condition_ratios,
+    penalized_level,
     projection_identity_check,
     tail_check,
     z_envelope,
@@ -94,7 +95,7 @@ class TestTailCheck:
     def test_empirical_and_bound_decrease_in_u(self):
         spec = QuadFormSpec(np.eye(4), GaussianNoise(1.0), 3000, seed=1)
         rep = tail_check(spec, spec.eta_squared_samples(), PenaltyConfig(sigma2=1.0),
-                         default_u_grid(np.eye(4)))
+                         default_u_grid(np.eye(4)), weight=0.0)
         assert np.all(np.diff(rep.empirical_tail) <= 0)
         assert np.all(np.diff(rep.theoretical_bound) < 0)
         assert rep.empirical_tail[-1] <= rep.empirical_tail[0]
@@ -145,9 +146,8 @@ class TestTailCheck:
         assert np.array_equal(first, again)
 
     def test_penalized_level_helper_matches_report_threshold(self):
-        from invreg import penalized_level
         A = np.diag([1.0, 0.5])
-        level = penalized_level(A, sigma=2.0, r=2.5, weight=1.0)
+        level = penalized_level(QuadFormSpec(A, GaussianNoise(2.0), 1), r=2.5, weight=1.0)
         # sigma^2 (Tr + rho)(r/2)(1 + L) = 4 * 2.25 * 1.25 * 2
         assert level == pytest.approx(4 * 2.25 * 1.25 * 2)
 
@@ -234,6 +234,24 @@ class TestSharedSample:
         ma = moment_check(spec, shared, self.CFG, 2, weight=1.0)
         mb = moment_check(spec, spec.eta_squared_samples(), self.CFG, 2, weight=1.0)
         assert ma == mb
+
+    def test_gram_statistics_take_one_svd_per_spec(self, monkeypatch):
+        svd = np.linalg.svd
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        spec = QuadFormSpec(np.diag([1.0, 0.5, 0.25]), GaussianNoise(1.0), 200, seed=6)
+        assert calls == [(3, 3)]
+        assert (spec.trace, spec.radius) == pytest.approx((1.3125, 1.0))
+        etasq = spec.eta_squared_samples()
+        tail_check(spec, etasq, self.CFG, np.array([0.5, 1.0]), weight=1.0)
+        moment_check(spec, etasq, self.CFG, 1, weight=1.0)
+        penalized_level(spec, r=2.5, weight=1.0)
+        assert calls == [(3, 3)]
 
 
 class TestMomentCondition:

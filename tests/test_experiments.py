@@ -29,13 +29,13 @@ class TestSynthProblem:
     def test_nu_zero_keeps_omega(self):
         prob = synth_problem(1.0, 0.0, 1.0, 64)
         src = SourceSpec(0.0, 1.0)
-        assert np.allclose(prob.x0, src.omega_vector(prob.d_ext))
+        assert np.allclose(prob.x0, src.omega_vector(prob.x0.size))
 
     def test_half_smoothness_scales_by_inverse_index(self):
         prob = synth_problem(1.0, 0.5, 1.0, 64)
         src = SourceSpec(0.5, 1.0)
-        omega = src.omega_vector(prob.d_ext)
-        j = np.arange(1, prob.d_ext + 1)
+        omega = src.omega_vector(prob.x0.size)
+        j = np.arange(1, prob.x0.size + 1)
         assert np.allclose(prob.x0, omega / j)
 
     def test_generated_problem_passes_diagnostics(self):
@@ -52,11 +52,6 @@ class TestSynthProblem:
         c = prob.op.svd_coefficients(prob.clean)
         lam = prob.op.singular_values
         assert np.allclose(c, lam * prob.x0[:prob.op.d], atol=1e-12)
-
-    def test_explicit_omega_radius_enforced(self):
-        src = SourceSpec(0.5, 1.0, np.full(8, 1.0))   # norm sqrt(8) > 1
-        with pytest.raises(ParameterError):
-            src.coefficients(1.0, 8)
 
     def test_random_omega_is_seed_stable(self):
         src = SourceSpec(0.5, 2.0, "random")
@@ -79,7 +74,7 @@ class TestBiasM0:
     def test_matches_direct_series_summation(self):
         prob = synth_problem(1.0, 0.5, 1.0, 64)
         d = prob.op.d
-        oracle = sum(float(prob.x0[j]) ** 2 for j in range(d, prob.d_ext))
+        oracle = sum(float(prob.x0[j]) ** 2 for j in range(d, prob.x0.size))
         assert bias_m0(prob.x0, prob.op.d) == pytest.approx(oracle, abs=1e-15)
 
 
