@@ -276,7 +276,11 @@ def moment_check(spec: QuadFormSpec, etasq, cfg: PenaltyConfig, q: int,
         raise ParameterError("moment order must be at least 1")
     tr, rho = spec.trace, spec.radius
     level = penalized_level(spec, cfg.r, weight)
-    emp = float(np.mean(np.clip(etasq - level, 0.0, None) ** q))
+    with np.errstate(over="ignore"):
+        emp = float(np.mean(np.clip(etasq - level, 0.0, None) ** q))
+    if not math.isfinite(emp):
+        raise ParameterError(f"the empirical moment of order [concentration] "
+                             f"moment_q = {q} overflows")
     if weight <= 0.0:
         return MomentReport(q, emp, math.nan, math.nan, weight, False)
     k1 = cfg.kraft_d / (rho * spec.noise.sigma ** 2)
@@ -287,5 +291,6 @@ def moment_check(spec: QuadFormSpec, etasq, cfg: PenaltyConfig, q: int,
     except OverflowError:
         shape = math.inf
     if not 0 < shape < math.inf:
-        raise ParameterError(f"moment bound shape {shape!r} is out of range")
+        raise ParameterError(f"moment bound shape {shape!r} is out of range at "
+                             f"[concentration] moment_q = {q}, weight = {weight!r}")
     return MomentReport(q, emp, shape, emp / shape, weight, True)

@@ -161,6 +161,9 @@ class ExperimentConfig:
             raise ParameterError("empty n grid")
         if not (self.sigma > 0 and math.isfinite(self.sigma * self.sigma)):
             raise ParameterError("noise level sigma must be positive, sigma^2 finite")
+        if not math.isfinite(self.rho * self.rho):
+            raise ParameterError(f"[problem] rho = {self.rho!r}: the squared source "
+                                 "radius overflows")
         # out-of-range source and penalty constants fail here, before the study
         SourceSpec(self.nu, self.rho, self.omega)
         PenaltyConfig(sigma2=self.sigma ** 2, r=self.r, kraft_d=self.kraft_d)

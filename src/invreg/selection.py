@@ -134,12 +134,18 @@ def contrast(family: RegularizerFamily, k: int, op: DiscretizedOperator, y) -> f
     return float(np.dot(back, back))
 
 
-def _kraft_terms(trace: np.ndarray, radius: np.ndarray, n: int, d_const: float,
-                 weights: np.ndarray) -> np.ndarray:
+def _kraft_factors(trace: np.ndarray, radius: np.ndarray, n: int,
+                   d_const: float) -> tuple[np.ndarray, np.ndarray]:
+    """The weight-free factors (front, r1) of the kraft sum: candidate k adds
+    front_k exp(-sqrt(d L_k r1_k)), with r1 = Tr/rho^2 + 1."""
     ratio = trace / radius
-    return (2.0 * (np.sqrt(d_const * ratio) + 1.0)
-            * (n * radius / d_const)
-            * np.exp(-np.sqrt(d_const * weights * (ratio + 1.0))))
+    return 2.0 * (np.sqrt(d_const * ratio) + 1.0) * (n * radius / d_const), ratio + 1.0
+
+
+def _kraft_total(front: np.ndarray, r1: np.ndarray, d_const: float, weights):
+    """Kraft sum at ``weights``: a common L or one L_k per candidate (shape K)
+    gives the sum, a column of P common weights (shape P x 1) gives P sums."""
+    return np.sum(front * np.exp(-np.sqrt(d_const * weights * r1)), axis=-1)
 
 
 def kraft_sum(family: RegularizerFamily, cfg: PenaltyConfig) -> float:
@@ -151,44 +157,82 @@ def kraft_sum(family: RegularizerFamily, cfg: PenaltyConfig) -> float:
     """
     w = cfg.weights_for(len(family))
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(_kraft_terms(family.trace_stats, family.radius_stats,
-                                          family.n, cfg.kraft_d, w)))
+        front, r1 = _kraft_factors(family.trace_stats, family.radius_stats,
+                                   family.n, cfg.kraft_d)
+        total = float(_kraft_total(front, r1, cfg.kraft_d, w))
     if not math.isfinite(total):
         raise ParameterError(f"kraft sum overflows at [penalty] kraft_d = {cfg.kraft_d!r}")
     return total
+
+
+def _root_estimate(front: np.ndarray, r1: np.ndarray, d_const: float,
+                   target: float) -> float:
+    """Newton estimate of the common weight at which the kraft sum meets the
+    target, taken in s = sqrt(L) on log(sum) - log(target).  That curve is
+    convex and decreasing in s, so the iterates rise monotonically from 0;
+    they stop once a step no longer raises s, or after 64 steps.  May be NaN
+    or infinite."""
+    with np.errstate(all="ignore"):
+        log_front, a = np.log(front), np.sqrt(d_const * r1)
+        s = 0.0
+        for _ in range(64):
+            t = log_front - a * s
+            top = t.max()
+            w = np.exp(t - top)
+            mass = w.sum()
+            step = (top + np.log(mass) - math.log(target)) * mass / np.dot(w, a)
+            if not s + step > s:
+                break
+            s += step
+        return s * s
 
 
 def default_weights(family: RegularizerFamily, cfg: PenaltyConfig,
                     target: float = 1.0, cap: float = 1e6) -> np.ndarray:
     """Smallest common weight L making the kraft sum reach the target.
 
-    Bisection on the (strictly decreasing) map L -> kraft sum keeps
-    total(lo) > target >= total(hi) until lo and hi are adjacent floats, so
-    L is the smallest float meeting the target.  A target that even the cap
-    cannot reach raises ParameterError.
+    The sum decreases in L, so the floats of [0, cap] split into those
+    above the target and those meeting it (not above; a NaN sum meets it),
+    and L is the first that meets it.  Positive floats sort like their
+    int64 bit patterns, so the search runs on those: a Newton estimate of
+    the crossing (``_root_estimate``) is bracketed by +-32 patterns,
+    widened 64-fold until the bracket holds the crossing, and a bracket of
+    more than 64 patterns is cut 64 ways.  A bracket of at most 64 adjacent
+    floats is evaluated whole, which certifies the crossing: the sum at L
+    meets the target and the sum at the float below L does not.  A target
+    that even the cap cannot reach raises ParameterError.
     """
     if not target > 0:
         raise ParameterError("kraft target must be positive")
-    n = family.n
-
-    def total(L: float) -> float:
-        return float(np.sum(_kraft_terms(family.trace_stats, family.radius_stats, n,
-                                         cfg.kraft_d, np.full(len(family), L))))
-
-    if total(0.0) <= target:
+    n, d = family.n, cfg.kraft_d
+    front, r1 = _kraft_factors(family.trace_stats, family.radius_stats, n, d)
+    if _kraft_total(front, r1, d, 0.0) <= target:
         return np.zeros(len(family))
-    if total(cap) > target:
+    at_cap = float(_kraft_total(front, r1, d, cap))
+    if at_cap > target:
         raise ParameterError(
             f"kraft target {target!r} unreachable for the {family.kind} family at "
-            f"n = {n}: weights at the cap {cap!r} leave a kraft sum of {total(cap)!r}")
-    lo, hi = 0.0, 1.0
-    while total(hi) > target and hi < cap:
-        hi = min(2.0 * hi, cap)
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        lo, hi = (mid, hi) if total(mid) > target else (lo, mid)
-        mid = 0.5 * (lo + hi)
-    return np.full(len(family), hi)
+            f"n = {n}: weights at the cap {cap!r} leave a kraft sum of {at_cap!r}")
+    # bit patterns: the sum at lo is above the target, at hi it meets it
+    lo, hi = 0, int(np.float64(cap).view(np.int64))
+    guess = _root_estimate(front, r1, d, target)
+    b = int(np.float64(guess).view(np.int64)) if math.isfinite(guess) else None
+    half = 32
+    while hi - lo > 1:
+        near = [] if b is None else [x for x in (b - half, b + half) if lo < x < hi]
+        half *= 64
+        if hi - lo <= 64:
+            probes = np.arange(lo + 1, hi)
+        elif near:
+            probes = np.array(near)
+        else:
+            probes = lo + (hi - lo) // 64 * np.arange(1, 64)
+        totals = _kraft_total(front, r1, d, probes.view(np.float64)[:, None])
+        # the probes above the target come first; i is the first meeting it
+        i = int(np.count_nonzero(totals > target))
+        lo = int(probes[i - 1]) if i > 0 else lo
+        hi = int(probes[i]) if i < probes.size else hi
+    return np.full(len(family), np.int64(hi).view(np.float64))
 
 
 def select(family: RegularizerFamily, cfg: PenaltyConfig,
@@ -258,7 +302,7 @@ def select_by_threshold(op: DiscretizedOperator, y, cfg: PenaltyConfig,
     f = np.zeros(op.d)
     f[: best + 1] = 1.0 / lam[: best + 1]
     estimate = op.x_vectors @ (f * c)
-    kr = float(np.sum(_kraft_terms(trace, radius, op.n, cfg.kraft_d,
-                                   cfg.weights_for(m0))))
+    kr = float(_kraft_total(*_kraft_factors(trace, radius, op.n, cfg.kraft_d),
+                            cfg.kraft_d, cfg.weights_for(m0)))
     return SelectionResult(best, rows, estimate, kr)
 

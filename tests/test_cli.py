@@ -497,6 +497,9 @@ OUT_OF_RANGE = {
     "rates p": lambda tmp: _rates_argv(tmp, RISK_CFG.replace("p = 1.0", "p = -1")),
     "rates sigma": lambda tmp: _rates_argv(
         tmp, RISK_CFG.replace("sigma = 0.1", "sigma = -0.1")),
+    # rho^2 overflows in the truncation bias
+    "rates rho overflow": lambda tmp: _rates_argv(
+        tmp, RISK_CFG.replace("nu = 0.5", "nu = 0.5\nrho = 1e300")),
     "rates seed": lambda tmp: _rates_argv(tmp, RISK_CFG.replace("seed = 2", "seed = -1")),
     "concentration moment_q": lambda tmp: _conc_argv(
         tmp, "identity_trials", "moment_q = 0\nidentity_trials"),
@@ -507,6 +510,9 @@ OUT_OF_RANGE = {
     # k2^(q - 1/2) overflows in the moment bound shape
     "concentration moment bound overflow": lambda tmp: _conc_argv(
         tmp, "weight = 1.0", "weight = 1e300\nmoment_q = 2"),
+    # any excess above 2^(1024/2000) ~ 1.43 overflows in the empirical moment
+    "concentration moment_q overflow": lambda tmp: _conc_argv(
+        tmp, "identity_trials", "moment_q = 2000\nidentity_trials"),
     "concentration seed": lambda tmp: _conc_argv(tmp, "seed = 0", "seed = -1"),
     "concentration regularizer:8x4": _matrix_case("regularizer:8x4"),
     "concentration decay:x": _matrix_case("decay:x"),
@@ -635,6 +641,14 @@ class TestOutOfRange:
             assert main(_rates_argv(tmp_path, P_OVERFLOW_CFG)) == 2
         assert "[problem] p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case,key", [
+        ("rates rho overflow", "[problem] rho"),
+        ("concentration moment_q overflow", "[concentration] moment_q")])
+    def test_overflow_names_its_key(self, tmp_path, capsys, case, key):
+        # the suite turns warnings into errors, so none is raised on the way
+        assert main(OUT_OF_RANGE[case](tmp_path)) == 2
+        assert key in capsys.readouterr().err
+
     def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "synth.ini", SYNTH_CFG)
         with pytest.raises(SystemExit) as exc:
@@ -686,11 +700,10 @@ NON_FINITE = re.compile(r"(?<![\w.])-?(?:inf|nan)(?![\w.])")
 
 
 class TestConfigSweep:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_config_value_exits_as_data_error_or_crash(self, tmp_path):
         """Every config key each command reads, set to -1, 0, x, 1e-300, 2000
         or 1e300, gives success (0) with finite outputs, a config error (2)
-        or a violation (4)."""
+        or a violation (4), and raises no warning."""
         _, data = run_synth(tmp_path, "data", SYNTH_CFG.replace("n = 16", "n = 64"))
         out = tmp_path / "out"
         bad = []

@@ -320,6 +320,49 @@ class TestKraftSum:
         assert kraft_sum(fam, PenaltyConfig(sigma2=1.0, weights=w)) <= 1.0
 
 
+def _kraft_terms(trace: np.ndarray, radius: np.ndarray, n: int, d_const: float,
+                 weights: np.ndarray) -> np.ndarray:
+    ratio = trace / radius
+    return (2.0 * (np.sqrt(d_const * ratio) + 1.0)
+            * (n * radius / d_const)
+            * np.exp(-np.sqrt(d_const * weights * (ratio + 1.0))))
+
+
+def bisection_weights(family, cfg, target=1.0, cap=1e6):
+    """Reference: the scalar bisection that ``default_weights`` replaced,
+    kept verbatim.  Its answer is the smallest float meeting the target."""
+    if not target > 0:
+        raise ParameterError("kraft target must be positive")
+    n = family.n
+
+    def total(L: float) -> float:
+        return float(np.sum(_kraft_terms(family.trace_stats, family.radius_stats, n,
+                                         cfg.kraft_d, np.full(len(family), L))))
+
+    if total(0.0) <= target:
+        return np.zeros(len(family))
+    if total(cap) > target:
+        raise ParameterError(
+            f"kraft target {target!r} unreachable for the {family.kind} family at "
+            f"n = {n}: weights at the cap {cap!r} leave a kraft sum of {total(cap)!r}")
+    lo, hi = 0.0, 1.0
+    while total(hi) > target and hi < cap:
+        hi = min(2.0 * hi, cap)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if total(mid) > target else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return np.full(len(family), hi)
+
+
+def _outcome(weights, family, cfg, **kwargs):
+    """The weight vector's bytes, or the message of the ParameterError raised."""
+    try:
+        return weights(family, cfg, **kwargs).tobytes()
+    except ParameterError as exc:
+        return str(exc)
+
+
 class TestDefaultWeights:
     def test_zero_when_target_already_met(self, identity_op_d4_n16):
         fam = tikhonov_of(identity_op_d4_n16, alpha_max=2.0, count=1)
@@ -354,6 +397,31 @@ class TestDefaultWeights:
                 sigma2=0.01, weights=np.full(len(fam), w))) <= 1.0
             assert kraft_sum(fam, PenaltyConfig(
                 sigma2=0.01, weights=np.full(len(fam), below))) > 1.0
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_equals_the_bisection_bit_for_bit(self, p):
+        searched = 0
+        for n in (64, 256, 1024, 4096, 16384, 65536):
+            lam = SpectralSynthetic(p=p).values(choose_m0(n, p))
+            for fam in (tikhonov_family(lam, n, p), projection_family(lam, n)):
+                for kraft_d in (0.3, 1.0, 3.0):
+                    cfg = PenaltyConfig(sigma2=0.01, kraft_d=kraft_d)
+                    for target in (1e-3, 1.0, 100.0):
+                        new = default_weights(fam, cfg, target=target)
+                        assert new.tobytes() == bisection_weights(fam, cfg, target).tobytes()
+                        searched += new[0] > 0.0
+        assert searched > 90   # of 108 cases: not the early return of zeros
+
+    @pytest.mark.parametrize("kraft_d,cap,target", [(1.0, 0.5, 1e-6), (1e-300, 1e6, 1.0)])
+    def test_raises_as_the_bisection(self, kraft_d, cap, target):
+        # a cap below the crossing, and the kraft_d of the "rates kraft_d" CLI case
+        for n in (64, 512):
+            lam = SpectralSynthetic(p=1.0).values(choose_m0(n, 1.0))
+            for fam in (tikhonov_family(lam, n, 1.0), projection_family(lam, n)):
+                cfg = PenaltyConfig(sigma2=1.0, kraft_d=kraft_d)
+                message = _outcome(bisection_weights, fam, cfg, target=target, cap=cap)
+                assert message.startswith(f"kraft target {target!r} unreachable")
+                assert _outcome(default_weights, fam, cfg, target=target, cap=cap) == message
 
     def test_unreachable_target_raises(self, op_p1_d4_n16):
         fam = tikhonov_of(op_p1_d4_n16)
