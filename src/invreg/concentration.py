@@ -160,12 +160,12 @@ def projection_identity_check(eps, G: np.ndarray, seed: int = 0) -> IdentityChec
     if rhs == 0.0:
         return IdentityCheck(0.0, 0.0, 0.0)
     best = abs(float(np.dot(eps, proj / rhs))) / n
-    rng = np.random.default_rng(seed)
-    for _ in range(32):
-        y = G.T @ rng.standard_normal(d)
-        norm_n = float(np.linalg.norm(y)) / math.sqrt(n)
-        if norm_n > 0:
-            best = max(best, abs(float(np.dot(eps, y))) / (n * norm_n))
+    # one row G^t z per probe; a probe of norm zero is skipped
+    probes = np.random.default_rng(seed).standard_normal((32, d)) @ G
+    norms = np.sqrt(np.vecdot(probes, probes)) / math.sqrt(n)
+    live = norms > 0
+    ratios = np.abs(np.vecdot(probes[live], eps)) / (n * norms[live])
+    best = max(best, float(np.max(ratios, initial=best)))
     return IdentityCheck(best, rhs, abs(best - rhs))
 
 

@@ -13,6 +13,9 @@ tail rows are orthogonal to the model rows) and the noise adds
 N(0, sigma^2/n I).  The risk study therefore draws the coefficients
 directly, one R x d block per grid point n, and never forms a sample
 vector.  Its families need only j^(-p) and n, so it samples no design.
+The block is scored and measured against the K x d filter matrix a few
+rows at a time (KERNEL_BLOCK_ELEMENTS), so a grid point takes O(R (K + d))
+memory, not O(R K d).
 """
 
 from __future__ import annotations
@@ -222,12 +225,43 @@ class ExperimentReport:
                 if r.risk > 0]
 
 
+# Elements of one rows x K x d temporary of the risk kernel: 2 MiB of float64,
+# a per-core L2 cache.  The kernel's memory is then O(R (K + d)) in the
+# replication count R.
+KERNEL_BLOCK_ELEMENTS = 1 << 18
+
+
 def _mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean of the R draws along axis 0 and its standard error (NaN for R = 1)."""
     R = x.shape[0]
     if R == 1:
         return x[0], np.full(x.shape[1:], math.nan)
     return x.mean(axis=0), x.std(axis=0, ddof=1) / math.sqrt(R)
+
+
+def _score_blocks(F: np.ndarray, lam: np.ndarray, C: np.ndarray, pens: np.ndarray,
+                  x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(chosen, errs) of the R x d coefficients C against the K x d filters F:
+    each row's selected candidate and the R x K squared errors |F_k c - x0|^2.
+
+    The rows go through in blocks of KERNEL_BLOCK_ELEMENTS // F.size, so no
+    temporary outgrows one block; each element meets the same operations in
+    the same order as on the whole array, so the result does not depend on
+    the block size.
+    """
+    R = C.shape[0]
+    step = max(1, KERNEL_BLOCK_ELEMENTS // F.size)
+    chosen = np.empty(R, dtype=np.intp)
+    errs = np.empty((R, F.shape[0]))
+    for lo in range(0, R, step):
+        Cb = C[lo:lo + step]
+        _, objs = objectives(F, lam, Cb, pens)
+        np.argmin(objs, axis=1, out=chosen[lo:lo + step])
+        sq = F * Cb[:, None, :]
+        sq -= x0
+        sq *= sq
+        np.sum(sq, axis=2, out=errs[lo:lo + step])
+    return chosen, errs
 
 
 def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]:
@@ -258,11 +292,17 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
         # deterministic oracle term: bias of the regularized truths + 2 pen
         bias_k = np.sum((F * c0 - x0) ** 2, axis=1) + tail
         oracle_term = float(np.min(bias_k + 2.0 * pens))
-        _, objs = objectives(F, lam, C, pens)
-        chosen = np.argmin(objs, axis=1)
-        errs = np.sum((F * C[:, None, :] - x0) ** 2, axis=2) + tail
-        risk, se = _mean_se(errs[np.arange(R), chosen])
-        cand_risk, cand_se = _mean_se(errs)
+        # an error or its square can overflow; an infinite statistic says so
+        with np.errstate(over="ignore", invalid="ignore"):
+            chosen, errs = _score_blocks(F, lam, C, pens, x0)
+            errs += tail
+            risk, se = _mean_se(errs[np.arange(R), chosen])
+            cand_risk, cand_se = _mean_se(errs)
+        if np.isinf([risk, se]).any() or np.isinf([cand_risk, cand_se]).any():
+            raise ParameterError(
+                f"[problem] rho = {cfg.rho!r} and [problem] sigma = {cfg.sigma!r}: "
+                f"the squared errors of the {method} study or their variance overflow "
+                f"at n = {n}")
         k_star = int(np.argmin(cand_risk))
         ratio = (risk - 2.0 * tail - kr / n) / oracle_term
         agree = math.nan

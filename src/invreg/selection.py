@@ -9,10 +9,11 @@ and ``objectives`` adds it to the contrast of a block of data vectors
 against every candidate: the squared coefficient-space distance between
 the candidate estimate and the maximal-model inversion of the data.  The
 first argmin of contrast + penalty is selected.  ``select`` is the case of
-one data vector, the risk study scores all replications in one call, and
-the concentration checks measure their tails from half the penalty.  For
-nested projections the rule is hard thresholding of the inverted
-coefficients; ``threshold_objectives`` computes it that way, as a cross-check.
+one data vector, the risk study scores its replications a block of rows
+per call, and the concentration checks measure their tails from half the
+penalty.  For nested projections the rule is hard thresholding of the
+inverted coefficients; ``threshold_objectives`` computes it that way, as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ def objectives(F: np.ndarray, lam: np.ndarray, C: np.ndarray,
     the R x d singular coefficients of the data and ``pen`` the K
     penalties.  A non-finite objective raises ParameterError.
     """
-    back = (1.0 - lam * F) * C[:, None, :] / lam
+    back = (1.0 - lam * F) * C[:, None, :]
+    back /= lam
     con = np.vecdot(back, back)   # same dot product as contrast(), bit for bit
     obj = con + pen
     if not np.all(np.isfinite(obj)):

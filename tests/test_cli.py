@@ -500,6 +500,11 @@ OUT_OF_RANGE = {
     # rho^2 overflows in the truncation bias
     "rates rho overflow": lambda tmp: _rates_argv(
         tmp, RISK_CFG.replace("nu = 0.5", "nu = 0.5\nrho = 1e300")),
+    # the squared errors are finite, the squares in their variance are not
+    "rates rho variance overflow": lambda tmp: _rates_argv(
+        tmp, RISK_CFG.replace("nu = 0.5", "nu = 0.5\nrho = 1e100")),
+    "rates sigma variance overflow": lambda tmp: _rates_argv(
+        tmp, RISK_CFG.replace("sigma = 0.1", "sigma = 1e100")),
     "rates seed": lambda tmp: _rates_argv(tmp, RISK_CFG.replace("seed = 2", "seed = -1")),
     "concentration moment_q": lambda tmp: _conc_argv(
         tmp, "identity_trials", "moment_q = 0\nidentity_trials"),
@@ -643,6 +648,8 @@ class TestOutOfRange:
 
     @pytest.mark.parametrize("case,key", [
         ("rates rho overflow", "[problem] rho"),
+        ("rates rho variance overflow", "[problem] rho"),
+        ("rates sigma variance overflow", "[problem] sigma"),
         ("concentration moment_q overflow", "[concentration] moment_q")])
     def test_overflow_names_its_key(self, tmp_path, capsys, case, key):
         # the suite turns warnings into errors, so none is raised on the way
@@ -701,16 +708,17 @@ NON_FINITE = re.compile(r"(?<![\w.])-?(?:inf|nan)(?![\w.])")
 
 class TestConfigSweep:
     def test_no_config_value_exits_as_data_error_or_crash(self, tmp_path):
-        """Every config key each command reads, set to -1, 0, x, 1e-300, 2000
-        or 1e300, gives success (0) with finite outputs, a config error (2)
-        or a violation (4), and raises no warning."""
+        """Every config key each command reads, set to -1, 0, x, 1e-300, 2000,
+        1e100, 1e150 or 1e300, gives success (0) with finite outputs, a config
+        error (2) or a violation (4), and raises no warning."""
         _, data = run_synth(tmp_path, "data", SYNTH_CFG.replace("n = 16", "n = 64"))
         out = tmp_path / "out"
         bad = []
         for command, uses_data, base, keys in SWEEP:
             for section, names in keys.items():
                 for key in names:
-                    for value in ("-1", "0", "x", "1e-300", "2000", "1e300"):
+                    for value in ("-1", "0", "x", "1e-300", "2000", "1e100", "1e150",
+                                  "1e300"):
                         cfg = write_config(tmp_path, "sweep.ini",
                                            _set_key(base, section, key, value))
                         argv = [command, "--config", cfg, "--out", str(out)]

@@ -1,11 +1,13 @@
 import math
 import sys
+import tracemalloc
 from dataclasses import astuple, replace
 from operator import attrgetter
 
 import numpy as np
 import pytest
 
+import invreg.experiments as experiments
 import invreg.operator
 from invreg import (
     ExperimentConfig,
@@ -23,6 +25,17 @@ from invreg import (
     theoretical_exponent,
 )
 from invreg.configio import cell
+from invreg.experiments import _mean_se, _risk_rows_for_n
+from invreg.operator import SpectralSynthetic, choose_m0
+from invreg.regularizers import projection_family, tikhonov_family
+from invreg.selection import (
+    PenaltyConfig,
+    default_weights,
+    kraft_sum,
+    penalties,
+    prefix_stats,
+    threshold_objectives,
+)
 
 
 class TestSynthProblem:
@@ -149,6 +162,117 @@ class TestMonteCarloRisk:
         cfg = ExperimentConfig(n_grid=(16, 8192), ext_factor=4)
         with pytest.raises(ParameterError):
             monte_carlo_risk(cfg)
+
+
+def _reference_objectives(F, lam, C, pen):
+    """The unblocked, out-of-place selection objectives."""
+    back = (1.0 - lam * F) * C[:, None, :] / lam
+    con = np.vecdot(back, back)   # same dot product as contrast(), bit for bit
+    obj = con + pen
+    if not np.all(np.isfinite(obj)):
+        raise ParameterError("non-finite selection objective; check the data "
+                             "and the penalty constants")
+    return con, obj
+
+
+def _reference_rows(n, cfg, d_ext):
+    """The risk kernel on whole R x K x d arrays, each temporary out of place:
+    the reading the blocked, in-place kernel must reproduce bit for bit."""
+    d = choose_m0(n, cfg.p)
+    lam = SpectralSynthetic(p=cfg.p).values(d)
+    x_ext = SourceSpec(cfg.nu, cfg.rho, cfg.omega).coefficients(cfg.p, d_ext, cfg.seed)
+    x0 = x_ext[:d]
+    tail = bias_m0(x_ext, d)
+
+    base = PenaltyConfig(sigma2=cfg.sigma ** 2, r=cfg.r, kraft_d=cfg.kraft_d)
+    setups = {}
+    for method in cfg.methods():
+        family = (tikhonov_family(lam, n, cfg.p, cfg.alpha_max, cfg.alpha_ratio)
+                  if method == "tikhonov" else projection_family(lam, n))
+        w = default_weights(family, base, target=cfg.kraft_target)
+        pcfg = replace(base, weights=w)
+        setups[method] = (family, pcfg, kraft_sum(family, pcfg))
+
+    # singular coefficients of the data in the sequence model (module docstring)
+    R = cfg.replications
+    c0 = lam * x0
+    rng = np.random.default_rng((cfg.seed, n))
+    C = c0 + cfg.sigma / math.sqrt(n) * rng.standard_normal((R, d))
+    rows = []
+    for method, (family, pcfg, kr) in setups.items():
+        F = family.filter_matrix
+        pens = penalties(family.trace_stats, family.radius_stats, pcfg)
+        # deterministic oracle term: bias of the regularized truths + 2 pen
+        bias_k = np.sum((F * c0 - x0) ** 2, axis=1) + tail
+        oracle_term = float(np.min(bias_k + 2.0 * pens))
+        _, objs = _reference_objectives(F, lam, C, pens)
+        chosen = np.argmin(objs, axis=1)
+        errs = np.sum((F * C[:, None, :] - x0) ** 2, axis=2) + tail
+        risk, se = _mean_se(errs[np.arange(R), chosen])
+        cand_risk, cand_se = _mean_se(errs)
+        k_star = int(np.argmin(cand_risk))
+        ratio = (risk - 2.0 * tail - kr / n) / oracle_term
+        agree = math.nan
+        if method == "projection":
+            _, thr = threshold_objectives(lam, C, penalties(*prefix_stats(lam, n), pcfg))
+            agree = float(np.sum(np.argmin(thr, axis=1) == chosen)) / R
+        rows.append(RiskRow(n, method, R, float(risk), float(se),
+                            float(cand_risk[k_star]), float(cand_se[k_star]),
+                            oracle_term, tail, kr, float(ratio),
+                            float(pcfg.weights[0]), agree))
+    return rows
+
+
+def _filter_size(n, cfg):
+    """K d of the one family ``cfg`` names at grid point n."""
+    d = choose_m0(n, cfg.p)
+    lam = SpectralSynthetic(p=cfg.p).values(d)
+    family = (tikhonov_family(lam, n, cfg.p, cfg.alpha_max, cfg.alpha_ratio)
+              if cfg.family == "tikhonov" else projection_family(lam, n))
+    return family.filter_matrix.size
+
+
+class TestRiskKernel:
+    R = 38  # 7 does not divide it
+
+    @pytest.mark.parametrize("family", ["tikhonov", "projection"])
+    @pytest.mark.parametrize("rows", [1, 7, R, R + 5])
+    def test_blocks_reproduce_the_whole_array_kernel(self, monkeypatch, family, rows):
+        cfg = ExperimentConfig(n_grid=(256, 2048), replications=self.R,
+                               family=family, seed=9)
+        d_ext = cfg.extended_dim()
+        blocks, original = [], experiments.objectives
+
+        def spy(F, lam, C, pen):
+            blocks.append(C.shape[0])
+            return original(F, lam, C, pen)
+
+        monkeypatch.setattr(experiments, "objectives", spy)
+        for n in cfg.n_grid:
+            monkeypatch.setattr(experiments, "KERNEL_BLOCK_ELEMENTS",
+                                rows * _filter_size(n, cfg))
+            blocks.clear()
+            got = _risk_rows_for_n(n, cfg, d_ext)
+            full, rest = divmod(self.R, min(rows, self.R))
+            assert blocks == [min(rows, self.R)] * full + ([rest] if rest else [])
+            assert ([repr(astuple(r)) for r in got]
+                    == [repr(astuple(r)) for r in _reference_rows(n, cfg, d_ext)])
+
+    def test_memory_grows_by_rows_not_rows_times_candidates(self):
+        # at n = 65536 a 10^4 x K x d float64 array takes 134 MB; the blocked
+        # kernel holds only O(R (K + d)) across replications
+        n = 65536
+        cfg = ExperimentConfig(n_grid=(n,), seed=4)
+        d_ext = cfg.extended_dim()
+        peaks = []
+        for reps in (1_000, 10_000):
+            tracemalloc.start()
+            _risk_rows_for_n(n, replace(cfg, replications=reps), d_ext)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        k_times_d = max(_filter_size(n, replace(cfg, family=f))
+                        for f in ("tikhonov", "projection"))
+        assert peaks[1] - peaks[0] < (10_000 - 1_000) * k_times_d * 8 / 4
 
 
 class TestFitRate:
