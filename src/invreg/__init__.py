@@ -7,11 +7,9 @@ from .concentration import (
     MomentReport,
     QuadFormSpec,
     TailReport,
-    TwoPointNoise,
     default_u_grid,
     eta,
     moment_check,
-    moment_condition_ratios,
     penalized_level,
     projection_identity_check,
     tail_check,

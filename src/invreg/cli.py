@@ -381,26 +381,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "discretized linear inverse problems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, data=False):
+    def common(sp, data=None):
+        """``data`` None: no --data; False: optional; True: required."""
         sp.add_argument("--config", required=True, help="key=value config file")
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=nonnegative_int, default=None,
                         help="override the config seed")
         sp.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; has no effect")
-        if data:
-            sp.add_argument("--data", default=None,
+        if data is not None:
+            sp.add_argument("--data", required=data,
                             help="directory with grid/operator/data CSVs")
 
     common(sub.add_parser("synth", help="generate a synthetic problem"))
-    sp = sub.add_parser("select", help="run the penalized selection on data")
-    common(sp, data=True)
-    sp.set_defaults(needs_data=True)
+    common(sub.add_parser("select", help="run the penalized selection on data"),
+           data=True)
     common(sub.add_parser("risk", help="Monte Carlo risk study"))
     common(sub.add_parser("rates", help="risk study plus rate fits"))
     common(sub.add_parser("concentration", help="tail and moment checks"))
     common(sub.add_parser("diagnostics", help="ill-posedness diagnostics"),
-           data=True)
+           data=False)
     return parser
 
 
@@ -417,9 +417,6 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "needs_data", False) and not args.data:
-        print("error: select requires --data", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return COMMANDS[args.command](args)
     except ViolationError as exc:

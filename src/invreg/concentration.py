@@ -40,37 +40,6 @@ class GaussianNoise:
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.normal(0.0, self.sigma, shape)
 
-    def absolute_moment(self, q: int) -> float:
-        """E|eps|^q / sigma^q (closed form)."""
-        return 2.0 ** (q / 2.0) * math.gamma((q + 1) / 2.0) / math.sqrt(math.pi)
-
-
-class TwoPointNoise:
-    """Symmetric two-point law +-sigma; bounded, E|eps|^q = sigma^q for all q."""
-
-    def __init__(self, sigma: float = 1.0):
-        if not (sigma > 0 and math.isfinite(sigma * sigma)):
-            raise ParameterError("noise scale must be positive, sigma^2 finite")
-        self.sigma = float(sigma)
-
-    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        return self.sigma * rng.choice([-1.0, 1.0], size=shape)
-
-    def absolute_moment(self, q: int) -> float:
-        return 1.0
-
-
-def moment_condition_ratios(noise, q_max: int = 8) -> np.ndarray:
-    """Ratios E|eps|^q / (sigma^q q!/2) for q = 1..q_max.
-
-    The moment condition on the noise asks for ratios <= 1.  The gaussian
-    law satisfies it for every q >= 2; at q = 1 the ratio is
-    2 sqrt(2/pi) ~ 1.6, which is immaterial for the variance-type
-    arguments the bounds rest on.
-    """
-    return np.array([noise.absolute_moment(q) / (math.factorial(q) / 2.0)
-                     for q in range(1, q_max + 1)])
-
 
 # ---------------------------------------------------------------------------
 # quadratic-form supremum
@@ -105,10 +74,9 @@ class QuadFormSpec:
 
     ``noise`` is any object with attributes ``sigma`` and
     ``sample(rng, shape)``, which returns an array of that shape of
-    independent draws; the shipped laws are GaussianNoise and
-    TwoPointNoise.  All replications come from one generator seeded with
-    ``seed``, as one replications x n block.  ``trace`` and ``radius`` are
-    those of A^t A.
+    independent draws; the shipped law is GaussianNoise.  All replications
+    come from one generator seeded with ``seed``, as one replications x n
+    block.  ``trace`` and ``radius`` are those of A^t A.
     """
 
     A: np.ndarray
@@ -130,7 +98,12 @@ class QuadFormSpec:
     def eta_squared_samples(self) -> np.ndarray:
         shape = (self.replications, self.A.shape[1])
         V = self.noise.sample(np.random.default_rng(self.seed), shape) @ self.A.T
-        return np.vecdot(V, V)
+        with np.errstate(over="ignore"):
+            etasq = np.vecdot(V, V)
+        if not np.all(np.isfinite(etasq)):
+            raise ParameterError(f"the eta^2 samples overflow at [concentration] "
+                                 f"sigma = {self.noise.sigma!r}")
+        return etasq
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +186,17 @@ class TailReport:
 
 def penalized_level(spec: QuadFormSpec, r: float, weight: float) -> float:
     """sigma^2 (Tr + rho) (r/2)(1 + L), the level the tail is measured from:
-    half the selection penalty of the candidate ``spec`` with weight L."""
-    cfg = PenaltyConfig(sigma2=spec.noise.sigma ** 2, r=r, weights=np.array([weight]))
-    return 0.5 * float(penalties([spec.trace], [spec.radius], cfg)[0])
+    half the selection penalty of the candidate ``spec`` with weight L.  A
+    level that overflows raises ParameterError."""
+    sigma = spec.noise.sigma
+    cfg = PenaltyConfig(sigma2=sigma ** 2, r=r, weights=np.array([weight]))
+    with np.errstate(over="ignore"):
+        level = 0.5 * float(penalties([spec.trace], [spec.radius], cfg)[0])
+    if not math.isfinite(level):
+        raise ParameterError(f"the penalized level overflows at [concentration] "
+                             f"sigma = {sigma!r}, weight = {weight!r} and "
+                             f"[penalty] r = {r!r}")
+    return level
 
 
 def default_u_grid(A, count: int = 8) -> np.ndarray:
@@ -240,9 +221,13 @@ def tail_check(spec: QuadFormSpec, etasq, cfg: PenaltyConfig, u_grid,
     """
     u_grid = np.asarray(u_grid, dtype=float)
     tr, rho = spec.trace, spec.radius
-    level = penalized_level(spec, cfg.r, weight)
-    emp = np.array([np.mean(etasq >= level + spec.noise.sigma ** 2 * u)
-                    for u in u_grid])
+    sigma = spec.noise.sigma
+    with np.errstate(over="ignore"):
+        levels = penalized_level(spec, cfg.r, weight) + sigma ** 2 * u_grid
+    if not np.all(np.isfinite(levels)):
+        raise ParameterError(f"the tail levels overflow at [concentration] "
+                             f"sigma = {sigma!r}, u up to {float(np.max(u_grid))!r}")
+    emp = np.array([np.mean(etasq >= t) for t in levels])
     se = np.sqrt(emp * (1.0 - emp) / spec.replications)
     bound = np.exp(-np.sqrt(cfg.kraft_d * (u_grid / rho
                                            + (cfg.r / 2.0) * weight * (tr / rho + 1.0))))
@@ -280,7 +265,8 @@ def moment_check(spec: QuadFormSpec, etasq, cfg: PenaltyConfig, q: int,
         emp = float(np.mean(np.clip(etasq - level, 0.0, None) ** q))
     if not math.isfinite(emp):
         raise ParameterError(f"the empirical moment of order [concentration] "
-                             f"moment_q = {q} overflows")
+                             f"moment_q = {q} overflows at [concentration] "
+                             f"sigma = {spec.noise.sigma!r}")
     if weight <= 0.0:
         return MomentReport(q, emp, math.nan, math.nan, weight, False)
     k1 = cfg.kraft_d / (rho * spec.noise.sigma ** 2)

@@ -288,21 +288,27 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
     rows = []
     for method, (family, pcfg, kr) in setups.items():
         F = family.filter_matrix
-        pens = penalties(family.trace_stats, family.radius_stats, pcfg)
-        # deterministic oracle term: bias of the regularized truths + 2 pen
-        bias_k = np.sum((F * c0 - x0) ** 2, axis=1) + tail
-        oracle_term = float(np.min(bias_k + 2.0 * pens))
-        # an error or its square can overflow; an infinite statistic says so
+        overflow = ParameterError(
+            f"[problem] rho = {cfg.rho!r} and [problem] sigma = {cfg.sigma!r}: the "
+            f"penalties, objectives or squared errors of the {method} study, or their "
+            f"variance, overflow at n = {n}")
+        # a penalty, an objective, an error or its square can overflow; a
+        # non-finite objective or an infinite statistic says so
         with np.errstate(over="ignore", invalid="ignore"):
-            chosen, errs = _score_blocks(F, lam, C, pens, x0)
+            pens = penalties(family.trace_stats, family.radius_stats, pcfg)
+            # deterministic oracle term: bias of the regularized truths + 2 pen
+            oracle_k = np.sum((F * c0 - x0) ** 2, axis=1) + tail + 2.0 * pens
+            try:
+                chosen, errs = _score_blocks(F, lam, C, pens, x0)
+            except ParameterError as exc:
+                raise overflow from exc
             errs += tail
             risk, se = _mean_se(errs[np.arange(R), chosen])
             cand_risk, cand_se = _mean_se(errs)
-        if np.isinf([risk, se]).any() or np.isinf([cand_risk, cand_se]).any():
-            raise ParameterError(
-                f"[problem] rho = {cfg.rho!r} and [problem] sigma = {cfg.sigma!r}: "
-                f"the squared errors of the {method} study or their variance overflow "
-                f"at n = {n}")
+        if (np.isinf(oracle_k).any() or np.isinf([risk, se]).any()
+                or np.isinf([cand_risk, cand_se]).any()):
+            raise overflow
+        oracle_term = float(np.min(oracle_k))
         k_star = int(np.argmin(cand_risk))
         ratio = (risk - 2.0 * tail - kr / n) / oracle_term
         agree = math.nan

@@ -150,6 +150,19 @@ def _kraft_total(front: np.ndarray, r1: np.ndarray, d_const: float, weights):
     return np.sum(front * np.exp(-np.sqrt(d_const * weights * r1)), axis=-1)
 
 
+def _checked_kraft(trace: np.ndarray, radius: np.ndarray, n: int,
+                   cfg: PenaltyConfig) -> float:
+    """Kraft sum of the candidates with these statistics at cfg's weights; a
+    sum that overflows raises ParameterError."""
+    w = cfg.weights_for(len(trace))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(_kraft_total(*_kraft_factors(trace, radius, n, cfg.kraft_d),
+                                   cfg.kraft_d, w))
+    if not math.isfinite(total):
+        raise ParameterError(f"kraft sum overflows at [penalty] kraft_d = {cfg.kraft_d!r}")
+    return total
+
+
 def kraft_sum(family: RegularizerFamily, cfg: PenaltyConfig) -> float:
     """Weight-damped sum over the family controlling the union bound.
 
@@ -157,14 +170,7 @@ def kraft_sum(family: RegularizerFamily, cfg: PenaltyConfig) -> float:
     under which the summand is free of n for an orthonormal design.  A sum
     that overflows raises ParameterError.
     """
-    w = cfg.weights_for(len(family))
-    with np.errstate(over="ignore", invalid="ignore"):
-        front, r1 = _kraft_factors(family.trace_stats, family.radius_stats,
-                                   family.n, cfg.kraft_d)
-        total = float(_kraft_total(front, r1, cfg.kraft_d, w))
-    if not math.isfinite(total):
-        raise ParameterError(f"kraft sum overflows at [penalty] kraft_d = {cfg.kraft_d!r}")
-    return total
+    return _checked_kraft(family.trace_stats, family.radius_stats, family.n, cfg)
 
 
 def _root_estimate(front: np.ndarray, r1: np.ndarray, d_const: float,
@@ -304,7 +310,5 @@ def select_by_threshold(op: DiscretizedOperator, y, cfg: PenaltyConfig,
     f = np.zeros(op.d)
     f[: best + 1] = 1.0 / lam[: best + 1]
     estimate = op.x_vectors @ (f * c)
-    kr = float(_kraft_total(*_kraft_factors(trace, radius, op.n, cfg.kraft_d),
-                            cfg.kraft_d, cfg.weights_for(m0)))
-    return SelectionResult(best, rows, estimate, kr)
+    return SelectionResult(best, rows, estimate, _checked_kraft(trace, radius, op.n, cfg))
 

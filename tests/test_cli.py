@@ -505,6 +505,12 @@ OUT_OF_RANGE = {
         tmp, RISK_CFG.replace("nu = 0.5", "nu = 0.5\nrho = 1e100")),
     "rates sigma variance overflow": lambda tmp: _rates_argv(
         tmp, RISK_CFG.replace("sigma = 0.1", "sigma = 1e100")),
+    # sigma^2 is finite, the penalties sigma^2 (Tr + rho) r (1 + L) are not
+    "rates sigma penalty overflow": lambda tmp: _rates_argv(
+        tmp, RISK_CFG.replace("sigma = 0.1", "sigma = 5e153")),
+    # the penalties and the selection objectives overflow
+    "rates sigma objective overflow": lambda tmp: _rates_argv(
+        tmp, RISK_CFG.replace("sigma = 0.1", "sigma = 1.3e154")),
     "rates seed": lambda tmp: _rates_argv(tmp, RISK_CFG.replace("seed = 2", "seed = -1")),
     "concentration moment_q": lambda tmp: _conc_argv(
         tmp, "identity_trials", "moment_q = 0\nidentity_trials"),
@@ -518,6 +524,14 @@ OUT_OF_RANGE = {
     # any excess above 2^(1024/2000) ~ 1.43 overflows in the empirical moment
     "concentration moment_q overflow": lambda tmp: _conc_argv(
         tmp, "identity_trials", "moment_q = 2000\nidentity_trials"),
+    # the samples are finite, the tail levels sigma^2 (level + u) are not
+    "concentration sigma tail overflow": lambda tmp: _conc_argv(
+        tmp, "sigma = 1.0", "sigma = 2e153"),
+    # sigma^2 is finite, the eta^2 samples sigma^2 |A z|^2 are not
+    "concentration sigma sample overflow": lambda tmp: _conc_argv(
+        tmp, "sigma = 1.0", "sigma = 5e153"),
+    "concentration sigma^2 near overflow": lambda tmp: _conc_argv(
+        tmp, "sigma = 1.0", "sigma = 1.3e154"),
     "concentration seed": lambda tmp: _conc_argv(tmp, "seed = 0", "seed = -1"),
     "concentration regularizer:8x4": _matrix_case("regularizer:8x4"),
     "concentration decay:x": _matrix_case("decay:x"),
@@ -650,6 +664,11 @@ class TestOutOfRange:
         ("rates rho overflow", "[problem] rho"),
         ("rates rho variance overflow", "[problem] rho"),
         ("rates sigma variance overflow", "[problem] sigma"),
+        ("rates sigma penalty overflow", "[problem] sigma"),
+        ("rates sigma objective overflow", "[problem] sigma"),
+        ("concentration sigma tail overflow", "[concentration] sigma"),
+        ("concentration sigma sample overflow", "[concentration] sigma"),
+        ("concentration sigma^2 near overflow", "[concentration] sigma"),
         ("concentration moment_q overflow", "[concentration] moment_q")])
     def test_overflow_names_its_key(self, tmp_path, capsys, case, key):
         # the suite turns warnings into errors, so none is raised on the way
@@ -663,6 +682,13 @@ class TestOutOfRange:
                   "--seed", "-1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    def test_select_without_data_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "sel.ini", TIKHONOV_SELECT)
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--config", cfg, "--out", str(tmp_path / "s")])
+        assert exc.value.code == 2
+        assert "--data" in capsys.readouterr().err
 
 
 def _set_key(text, section, key, value):
@@ -709,8 +735,8 @@ NON_FINITE = re.compile(r"(?<![\w.])-?(?:inf|nan)(?![\w.])")
 class TestConfigSweep:
     def test_no_config_value_exits_as_data_error_or_crash(self, tmp_path):
         """Every config key each command reads, set to -1, 0, x, 1e-300, 2000,
-        1e100, 1e150 or 1e300, gives success (0) with finite outputs, a config
-        error (2) or a violation (4), and raises no warning."""
+        1e100, 1e150, 5e153, 1.3e154 or 1e300, gives success (0) with finite
+        outputs, a config error (2) or a violation (4), and raises no warning."""
         _, data = run_synth(tmp_path, "data", SYNTH_CFG.replace("n = 16", "n = 64"))
         out = tmp_path / "out"
         bad = []
@@ -718,7 +744,7 @@ class TestConfigSweep:
             for section, names in keys.items():
                 for key in names:
                     for value in ("-1", "0", "x", "1e-300", "2000", "1e100", "1e150",
-                                  "1e300"):
+                                  "5e153", "1.3e154", "1e300"):
                         cfg = write_config(tmp_path, "sweep.ini",
                                            _set_key(base, section, key, value))
                         argv = [command, "--config", cfg, "--out", str(out)]

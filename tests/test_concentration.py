@@ -7,16 +7,15 @@ from scipy import integrate, stats
 from invreg import (
     DimensionError,
     GaussianNoise,
+    ParameterError,
     PenaltyConfig,
     QuadFormSpec,
-    TwoPointNoise,
     build_design_matrix,
     cosine_design,
     default_u_grid,
     eta,
     midpoint_grid,
     moment_check,
-    moment_condition_ratios,
     penalized_level,
     projection_identity_check,
     tail_check,
@@ -132,12 +131,11 @@ class TestTailCheck:
                              weight=0.0)
             assert rep.violations == 0
 
-    def test_two_point_noise_also_dominated(self):
-        A = np.eye(3)
-        spec = QuadFormSpec(A, TwoPointNoise(1.0), 4000, seed=9)
-        rep = tail_check(spec, spec.eta_squared_samples(), PenaltyConfig(sigma2=1.0),
-                         default_u_grid(A), weight=0.0)
-        assert rep.violations == 0
+    def test_level_overflow_names_sigma(self):
+        # sigma^2 is finite, sigma^2 (Tr + rho)(r/2)(1 + L) is not
+        spec = QuadFormSpec(np.eye(4), GaussianNoise(5e153), 1)
+        with pytest.raises(ParameterError, match=r"\[concentration\] sigma = 5e\+153"):
+            penalized_level(spec, r=2.5, weight=1.0)
 
     def test_replication_streams_are_order_independent(self):
         spec = QuadFormSpec(np.eye(2), GaussianNoise(1.0), 100, seed=3)
@@ -184,6 +182,13 @@ class TestMomentCheck:
                                            weight=L).ratio)
         assert np.all(np.isfinite(ratios))
         assert max(ratios) <= 10.0
+
+    def test_moment_overflow_names_sigma(self):
+        # each excess is finite, their sum is not
+        spec = QuadFormSpec(np.eye(1), GaussianNoise(1.0), 4)
+        with pytest.raises(ParameterError, match=r"\[concentration\] sigma = 1\.0"):
+            moment_check(spec, np.full(4, 1e308), PenaltyConfig(sigma2=1.0), 1,
+                         weight=1.0)
 
     def test_zero_weight_flags_undefined_bound(self):
         spec = QuadFormSpec(np.eye(2), GaussianNoise(1.0), 500, seed=1)
@@ -252,19 +257,3 @@ class TestSharedSample:
         moment_check(spec, etasq, self.CFG, 1, weight=1.0)
         penalized_level(spec, r=2.5, weight=1.0)
         assert calls == [(3, 3)]
-
-
-class TestMomentCondition:
-    def test_gaussian_ratios(self):
-        ratios = moment_condition_ratios(GaussianNoise(2.0), 8)
-        # q = 1 exceeds the budget (2 sqrt(2/pi)), all higher orders satisfy it
-        assert ratios[0] == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), abs=1e-12)
-        assert np.all(ratios[1:] <= 1.0 + 1e-12)
-
-    def test_two_point_ratios(self):
-        ratios = moment_condition_ratios(TwoPointNoise(1.0), 8)
-        # E|eps| = sigma for any bounded unit-variance two-point law, so the
-        # q = 1 budget sigma/2 is exceeded by exactly a factor 2; the bounds
-        # only draw on q >= 2
-        assert ratios[0] == pytest.approx(2.0)
-        assert np.all(ratios[1:] <= 1.0 + 1e-12)

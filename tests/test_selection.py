@@ -460,3 +460,21 @@ class TestSelectByThreshold:
         y = rng.standard_normal(16)
         res = select_by_threshold(op_p1_d4_n16, y, PenaltyConfig(sigma2=5.0))
         assert np.all(res.estimate[res.chosen + 1:] == 0.0)
+
+    def test_kraft_sum_is_the_prefix_family_kraft_sum(self, rng):
+        op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(64), 10)
+        m0 = 7
+        cfg = PenaltyConfig(sigma2=0.04, weights=np.full(m0, 0.7))
+        res = select_by_threshold(op, rng.standard_normal(64), cfg, m0)
+        fam = projection_family(op.singular_values, op.n, range(1, m0 + 1))
+        assert res.kraft_sum == pytest.approx(kraft_sum(fam, cfg), rel=1e-12)
+
+    def test_kraft_sum_overflow_raises_like_select(self):
+        # the unweighted terms n rho / kraft_d overflow
+        op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(64), 4)
+        cfg = PenaltyConfig(sigma2=1.0, kraft_d=1e-308)
+        y = np.ones(64)
+        with pytest.raises(ParameterError, match=r"\[penalty\] kraft_d = 1e-308"):
+            select(projection_of(op), cfg, op, y)
+        with pytest.raises(ParameterError, match=r"\[penalty\] kraft_d = 1e-308"):
+            select_by_threshold(op, y, cfg)
