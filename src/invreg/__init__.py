@@ -67,7 +67,6 @@ from .selection import (
     objectives,
     penalties,
     penalty,
-    prefix_stats,
     select,
     select_by_threshold,
     threshold_objectives,

@@ -351,7 +351,7 @@ def cmd_concentration(args) -> int:
 
 def cmd_diagnostics(args) -> int:
     cp = cio.load_config(args.config)
-    if args.data:
+    if args.data is not None:
         op = _operator_from_data(cp, args.data)
         seed = args.seed if args.seed is not None else 0
     else:

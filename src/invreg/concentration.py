@@ -189,9 +189,10 @@ def penalized_level(spec: QuadFormSpec, r: float, weight: float) -> float:
     half the selection penalty of the candidate ``spec`` with weight L.  A
     level that overflows raises ParameterError."""
     sigma = spec.noise.sigma
-    cfg = PenaltyConfig(sigma2=sigma ** 2, r=r, weights=np.array([weight]))
+    # halving sigma^2 first keeps a finite level from overflowing on the way
+    cfg = PenaltyConfig(sigma2=sigma ** 2 / 2, r=r, weights=np.array([weight]))
     with np.errstate(over="ignore"):
-        level = 0.5 * float(penalties([spec.trace], [spec.radius], cfg)[0])
+        level = float(penalties([spec.trace], [spec.radius], cfg)[0])
     if not math.isfinite(level):
         raise ParameterError(f"the penalized level overflows at [concentration] "
                              f"sigma = {sigma!r}, weight = {weight!r} and "

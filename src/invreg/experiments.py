@@ -14,7 +14,8 @@ N(0, sigma^2/n I).  The risk study therefore draws the coefficients
 directly, one R x d block per grid point n, and never forms a sample
 vector.  Its families need only j^(-p) and n, so it samples no design.
 The block is scored and measured against the K x d filter matrix a few
-rows at a time (KERNEL_BLOCK_ELEMENTS), so a grid point takes O(R (K + d))
+rows at a time (KERNEL_BLOCK_ELEMENTS), and a projection cell's thresholding
+cross-check runs in the same row blocks, so a grid point takes O(R (K + d))
 memory, not O(R K d).
 """
 
@@ -41,7 +42,6 @@ from .selection import (
     kraft_sum,
     objectives,
     penalties,
-    prefix_stats,
     threshold_objectives,
 )
 
@@ -239,28 +239,33 @@ def _mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x.mean(axis=0), x.std(axis=0, ddof=1) / math.sqrt(R)
 
 
+def _row_blocks(R: int, F: np.ndarray) -> list[slice]:
+    """Slices of KERNEL_BLOCK_ELEMENTS // F.size rows (at least one) covering R
+    rows: the blocks in which the risk kernel handles the K x d filters F."""
+    step = max(1, KERNEL_BLOCK_ELEMENTS // F.size)
+    return [slice(lo, lo + step) for lo in range(0, R, step)]
+
+
 def _score_blocks(F: np.ndarray, lam: np.ndarray, C: np.ndarray, pens: np.ndarray,
                   x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(chosen, errs) of the R x d coefficients C against the K x d filters F:
     each row's selected candidate and the R x K squared errors |F_k c - x0|^2.
 
-    The rows go through in blocks of KERNEL_BLOCK_ELEMENTS // F.size, so no
-    temporary outgrows one block; each element meets the same operations in
-    the same order as on the whole array, so the result does not depend on
-    the block size.
+    The rows go through in ``_row_blocks``, so no temporary outgrows one
+    block; each element meets the same operations in the same order as on
+    the whole array, so the result does not depend on the block size.
     """
     R = C.shape[0]
-    step = max(1, KERNEL_BLOCK_ELEMENTS // F.size)
     chosen = np.empty(R, dtype=np.intp)
     errs = np.empty((R, F.shape[0]))
-    for lo in range(0, R, step):
-        Cb = C[lo:lo + step]
+    for block in _row_blocks(R, F):
+        Cb = C[block]
         _, objs = objectives(F, lam, Cb, pens)
-        np.argmin(objs, axis=1, out=chosen[lo:lo + step])
+        np.argmin(objs, axis=1, out=chosen[block])
         sq = F * Cb[:, None, :]
         sq -= x0
         sq *= sq
-        np.sum(sq, axis=2, out=errs[lo:lo + step])
+        np.sum(sq, axis=2, out=errs[block])
     return chosen, errs
 
 
@@ -313,8 +318,12 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
         ratio = (risk - 2.0 * tail - kr / n) / oracle_term
         agree = math.nan
         if method == "projection":
-            _, thr = threshold_objectives(lam, C, penalties(*prefix_stats(lam, n), pcfg))
-            agree = float(np.sum(np.argmin(thr, axis=1) == chosen)) / R
+            # the thresholding cross-check, on the same penalties and row blocks
+            agreed = 0
+            for block in _row_blocks(R, F):
+                _, thr = threshold_objectives(lam, C[block], pens)
+                agreed += int(np.count_nonzero(np.argmin(thr, axis=1) == chosen[block]))
+            agree = agreed / R
         rows.append(RiskRow(n, method, R, float(risk), float(se),
                             float(cand_risk[k_star]), float(cand_se[k_star]),
                             oracle_term, tail, kr, float(ratio),

@@ -13,7 +13,9 @@ one data vector, the risk study scores its replications a block of rows
 per call, and the concentration checks measure their tails from half the
 penalty.  For nested projections the rule is hard thresholding of the
 inverted coefficients; ``threshold_objectives`` computes it that way, as a
-cross-check.
+cross-check of the kernel on the same ``projection_family`` penalties:
+``select_by_threshold`` for one data vector, the risk study in the kernel's
+row blocks.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .operator import DiscretizedOperator
-from .regularizers import RegularizerFamily
+from .regularizers import RegularizerFamily, projection_family
 
 
 @dataclass
@@ -150,19 +152,6 @@ def _kraft_total(front: np.ndarray, r1: np.ndarray, d_const: float, weights):
     return np.sum(front * np.exp(-np.sqrt(d_const * weights * r1)), axis=-1)
 
 
-def _checked_kraft(trace: np.ndarray, radius: np.ndarray, n: int,
-                   cfg: PenaltyConfig) -> float:
-    """Kraft sum of the candidates with these statistics at cfg's weights; a
-    sum that overflows raises ParameterError."""
-    w = cfg.weights_for(len(trace))
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(_kraft_total(*_kraft_factors(trace, radius, n, cfg.kraft_d),
-                                   cfg.kraft_d, w))
-    if not math.isfinite(total):
-        raise ParameterError(f"kraft sum overflows at [penalty] kraft_d = {cfg.kraft_d!r}")
-    return total
-
-
 def kraft_sum(family: RegularizerFamily, cfg: PenaltyConfig) -> float:
     """Weight-damped sum over the family controlling the union bound.
 
@@ -170,7 +159,13 @@ def kraft_sum(family: RegularizerFamily, cfg: PenaltyConfig) -> float:
     under which the summand is free of n for an orthonormal design.  A sum
     that overflows raises ParameterError.
     """
-    return _checked_kraft(family.trace_stats, family.radius_stats, family.n, cfg)
+    d, w = cfg.kraft_d, cfg.weights_for(len(family))
+    with np.errstate(over="ignore", invalid="ignore"):
+        front, r1 = _kraft_factors(family.trace_stats, family.radius_stats, family.n, d)
+        total = float(_kraft_total(front, r1, d, w))
+    if not math.isfinite(total):
+        raise ParameterError(f"kraft sum overflows at [penalty] kraft_d = {cfg.kraft_d!r}")
+    return total
 
 
 def _root_estimate(front: np.ndarray, r1: np.ndarray, d_const: float,
@@ -266,12 +261,6 @@ def select(family: RegularizerFamily, cfg: PenaltyConfig,
     return SelectionResult(best, rows, estimate, kraft_sum(family, cfg))
 
 
-def prefix_stats(lam: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Traces and spectral radii of the prefix projections {1..j}, j <= lam.size."""
-    inv2 = (1.0 / lam) ** 2
-    return np.cumsum(inv2) / n, np.maximum.accumulate(inv2) / n
-
-
 def threshold_objectives(lam: np.ndarray, C: np.ndarray,
                          pen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``objectives`` of the prefix projections in thresholding form.
@@ -290,25 +279,22 @@ def threshold_objectives(lam: np.ndarray, C: np.ndarray,
 def select_by_threshold(op: DiscretizedOperator, y, cfg: PenaltyConfig,
                         m0: int | None = None) -> SelectionResult:
     """Nested-prefix projection selection, one data vector of
-    ``threshold_objectives``.  Agrees exactly with the exhaustive argmin of
-    ``select`` over the same prefixes.
+    ``threshold_objectives``.  It reads the penalties, labels, estimate and
+    kraft sum of ``projection_family`` over the prefixes {1..j}, j <= m0, as
+    ``select`` does, and agrees exactly with its exhaustive argmin.
     """
     if m0 is None:
         m0 = op.d
     if m0 < 1 or m0 > op.d:
         raise ParameterError(f"prefix bound must lie in [1, {op.d}]")
+    family = projection_family(op.singular_values, op.n, range(1, m0 + 1))
     c = op.svd_coefficients(y)
-    lam = op.singular_values[:m0]
-    trace, radius = prefix_stats(lam, op.n)
-    pens = penalties(trace, radius, cfg)
-    cons, objs = threshold_objectives(lam, c[None, :m0], pens)
+    pens = penalties(family.trace_stats, family.radius_stats, cfg)
+    cons, objs = threshold_objectives(op.singular_values[:m0], c[None, :m0], pens)
     best = int(np.argmin(objs[0]))
-    rows = [CandidateRow(j, f"projection(m={{1..{j + 1}}})", float(j + 1),
-                         float(cons[0, j]), float(pens[j]), float(objs[0, j]))
+    rows = [CandidateRow(j, family.label(j), family.parameters[j], float(cons[0, j]),
+                         float(pens[j]), float(objs[0, j]))
             for j in range(m0)]
     rows[best].chosen = True
-    f = np.zeros(op.d)
-    f[: best + 1] = 1.0 / lam[: best + 1]
-    estimate = op.x_vectors @ (f * c)
-    return SelectionResult(best, rows, estimate, _checked_kraft(trace, radius, op.n, cfg))
-
+    estimate = op.x_vectors @ (family.filter_matrix[best] * c)
+    return SelectionResult(best, rows, estimate, kraft_sum(family, cfg))

@@ -3,10 +3,12 @@
 ``bench/tracing.py`` looks up ``invreg`` functions and methods by name, so a
 renamed function or a method turned into a property breaks only the traced
 benchmark run.  This runs the tracer around tiny ``rates``,
-``concentration``, ``synth`` and ``select --data`` invocations and checks
-that every CSV and manifest they write passes through the traced
-``configio`` layer.  The risk study works in singular coordinates, so the
-sample-space projection ``svd_coefficients`` is reached through ``select``.
+``concentration``, ``synth`` and ``select --data`` invocations (the last
+once on a full-prefix projection family, which ``select_by_threshold``
+rebuilds) and checks that every family they build and every CSV and
+manifest they write passes through the traced layers.  The risk study
+works in singular coordinates, so the sample-space projection
+``svd_coefficients`` is reached through ``select``.
 """
 
 import importlib.util
@@ -58,6 +60,9 @@ kind = tikhonov
 sigma2 = 0.01
 """
 
+# the full-prefix projection family: select cross-checks it by thresholding
+PROJ_CFG = SYNTH_CFG.replace("kind = tikhonov", "kind = projection")
+
 CONC_CFG = """
 [concentration]
 matrices = identity:4 regularizer:4x16
@@ -77,7 +82,10 @@ def _candidates_in_traced_runs() -> int:
     # CONC_CFG's regularizer:4x16 is one candidate of a tikhonov family
     total += len(tikhonov_family(spectrum(4), 16, 1.0, alpha_max=0.25, count=1))
     # SYNTH_CFG's select: the default tikhonov family on the synth model size
-    return total + len(tikhonov_family(spectrum(choose_m0(16, 1.0)), 16, 1.0))
+    lam = spectrum(choose_m0(16, 1.0))
+    total += len(tikhonov_family(lam, 16, 1.0))
+    # PROJ_CFG's select builds the prefix family, select_by_threshold again
+    return total + 2 * len(projection_family(lam, 16))
 
 
 def test_traced_run_counts_the_monte_carlo_layers(tmp_path):
@@ -87,6 +95,8 @@ def test_traced_run_counts_the_monte_carlo_layers(tmp_path):
     conc.write_text(CONC_CFG)
     synth = tmp_path / "synth.ini"
     synth.write_text(SYNTH_CFG)
+    proj = tmp_path / "proj.ini"
+    proj.write_text(PROJ_CFG)
     original = QuadFormSpec.__dict__["eta_squared_samples"]
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)
@@ -96,10 +106,12 @@ def test_traced_run_counts_the_monte_carlo_layers(tmp_path):
                        "--out", str(tmp_path / "c")]),
                  main(["synth", "--config", str(synth), "--out", str(tmp_path / "s")]),
                  main(["select", "--config", str(synth), "--data", str(tmp_path / "s"),
-                       "--out", str(tmp_path / "sel")])]
+                       "--out", str(tmp_path / "sel")]),
+                 main(["select", "--config", str(proj), "--data", str(tmp_path / "s"),
+                       "--out", str(tmp_path / "proj")])]
     finally:
         tracing.uninstall(undo)
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0, 0, 0, 0, 0]
     assert QuadFormSpec.__dict__["eta_squared_samples"] is original
     counts, _ = tracing.layer_metrics(tracer, tracer.op)
     assert counts["operator.svd_coefficients.calls"] > 0
@@ -107,7 +119,8 @@ def test_traced_run_counts_the_monte_carlo_layers(tmp_path):
     assert counts["concentration.samples_per_matrix"] == 1.0
     assert counts["regularizers.family_build.calls"] > 0
     assert counts["regularizers.candidates_built"] == _candidates_in_traced_runs()
-    files = [os.path.join(tmp_path, d, name) for d in ("r", "c", "s", "sel")
+    assert counts["selection.select_by_threshold.calls"] == 1
+    files = [os.path.join(tmp_path, d, name) for d in ("r", "c", "s", "sel", "proj")
              for name in os.listdir(tmp_path / d)]
     csvs = [f for f in files if f.endswith(".csv")]
     assert counts["configio.write_csv.calls"] == len(csvs)

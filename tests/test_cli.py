@@ -683,6 +683,17 @@ class TestOutOfRange:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["select", "diagnostics"])
+    def test_empty_data_directory_is_data_error(self, tmp_path, monkeypatch, capsys,
+                                                command):
+        # --data "" names files in the working directory, here none; the
+        # config would also let diagnostics run its synthetic problem
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "sel.ini", DIAG_CFG + TIKHONOV_SELECT)
+        assert main([command, "--config", cfg, "--data", "",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+
     def test_select_without_data_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "sel.ini", TIKHONOV_SELECT)
         with pytest.raises(SystemExit) as exc:

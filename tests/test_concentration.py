@@ -137,6 +137,12 @@ class TestTailCheck:
         with pytest.raises(ParameterError, match=r"\[concentration\] sigma = 5e\+153"):
             penalized_level(spec, r=2.5, weight=1.0)
 
+    def test_finite_level_near_overflow(self):
+        # r sigma^2 (Tr + rho) overflows, its half does not
+        spec = QuadFormSpec(np.eye(1), GaussianNoise(7e153), 1)
+        assert penalized_level(spec, r=2.01, weight=0.0) == pytest.approx(9.849e307,
+                                                                          rel=1e-12)
+
     def test_replication_streams_are_order_independent(self):
         spec = QuadFormSpec(np.eye(2), GaussianNoise(1.0), 100, seed=3)
         first = spec.eta_squared_samples()

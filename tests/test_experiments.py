@@ -33,7 +33,6 @@ from invreg.selection import (
     default_weights,
     kraft_sum,
     penalties,
-    prefix_stats,
     threshold_objectives,
 )
 
@@ -214,7 +213,11 @@ def _reference_rows(n, cfg, d_ext):
         ratio = (risk - 2.0 * tail - kr / n) / oracle_term
         agree = math.nan
         if method == "projection":
-            _, thr = threshold_objectives(lam, C, penalties(*prefix_stats(lam, n), pcfg))
+            # the prefix statistics as cumulative sums, read inline
+            inv2 = (1.0 / lam) ** 2
+            prefix_pens = penalties(np.cumsum(inv2) / n,
+                                    np.maximum.accumulate(inv2) / n, pcfg)
+            _, thr = threshold_objectives(lam, C, prefix_pens)
             agree = float(np.sum(np.argmin(thr, axis=1) == chosen)) / R
         rows.append(RiskRow(n, method, R, float(risk), float(se),
                             float(cand_risk[k_star]), float(cand_se[k_star]),
@@ -258,11 +261,11 @@ class TestRiskKernel:
             assert ([repr(astuple(r)) for r in got]
                     == [repr(astuple(r)) for r in _reference_rows(n, cfg, d_ext)])
 
-    def test_memory_grows_by_rows_not_rows_times_candidates(self):
-        # at n = 65536 a 10^4 x K x d float64 array takes 134 MB; the blocked
-        # kernel holds only O(R (K + d)) across replications
-        n = 65536
-        cfg = ExperimentConfig(n_grid=(n,), seed=4)
+    @staticmethod
+    def _peak_growth(cfg):
+        """tracemalloc peak of the one grid point of ``cfg`` at 10^4
+        replications minus that at 10^3."""
+        n, = cfg.n_grid
         d_ext = cfg.extended_dim()
         peaks = []
         for reps in (1_000, 10_000):
@@ -270,9 +273,24 @@ class TestRiskKernel:
             _risk_rows_for_n(n, replace(cfg, replications=reps), d_ext)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
+        return peaks[1] - peaks[0]
+
+    def test_memory_grows_by_rows_not_rows_times_candidates(self):
+        # at n = 65536 a 10^4 x K x d float64 array takes 134 MB; the blocked
+        # kernel holds only O(R (K + d)) across replications
+        n = 65536
+        cfg = ExperimentConfig(n_grid=(n,), seed=4)
         k_times_d = max(_filter_size(n, replace(cfg, family=f))
                         for f in ("tikhonov", "projection"))
-        assert peaks[1] - peaks[0] < (10_000 - 1_000) * k_times_d * 8 / 4
+        assert self._peak_growth(cfg) < (10_000 - 1_000) * k_times_d * 8 / 4
+
+    def test_projection_cell_memory_grows_by_few_coefficient_blocks(self):
+        # the cell keeps the R x d coefficients and errors; the thresholding
+        # cross-check runs in row blocks and adds no whole R x d temporary
+        n = 65536
+        cfg = ExperimentConfig(n_grid=(n,), family="projection", seed=4)
+        d = choose_m0(n, cfg.p)
+        assert self._peak_growth(cfg) < 3 * (10_000 - 1_000) * d * 8
 
 
 class TestFitRate:

@@ -19,7 +19,6 @@ from invreg import (
     objectives,
     penalties,
     penalty,
-    prefix_stats,
     projection_family,
     select,
     select_by_threshold,
@@ -269,8 +268,9 @@ class TestThresholdObjectives:
         ys = np.array([op.forward(rng.standard_normal(20) * rng.uniform(0, 2))
                        + rng.normal(0, 0.2, 80) for _ in range(30)])
         C = np.array([op.svd_coefficients(y) for y in ys])[:, :m0]
-        lam = op.singular_values[:m0]
-        _, objs = threshold_objectives(lam, C, penalties(*prefix_stats(lam, op.n), cfg))
+        fam = projection_of(op, range(1, m0 + 1))
+        _, objs = threshold_objectives(op.singular_values[:m0], C,
+                                       penalties(fam.trace_stats, fam.radius_stats, cfg))
         assert objs.shape == (30, m0)
         chosen = set()
         for y, row in zip(ys, objs):
@@ -455,6 +455,22 @@ class TestSelectByThreshold:
             assert np.allclose(a.estimate, b.estimate, atol=1e-12)
             for ra, rb in zip(a.per_candidate, b.per_candidate):
                 assert ra.objective == pytest.approx(rb.objective, abs=1e-12)
+
+    def test_reads_the_candidates_select_reads(self, rng):
+        # at p = 1/4 a cumulative sum of 1/lambda^2 differs from the family's
+        # traces in the last bits; both selectors read the family's
+        op = discretize_operator(SpectralSynthetic(p=0.25), midpoint_grid(256), 41)
+        fam = projection_of(op)
+        cfg = PenaltyConfig(sigma2=0.04,
+                            weights=default_weights(fam, PenaltyConfig(sigma2=0.04)))
+        y = op.forward(rng.standard_normal(41)) + rng.normal(0, 0.2, 256)
+        a = select(fam, cfg, op, y)
+        b = select_by_threshold(op, y, cfg)
+        assert ([(r.k, r.label, r.parameter, r.penalty) for r in b.per_candidate]
+                == [(r.k, r.label, r.parameter, r.penalty) for r in a.per_candidate])
+        assert b.kraft_sum == a.kraft_sum == kraft_sum(fam, cfg)
+        assert b.chosen == a.chosen
+        assert np.array_equal(b.estimate, a.estimate)
 
     def test_off_prefix_coordinates_exactly_zero(self, op_p1_d4_n16, rng):
         y = rng.standard_normal(16)
