@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -176,8 +177,7 @@ def cmd_select(args) -> int:
         thr = select_by_threshold(op, y, pcfg, m0=m)
         agreement = str(int(thr.chosen == result.chosen))
 
-    man.csv("selection.csv", [f.name for f in fields(CandidateRow)],
-            [astuple(r) for r in result.per_candidate])
+    _write_rows(man, "selection.csv", CandidateRow, result.per_candidate)
     stats = zip(family.parameters, family.trace_stats.tolist(),
                 family.radius_stats.tolist())
     man.csv("family.csv", ["k", "kind", "parameter", "trace_stat", "radius_stat"],
@@ -224,9 +224,11 @@ def _experiment_config(cp, seed_override) -> ExperimentConfig:
     )
 
 
-def _write_risk(man, report) -> None:
-    man.csv("risk.csv", [f.name for f in fields(RiskRow)],
-            [astuple(r) for r in report.rows])
+def _write_rows(man, name: str, cls, rows) -> None:
+    """One CSV row per dataclass instance of ``cls``: its fields in order, read
+    as a shallow tuple (``dataclasses.astuple`` would deep-copy every value)."""
+    names = [f.name for f in fields(cls)]
+    man.csv(name, names, map(attrgetter(*names), rows))
 
 
 def cmd_risk(args) -> int:
@@ -234,7 +236,7 @@ def cmd_risk(args) -> int:
     cfg = _experiment_config(cp, args.seed)
     man = cio.RunManifest("risk", cio.config_echo(cp), cfg.seed, args.out).start()
     report = monte_carlo_risk(cfg)
-    _write_risk(man, report)
+    _write_rows(man, "risk.csv", RiskRow, report.rows)
     man.csv("plotdata.csv", ["method", "log_n", "log_risk"], report.plot_rows())
     man.finish()
     print(f"risk: {len(report.rows)} cells "
@@ -250,7 +252,7 @@ def cmd_rates(args) -> int:
             f"rate fit needs at least 4 distinct n values, got {len(set(cfg.n_grid))}")
     man = cio.RunManifest("rates", cio.config_echo(cp), cfg.seed, args.out).start()
     report = monte_carlo_risk(cfg)
-    _write_risk(man, report)
+    _write_rows(man, "risk.csv", RiskRow, report.rows)
     fits = [fit_rate(report, m) for m in cfg.methods()]
     man.csv("rates.csv", ["method", "slope", "half_width", "theoretical", "n_count"],
             [[f.method, f.slope, f.half_width, f.theoretical, len(f.n_values)]

@@ -13,10 +13,16 @@ tail rows are orthogonal to the model rows) and the noise adds
 N(0, sigma^2/n I).  The risk study therefore draws the coefficients
 directly, one R x d block per grid point n, and never forms a sample
 vector.  Its families need only j^(-p) and n, so it samples no design.
-The block is scored and measured against the K x d filter matrix a few
-rows at a time (KERNEL_BLOCK_ELEMENTS), and a projection cell's thresholding
+The block is scored against the K x d filter matrix a few rows at a time
+(KERNEL_BLOCK_ELEMENTS), and no R x K x d array is formed: ``objectives``
+takes one length-d dot product per row and candidate, each row's squared
+error is formed for its selected candidate only, and the oracle candidate
+k*, the argmin over k of the mean error |F_k c - x0|^2 across rows, is
+ranked in closed form, |F_k cbar - x0|^2 + sum_j F_kj^2 v_j with cbar and v
+the column mean and population variance of the coefficients, before the
+errors of the two best are formed.  A projection cell's thresholding
 cross-check runs in the same row blocks, so a grid point takes O(R (K + d))
-memory, not O(R K d).
+memory.
 """
 
 from __future__ import annotations
@@ -225,9 +231,9 @@ class ExperimentReport:
                 if r.risk > 0]
 
 
-# Elements of one rows x K x d temporary of the risk kernel: 2 MiB of float64,
-# a per-core L2 cache.  The kernel's memory is then O(R (K + d)) in the
-# replication count R.
+# Rows x K x d of one block of the risk kernel: the products its contrasts
+# sum.  A block's temporaries are rows x K contrasts and rows x d errors, and
+# the block size changes no output bit.
 KERNEL_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -247,26 +253,39 @@ def _row_blocks(R: int, F: np.ndarray) -> list[slice]:
 
 
 def _score_blocks(F: np.ndarray, lam: np.ndarray, C: np.ndarray, pens: np.ndarray,
-                  x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(chosen, errs) of the R x d coefficients C against the K x d filters F:
-    each row's selected candidate and the R x K squared errors |F_k c - x0|^2.
+                  x0: np.ndarray, oracle: np.ndarray,
+                  prefix: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """(picked, errs, agreed) of the R x d coefficients C against the K x d
+    filters F: the squared error |F_k c - x0|^2 of each row at its selected
+    candidate k, the R x len(oracle) squared errors of the candidates
+    ``oracle``, and, for the nested prefixes (``prefix``), the number of rows
+    on which the thresholding form selects the same candidate.
 
-    The rows go through in ``_row_blocks``, so no temporary outgrows one
-    block; each element meets the same operations in the same order as on
-    the whole array, so the result does not depend on the block size.
+    The rows go through in ``_row_blocks``; each error meets the same
+    operations in the same order as in a whole R x K error array, so the
+    result does not depend on the block size.
     """
     R = C.shape[0]
-    chosen = np.empty(R, dtype=np.intp)
-    errs = np.empty((R, F.shape[0]))
+    picked = np.empty(R)
+    errs = np.empty((R, oracle.size))
+    agreed = 0
     for block in _row_blocks(R, F):
         Cb = C[block]
         _, objs = objectives(F, lam, Cb, pens)
-        np.argmin(objs, axis=1, out=chosen[block])
-        sq = F * Cb[:, None, :]
+        chosen = np.argmin(objs, axis=1)
+        sq = F[chosen]
+        sq *= Cb
+        sq -= x0
+        sq *= sq
+        np.sum(sq, axis=1, out=picked[block])
+        sq = F[oracle] * Cb[:, None, :]
         sq -= x0
         sq *= sq
         np.sum(sq, axis=2, out=errs[block])
-    return chosen, errs
+        if prefix:
+            _, thr = threshold_objectives(lam, Cb, pens)
+            agreed += int(np.count_nonzero(np.argmin(thr, axis=1) == chosen))
+    return picked, errs, agreed
 
 
 def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]:
@@ -289,7 +308,18 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
     R = cfg.replications
     c0 = lam * x0
     rng = np.random.default_rng((cfg.seed, n))
-    C = c0 + cfg.sigma / math.sqrt(n) * rng.standard_normal((R, d))
+    C = rng.standard_normal((R, d))
+    C *= cfg.sigma / math.sqrt(n)
+    C += c0
+    # column mean and population variance, the deviations a row block at a time
+    step = max(1, KERNEL_BLOCK_ELEMENTS // d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_mean, c_var = C.mean(axis=0), np.zeros(d)
+        for lo in range(0, R, step):
+            dev = C[lo:lo + step] - c_mean
+            dev *= dev
+            c_var += dev.sum(axis=0)
+    c_var /= R
     rows = []
     for method, (family, pcfg, kr) in setups.items():
         F = family.filter_matrix
@@ -303,29 +333,30 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
             pens = penalties(family.trace_stats, family.radius_stats, pcfg)
             # deterministic oracle term: bias of the regularized truths + 2 pen
             oracle_k = np.sum((F * c0 - x0) ** 2, axis=1) + tail + 2.0 * pens
+            # mean over the rows of |F_k c - x0|^2, in closed form; the exact
+            # means of the two smallest, in index order, decide the oracle
+            # candidate k* (a tie goes to the earlier, as in an argmin over K)
+            mean_k = np.sum((F * c_mean - x0) ** 2 + F * F * c_var, axis=1)
+            pair = np.sort(np.argsort(mean_k, kind="stable")[:2])
             try:
-                chosen, errs = _score_blocks(F, lam, C, pens, x0)
+                picked, errs, agreed = _score_blocks(F, lam, C, pens, x0, pair,
+                                                     method == "projection")
             except ParameterError as exc:
                 raise overflow from exc
+            picked += tail
             errs += tail
-            risk, se = _mean_se(errs[np.arange(R), chosen])
+            risk, se = _mean_se(picked)
             cand_risk, cand_se = _mean_se(errs)
         if (np.isinf(oracle_k).any() or np.isinf([risk, se]).any()
                 or np.isinf([cand_risk, cand_se]).any()):
             raise overflow
         oracle_term = float(np.min(oracle_k))
-        k_star = int(np.argmin(cand_risk))
+        best = int(np.argmin(cand_risk))   # k* = pair[best]
         ratio = (risk - 2.0 * tail - kr / n) / oracle_term
-        agree = math.nan
-        if method == "projection":
-            # the thresholding cross-check, on the same penalties and row blocks
-            agreed = 0
-            for block in _row_blocks(R, F):
-                _, thr = threshold_objectives(lam, C[block], pens)
-                agreed += int(np.count_nonzero(np.argmin(thr, axis=1) == chosen[block]))
-            agree = agreed / R
+        # the thresholding cross-check ran on the same penalties and row blocks
+        agree = agreed / R if method == "projection" else math.nan
         rows.append(RiskRow(n, method, R, float(risk), float(se),
-                            float(cand_risk[k_star]), float(cand_se[k_star]),
+                            float(cand_risk[best]), float(cand_se[best]),
                             oracle_term, tail, kr, float(ratio),
                             float(pcfg.weights[0]), agree))
     return rows

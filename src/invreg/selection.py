@@ -7,12 +7,15 @@ its noise footprint,
 
 and ``objectives`` adds it to the contrast of a block of data vectors
 against every candidate: the squared coefficient-space distance between
-the candidate estimate and the maximal-model inversion of the data.  The
+the candidate estimate and the maximal-model inversion of the data, taken
+as one length-d dot product of the squared inversion (c / lambda)^2 with
+the candidate's squared filter residual (1 - lambda F_k)^2.  The
 first argmin of contrast + penalty is selected.  ``select`` is the case of
 one data vector, the risk study scores its replications a block of rows
 per call, and the concentration checks measure their tails from half the
 penalty.  For nested projections the rule is hard thresholding of the
-inverted coefficients; ``threshold_objectives`` computes it that way, as a
+inverted coefficients; ``threshold_objectives`` computes it that way, with
+the dropped energies summed from the last coordinate backwards, as a
 cross-check of the kernel on the same ``projection_family`` penalties:
 ``select_by_threshold`` for one data vector, the risk study in the kernel's
 row blocks.
@@ -109,11 +112,19 @@ def objectives(F: np.ndarray, lam: np.ndarray, C: np.ndarray,
 
     ``F`` is the K x d filter matrix, ``lam`` the d singular values, ``C``
     the R x d singular coefficients of the data and ``pen`` the K
-    penalties.  A non-finite objective raises ParameterError.
+    penalties.  The contrast of row r and candidate k is one length-d dot
+    product of the squared inversion x_r^2 = (c_r / lam)^2 with the squared
+    filter residual (1 - lam F_k)^2, so no R x K x d array is formed.  x^2
+    is finite whenever the inversion's energy is, and the residual is at
+    most 1 in modulus for every family, so no term overflows where the
+    inversion does not.  A non-finite objective raises ParameterError.
     """
-    back = (1.0 - lam * F) * C[:, None, :]
-    back /= lam
-    con = np.vecdot(back, back)   # same dot product as contrast(), bit for bit
+    x2 = C / lam
+    x2 *= x2
+    a2 = 1.0 - lam * F
+    a2 *= a2
+    # a broadcast view, no copy; the same dot product as contrast(), bit for bit
+    con = np.vecdot(x2[:, None, :], a2)
     obj = con + pen
     if not np.all(np.isfinite(obj)):
         raise ParameterError("non-finite selection objective; check the data "
@@ -132,10 +143,12 @@ def penalty(family: RegularizerFamily, k: int, cfg: PenaltyConfig) -> float:
 def contrast(family: RegularizerFamily, k: int, op: DiscretizedOperator, y) -> float:
     """Squared distance, after inversion on the maximal model, between the
     data and the image of candidate k's estimate (one-candidate reference
-    reading of ``objectives``)."""
+    reading of ``objectives``: the squared inversion dotted with candidate
+    k's squared filter residual)."""
     lam = op.singular_values
-    back = (1.0 - lam * family.filter_matrix[k]) * op.svd_coefficients(y) / lam
-    return float(np.dot(back, back))
+    x = op.svd_coefficients(y) / lam
+    a = 1.0 - lam * family.filter_matrix[k]
+    return float(np.vecdot(x * x, a * a))
 
 
 def _kraft_factors(trace: np.ndarray, radius: np.ndarray, n: int,
@@ -267,12 +280,15 @@ def threshold_objectives(lam: np.ndarray, C: np.ndarray,
 
     The contrast of prefix {1..j} is the energy of the inverted coefficients
     it drops, so coordinate j survives when its squared inverted coefficient
-    beats the penalty increment.  ``lam`` holds the first m0 singular values,
-    ``C`` R x m0 coefficients and ``pen`` the m0 prefix penalties.
+    beats the penalty increment.  The dropped energies are summed from the
+    last coordinate backwards, so a dominant early coefficient does not
+    swamp the tail.  ``lam`` holds the first m0 singular values, ``C`` R x m0
+    coefficients and ``pen`` the m0 prefix penalties.
     """
     x = C / lam
     sq = x * x
-    con = np.sum(sq, axis=1, keepdims=True) - np.cumsum(sq, axis=1)
+    con = np.zeros_like(sq)
+    con[:, :-1] = np.cumsum(sq[:, :0:-1], axis=1)[:, ::-1]
     return con, con + pen
 
 

@@ -110,6 +110,22 @@ class TestSelect:
         summary = Path(sel_out, "summary.txt").read_text()
         assert "threshold_agreement = 1" in summary
 
+    def test_projection_paths_agree_under_a_dominant_offset(self, tmp_path):
+        # 1e8 added to y puts nearly all inverted energy in the first coefficient
+        _, out = run_synth(tmp_path, cfg_text=SYNTH_CFG.replace("n = 16", "n = 64"))
+        path = Path(out, "data.csv")
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header] + [
+            f"{t},{clean},{float(y) + 1e8!r}"
+            for t, clean, y in (row.split(",") for row in rows)]) + "\n")
+        cfg = write_config(tmp_path, "sel.ini",
+                           SELECT_SECTIONS.format(kind="projection", extra=""))
+        sel_out = str(tmp_path / "sel")
+        assert main(["select", "--config", cfg, "--data", out,
+                     "--out", sel_out]) == 0
+        summary = Path(sel_out, "summary.txt").read_text()
+        assert "threshold_agreement = 1" in summary
+
     def run_select(self, tmp_path, kind="projection", extra="", sections=None):
         _, out = run_synth(tmp_path)
         cfg = write_config(tmp_path, "sel.ini",

@@ -261,6 +261,18 @@ class TestRiskKernel:
             assert ([repr(astuple(r)) for r in got]
                     == [repr(astuple(r)) for r in _reference_rows(n, cfg, d_ext)])
 
+    @pytest.mark.parametrize("overrides", [{"p": 0.5}, {"nu": 1.0}, {"replications": 1}],
+                             ids=["p=1/2", "nu=1", "R=1"])
+    def test_whole_array_kernel_at_other_protocols(self, overrides):
+        # the closed-form pick of the oracle candidate and the reduction of its
+        # errors reproduce the whole R x K error array, NaN standard errors too
+        cfg = replace(ExperimentConfig(n_grid=(256, 2048), replications=self.R,
+                                       seed=9), **overrides)
+        d_ext = cfg.extended_dim()
+        for n in cfg.n_grid:
+            assert ([repr(astuple(r)) for r in _risk_rows_for_n(n, cfg, d_ext)]
+                    == [repr(astuple(r)) for r in _reference_rows(n, cfg, d_ext)])
+
     @staticmethod
     def _peak_growth(cfg):
         """tracemalloc peak of the one grid point of ``cfg`` at 10^4

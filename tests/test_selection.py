@@ -211,6 +211,25 @@ class TestObjectives:
         with pytest.raises(ParameterError):
             objectives(fam.filter_matrix, op_p1_d4_n16.singular_values, C, pens)
 
+    def test_finite_wherever_the_inversion_is(self):
+        # singular values near 1e10 and coefficients near 1e160: c^2 overflows,
+        # x^2 = (c / lam)^2 does not, and the filter residual is at most 1
+        base = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(16), 4)
+        op = discretize_operator(base.sample_matrix * 1e10, base.grid, 4)
+        assert op.singular_values.min() > 1e9
+        ys = [op.forward(np.array([1e150, -3e149, 2e149, 7e148]) * s)
+              for s in (1.0, 0.5, -1.7)]
+        C = np.array([op.svd_coefficients(y) for y in ys])
+        with np.errstate(over="ignore"):
+            assert np.isinf(C * C).any()
+        for fam in (tikhonov_of(op), projection_of(op)):
+            pens = penalties(fam.trace_stats, fam.radius_stats, PenaltyConfig(sigma2=1.0))
+            cons, objs = objectives(fam.filter_matrix, op.singular_values, C, pens)
+            assert np.all(np.isfinite(objs))
+            for r, y in enumerate(ys):
+                for k in range(len(fam)):
+                    assert cons[r, k] == contrast(fam, k, op, y)
+
     @SETTINGS
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 12),
            n_factor=st.integers(1, 4), scale=st.floats(0.0, 3.0))
@@ -455,6 +474,22 @@ class TestSelectByThreshold:
             assert np.allclose(a.estimate, b.estimate, atol=1e-12)
             for ra, rb in zip(a.per_candidate, b.per_candidate):
                 assert ra.objective == pytest.approx(rb.objective, abs=1e-12)
+
+    def test_dominant_first_coefficient_keeps_the_tail(self, rng):
+        # x_1 up to 1e9 times the other inverted coefficients: the dropped
+        # energy of a prefix must not lose the tail to cancellation
+        op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(32), 7)
+        fam = projection_of(op)
+        for _ in range(500):
+            x = rng.standard_normal(7)
+            x[0] *= 10.0 ** rng.uniform(0, 9)
+            y = op.forward(x)
+            cfg = PenaltyConfig(sigma2=float(rng.uniform(0.01, 1.0)))
+            res = select_by_threshold(op, y, cfg)
+            assert res.chosen == select(fam, cfg, op, y).chosen
+            sq = (op.svd_coefficients(y) / op.singular_values) ** 2
+            for j, row in enumerate(res.per_candidate):
+                assert row.contrast == pytest.approx(np.sum(sq[j + 1:]), rel=1e-12)
 
     def test_reads_the_candidates_select_reads(self, rng):
         # at p = 1/4 a cumulative sum of 1/lambda^2 differs from the family's
