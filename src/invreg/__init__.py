@@ -26,7 +26,6 @@ from .errors import (
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,
-    ProjectionErrorRow,
     RateFit,
     RiskRow,
     SourceSpec,
@@ -34,7 +33,6 @@ from .experiments import (
     bias_m0,
     fit_rate,
     monte_carlo_risk,
-    projection_error_bound_check,
     synth_problem,
     theoretical_exponent,
 )

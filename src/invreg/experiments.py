@@ -1,4 +1,4 @@
-"""Synthetic risk studies: oracle ratios, rate exponents, noise projections.
+"""Synthetic risk studies: oracle ratios and rate exponents.
 
 Problems are generated on the midpoint cosine design, where the basis is
 exactly orthonormal in the empirical norm, with a spectral-synthetic
@@ -245,10 +245,11 @@ def _mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x.mean(axis=0), x.std(axis=0, ddof=1) / math.sqrt(R)
 
 
-def _row_blocks(R: int, F: np.ndarray) -> list[slice]:
-    """Slices of KERNEL_BLOCK_ELEMENTS // F.size rows (at least one) covering R
-    rows: the blocks in which the risk kernel handles the K x d filters F."""
-    step = max(1, KERNEL_BLOCK_ELEMENTS // F.size)
+def _row_blocks(R: int, width: int) -> list[slice]:
+    """Slices of KERNEL_BLOCK_ELEMENTS // width rows (at least one) covering R
+    rows of ``width`` elements each: the risk kernel's rows span the K x d
+    filters (width K d), the column-variance pass's the d coefficients."""
+    step = max(1, KERNEL_BLOCK_ELEMENTS // width)
     return [slice(lo, lo + step) for lo in range(0, R, step)]
 
 
@@ -269,7 +270,7 @@ def _score_blocks(F: np.ndarray, lam: np.ndarray, C: np.ndarray, pens: np.ndarra
     picked = np.empty(R)
     errs = np.empty((R, oracle.size))
     agreed = 0
-    for block in _row_blocks(R, F):
+    for block in _row_blocks(R, F.size):
         Cb = C[block]
         _, objs = objectives(F, lam, Cb, pens)
         chosen = np.argmin(objs, axis=1)
@@ -312,11 +313,10 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
     C *= cfg.sigma / math.sqrt(n)
     C += c0
     # column mean and population variance, the deviations a row block at a time
-    step = max(1, KERNEL_BLOCK_ELEMENTS // d)
     with np.errstate(over="ignore", invalid="ignore"):
         c_mean, c_var = C.mean(axis=0), np.zeros(d)
-        for lo in range(0, R, step):
-            dev = C[lo:lo + step] - c_mean
+        for block in _row_blocks(R, d):
+            dev = C[block] - c_mean
             dev *= dev
             c_var += dev.sum(axis=0)
     c_var /= R
@@ -413,48 +413,3 @@ def fit_rate(report: ExperimentReport, method: str) -> RateFit:
     theo = theoretical_exponent(report.config.p,
                                 min(report.config.nu, QUALIFICATION[method]))
     return RateFit(method, float(slope), 2.0 * se, theo, tuple(ns))
-
-
-# ---------------------------------------------------------------------------
-# projection error decomposition
-
-
-@dataclass(frozen=True)
-class ProjectionErrorRow:
-    d_m: int
-    bias: float
-    bias_bound: float
-    noise_energy: float
-    noise_energy_se: float
-    noise_energy_predicted: float
-
-
-def projection_error_bound_check(op: DiscretizedOperator, x0, nu: float,
-                                 dims, sigma: float, replications: int = 200,
-                                 seed: int = 0) -> list[ProjectionErrorRow]:
-    """Bias decay versus d_m^(-2 nu p) and projected noise energy versus
-    sigma^2 d_m / n, per model dimension.
-
-    The bias bound carries a fitted constant (the decay order is the
-    claim, not the constant); the noise prediction is exact in expectation
-    on an orthonormal design.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    dims = [int(m) for m in dims]
-    if any(m < 1 or m > op.d for m in dims):
-        raise ParameterError(f"dimensions must lie in [1, {op.d}]")
-    biases = np.array([math.sqrt(np.sum(x0[m:] ** 2)) for m in dims])
-    orders = np.array([float(m) ** (-2.0 * nu * op.p) for m in dims])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        consts = np.where(orders > 0, biases / orders, 0.0)
-    c_fit = float(np.max(consts)) if consts.size else 0.0
-
-    eps = np.random.default_rng(seed).normal(0.0, sigma, (replications, op.n))
-    csum = np.cumsum((eps @ op.singular_design.T / op.n) ** 2, axis=1)
-    mean, se = _mean_se(csum[:, np.array(dims) - 1])
-    rows = []
-    for i, m in enumerate(dims):
-        rows.append(ProjectionErrorRow(m, float(biases[i]), c_fit * float(orders[i]),
-                                       float(mean[i]), float(se[i]),
-                                       sigma ** 2 * m / op.n))
-    return rows

@@ -98,14 +98,15 @@ def tikhonov_family(lam: np.ndarray, n: int, p: float, alpha_max: float = 1.0,
 
 def projection_family(lam: np.ndarray, n: int,
                       dims: Sequence[int] | None = None) -> RegularizerFamily:
-    """Nested prefix models {1..j} for j in dims (default 1..d), d = lam.size."""
+    """Nested prefix models {1..j} for j in dims, strictly increasing (default
+    1..d), d = lam.size."""
     d = lam.size
     if dims is None:
         dims = range(1, d + 1)
     dims = [int(j) for j in dims]
     if any(j < 1 or j > d for j in dims):
         raise ParameterError(f"projection dimensions must lie in [1, {d}]")
-    if sorted(dims) != dims:
+    if any(a >= b for a, b in zip(dims, dims[1:])):
         raise ParameterError("projection dimensions must increase (smoothest first)")
     with np.errstate(over="ignore"):
         F = np.where(np.arange(d) < np.array(dims)[:, None], 1.0 / lam, 0.0)

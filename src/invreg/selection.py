@@ -262,15 +262,25 @@ def select(family: RegularizerFamily, cfg: PenaltyConfig,
     if family.n != op.n or F.shape[1] != op.d:
         raise DimensionError(f"family built for n = {family.n}, d = {F.shape[1]}, "
                              f"not the operator's n = {op.n}, d = {op.d}")
+    lam = op.singular_values
+    return _penalized_argmin(family, cfg, op, y,
+                             lambda C, pens: objectives(F, lam, C, pens))
+
+
+def _penalized_argmin(family: RegularizerFamily, cfg: PenaltyConfig,
+                      op: DiscretizedOperator, y, kernel) -> SelectionResult:
+    """The selection result of one data vector y: ``kernel`` maps its 1 x d
+    singular coefficients and the K penalties to 1 x K (contrasts,
+    objectives), the first argmin is chosen and its filter row estimates."""
     c = op.svd_coefficients(y)
     pens = penalties(family.trace_stats, family.radius_stats, cfg)
-    cons, objs = objectives(F, op.singular_values, c[None, :], pens)
+    cons, objs = kernel(c[None, :], pens)
     best = int(np.argmin(objs[0]))
     rows = [CandidateRow(k, family.label(k), family.parameters[k], float(cons[0, k]),
                          float(pens[k]), float(objs[0, k]))
             for k in range(len(family))]
     rows[best].chosen = True
-    estimate = op.x_vectors @ (F[best] * c)
+    estimate = op.x_vectors @ (family.filter_matrix[best] * c)
     return SelectionResult(best, rows, estimate, kraft_sum(family, cfg))
 
 
@@ -304,13 +314,6 @@ def select_by_threshold(op: DiscretizedOperator, y, cfg: PenaltyConfig,
     if m0 < 1 or m0 > op.d:
         raise ParameterError(f"prefix bound must lie in [1, {op.d}]")
     family = projection_family(op.singular_values, op.n, range(1, m0 + 1))
-    c = op.svd_coefficients(y)
-    pens = penalties(family.trace_stats, family.radius_stats, cfg)
-    cons, objs = threshold_objectives(op.singular_values[:m0], c[None, :m0], pens)
-    best = int(np.argmin(objs[0]))
-    rows = [CandidateRow(j, family.label(j), family.parameters[j], float(cons[0, j]),
-                         float(pens[j]), float(objs[0, j]))
-            for j in range(m0)]
-    rows[best].chosen = True
-    estimate = op.x_vectors @ (family.filter_matrix[best] * c)
-    return SelectionResult(best, rows, estimate, kraft_sum(family, cfg))
+    lam = op.singular_values[:m0]
+    return _penalized_argmin(family, cfg, op, y,
+                             lambda C, pens: threshold_objectives(lam, C[:, :m0], pens))

@@ -1,5 +1,6 @@
 import configparser
 import csv
+import inspect
 import io
 import math
 import os
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import invreg
 from invreg.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -498,6 +500,9 @@ OUT_OF_RANGE = {
         tmp, DIAG_CFG + "[diagnostics]\ndims =\n"),
     "select count": lambda tmp: _select_argv(
         tmp, SELECT_SECTIONS.format(kind="tikhonov", extra="count = 0\n")),
+    # a repeated dimension would be a repeated candidate in the kraft sum
+    "select repeated dims": lambda tmp: _select_argv(
+        tmp, SELECT_SECTIONS.format(kind="projection", extra="dims = 1, 1, 2\n")),
     "diagnostics data p": lambda tmp: ["diagnostics"] + _select_argv(
         tmp, "[problem]\np = -1\n")[1:],
     "rates kraft_target": lambda tmp: _rates_argv(
@@ -817,6 +822,68 @@ class TestConfigSweep:
             assert read, command
             unswept += [(command, *k) for k in sorted(read - swept[command])]
         assert not unswept
+
+
+# exported functions and methods that no command calls, each a reading the
+# ROADMAP, the acceptance criteria or the README quick start names
+UNREACHED = {
+    "penalty": "one-candidate reference reading of penalties",
+    "contrast": "one-candidate reference reading of objectives",
+    "DiscretizedOperator.forward_raw": "reference reading of the sampled operator",
+    "DiscretizedOperator.adjoint": "reference reading of the operator's adjoint",
+    "eta": "reference reading of the quadratic-form supremum",
+    "z_envelope": "reference reading of the eta^2 envelope",
+    "empirical_norm": "acceptance Criterion 8 and the README quick start",
+    "DiscretizedOperator.forward": "acceptance Criterion 8 and the README quick start",
+}
+
+
+def _exported_code():
+    """{code object: name} of every public function and public class method
+    (properties included) that the invreg namespace exports."""
+    found = {}
+    for name, obj in vars(invreg).items():
+        if name.startswith("_") or not getattr(obj, "__module__", "").startswith("invreg"):
+            continue
+        if inspect.isfunction(obj):
+            found[obj.__code__] = name
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                fn = member.fget if isinstance(member, property) else member
+                fn = getattr(fn, "__func__", fn)
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    found[fn.__code__] = f"{name}.{attr}"
+    return found
+
+
+class TestReach:
+    def test_every_export_is_reached_by_a_command(self, tmp_path):
+        """Each command once on its SWEEP base (concentration with the shipped
+        matrix list, which builds a regularizer), plus one risk run, enters
+        every exported function and method outside UNREACHED."""
+        _, data = run_synth(tmp_path, "data", SYNTH_CFG.replace("n = 16", "n = 64"))
+        runs = [(command, uses_data, base) for command, uses_data, base, _ in SWEEP]
+        runs.append(("risk", False, RISK_CFG))
+        entered = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                entered.add(frame.f_code)
+
+        sys.setprofile(profile)
+        try:
+            for i, (command, uses_data, base) in enumerate(runs):
+                if command == "concentration":
+                    base = base.replace("identity:4 decay:8",
+                                        "identity:4 decay:8 regularizer:4x16")
+                argv = [command, "--config", write_config(tmp_path, f"{i}.ini", base),
+                        "--out", str(tmp_path / f"out{i}")]
+                assert main(argv + (["--data", data] if uses_data else [])) == 0
+        finally:
+            sys.setprofile(None)
+        unreached = {name for code, name in _exported_code().items()
+                     if code not in entered}
+        assert unreached == set(UNREACHED)
 
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324,

@@ -20,7 +20,6 @@ from invreg import (
     diagnostics,
     fit_rate,
     monte_carlo_risk,
-    projection_error_bound_check,
     synth_problem,
     theoretical_exponent,
 )
@@ -344,33 +343,3 @@ class TestFitRate:
                                        math.nan))
         with pytest.raises(InsufficientDataError):
             fit_rate(report, "tikhonov")
-
-
-class TestProjectionErrorBound:
-    def test_truth_inside_model_has_zero_bias(self, op_p1_d4_n16):
-        x0 = np.array([1.0, -1.0, 0.0, 0.0])
-        rows = projection_error_bound_check(op_p1_d4_n16, x0, 0.5, [2, 3, 4],
-                                            sigma=0.1, replications=10)
-        assert rows[0].bias == pytest.approx(0.0)
-
-    def test_projected_noise_energy_matches_chi_square_mean(self):
-        prob = synth_problem(1.0, 0.5, 1.0, 256)
-        sigma = 0.3
-        rows = projection_error_bound_check(prob.op, prob.x0, 0.5,
-                                            [1, 2, 4], sigma=sigma,
-                                            replications=400, seed=8)
-        for row in rows:
-            predicted = sigma ** 2 * row.d_m / 256
-            assert row.noise_energy_predicted == pytest.approx(predicted)
-            assert abs(row.noise_energy - predicted) <= 3 * row.noise_energy_se
-
-    def test_bias_decay_slope(self):
-        # log-uniform source, p = 1, nu = 1/2: bias ~ d^(-2 nu p) = d^(-1)
-        prob = synth_problem(1.0, 0.5, 1.0, 4096)
-        dims = [2, 4, 8, 16]
-        rows = projection_error_bound_check(prob.op, prob.x0, 0.5, dims,
-                                            sigma=0.1, replications=2)
-        slope = np.polyfit(np.log(dims), np.log([r.bias for r in rows]), 1)[0]
-        assert slope == pytest.approx(-1.0, abs=0.1)
-        for row in rows:
-            assert row.bias <= row.bias_bound + 1e-12
