@@ -13,7 +13,6 @@ from .concentration import (
     penalized_level,
     projection_identity_check,
     tail_check,
-    z_envelope,
 )
 from .errors import (
     DegenerateDesignError,

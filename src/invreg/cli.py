@@ -86,8 +86,7 @@ def cmd_synth(args) -> int:
     man.csv("operator.csv", [f"phi{j + 1}" for j in range(op.d)], op.sample_matrix)
     man.csv("truth.csv", ["j", "x0"], enumerate(prob.x0.tolist(), start=1))
     rng = np.random.default_rng((seed, op.n, 0))
-    y = prob.clean + (rng.normal(0.0, prob.sigma, op.n) if prob.sigma > 0
-                      else np.zeros(op.n))
+    y = prob.clean + rng.normal(0.0, prob.sigma, op.n)
     man.csv("data.csv", ["t", "clean", "y"], np.column_stack([t, prob.clean, y]))
     man.finish()
     print(f"synth: wrote {len(man.outputs)} files to {args.out}")
@@ -96,7 +95,8 @@ def cmd_synth(args) -> int:
 
 def _operator_from_data(cp, data_dir: str):
     """The operator sampled in ``data_dir``; any fault found while building it
-    from the files is a data error (exit 3)."""
+    from the files, or a singular value whose square is not a normal double,
+    is a data error (exit 3)."""
     p = cfg_value(cp, "problem", "p", float, 1.0)
     if not p > 0:
         raise ConfigError(f"[problem] p must be positive, got {p}")
@@ -106,9 +106,14 @@ def _operator_from_data(cp, data_dir: str):
         S = cio.read_matrix_csv(os.path.join(data_dir, "operator.csv"))
         if S.shape[0] != grid.n:
             raise DataError(f"operator.csv has {S.shape[0]} rows, grid has {grid.n}")
-        return discretize_operator(S, grid, S.shape[1], p)
+        op = discretize_operator(S, grid, S.shape[1], p)
     except InvregError as exc:
         raise DataError(str(exc)) from exc
+    lam_min = float(op.singular_values[-1])
+    if lam_min < np.sqrt(np.finfo(float).tiny):
+        raise DataError(f"operator.csv: smallest singular value {lam_min!r} is below "
+                        "1.5e-154, so its square is not a normal double")
+    return op
 
 
 def _family_from_config(cp, op):
@@ -129,10 +134,6 @@ def _family_from_config(cp, op):
 def cmd_select(args) -> int:
     cp = cio.load_config(args.config)
     op = _operator_from_data(cp, args.data)
-    lam_min = float(op.singular_values[-1])
-    if lam_min < np.sqrt(np.finfo(float).tiny):
-        raise DataError(f"operator.csv: smallest singular value {lam_min!r} is below "
-                        "1.5e-154, so its square is not a normal double")
     data = cio.read_csv_columns(os.path.join(args.data, "data.csv"), ["t", "y"])
     y = data["y"]
     if not np.array_equal(data["t"], op.grid.points):

@@ -55,13 +55,6 @@ def eta(A, eps) -> float:
     return float(np.linalg.norm(A @ eps))
 
 
-def z_envelope(A) -> np.ndarray:
-    """Per-coordinate envelopes diag(A^t A) / rho(A^t A); they sum to Tr/rho."""
-    A = np.asarray(A, dtype=float)
-    col_sq = np.sum(A * A, axis=0)
-    return col_sq / np.max(np.linalg.svd(A, compute_uv=False)) ** 2
-
-
 def _gram_stats(A: np.ndarray) -> tuple[float, float]:
     """Trace and spectral radius of A^t A, from one SVD of A."""
     sv = np.linalg.svd(A, compute_uv=False)

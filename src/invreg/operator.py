@@ -158,8 +158,7 @@ class DiscretizedOperator:
     basis under the empirical norm.  ``x_vectors`` columns are the
     coefficient-space singular vectors; ``singular_design`` rows are the
     sampled observation-side singular functions (empirically orthonormal,
-    Psi Psi^t = n I).  In these coordinates the composition adjoint-then-
-    forward is the diagonal matrix of squared singular values.
+    Psi Psi^t = n I).
     """
 
     grid: DesignGrid
@@ -185,17 +184,6 @@ class DiscretizedOperator:
             raise DimensionError(f"coefficient vector has length {x.size}, need {self.d}")
         xi = self.x_vectors.T @ x
         return self.singular_design.T @ (self.singular_values * xi)
-
-    def forward_raw(self, x) -> np.ndarray:
-        """Samples of the unprojected images, straight from the sample matrix."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise DimensionError(f"coefficient vector has length {x.size}, need {self.d}")
-        return self.sample_matrix @ x
-
-    def adjoint(self, y) -> np.ndarray:
-        """Adjoint of the projected operator applied to a sample vector."""
-        return self.x_vectors @ (self.singular_values * self.svd_coefficients(y))
 
     def svd_coefficients(self, y) -> np.ndarray:
         """Empirical inner products of y with the singular functions."""
@@ -275,12 +263,13 @@ class IllposednessDiagnostics:
     """Operator-norm diagnostics over a ladder of nested model dimensions.
 
     gamma_upper[m] is the norm of the residual of the projection applied to
-    the operator, gamma_lower[m] the smallest amplification of the adjoint
-    on the model space, nu[m] the norm of the model-wise generalized
-    inverse.  Fitted constants bracket the singular-value decay
-    (k1 j^-p <= lambda_j <= k2 j^-p) and the Gram spectrum
-    (a1 n <= eig(G G^t) <= a2 n).  Violations show up as flags, never as
-    exceptions.
+    the operator, the largest singular value of an explicit dense matrix.
+    On the model spanned by the first m singular functions, gamma_lower[m]
+    = lambda_m is the smallest amplification of the operator and nu[m] =
+    1/lambda_m the norm of the model-wise generalized inverse.  Fitted
+    constants bracket the singular-value decay (k1 j^-p <= lambda_j <=
+    k2 j^-p) and the Gram spectrum (a1 n <= eig(G G^t) <= a2 n).
+    Violations show up as flags, never as exceptions.
     """
 
     dims: tuple[int, ...]
@@ -315,47 +304,41 @@ class IllposednessDiagnostics:
 def diagnostics(op: DiscretizedOperator, dims: Sequence[int]) -> IllposednessDiagnostics:
     """Compute the ill-posedness diagnostics of the projected operator.
 
-    All norms are largest singular values of explicit dense matrices; the
-    maps go from Euclidean coefficient space to the empirical norm.  A
-    fitted constant ratio above RATIO_TOL flags the corresponding
-    assumption; a flag is advice, not an error.  An index p for which j^p
-    overflows raises ParameterError.
+    On the model spanned by the first m singular functions gamma_lower is
+    lambda_m and nu is 1/lambda_m, read off the certified singular values.
+    gamma_upper is the largest singular value of an explicit dense matrix,
+    the residual of the sampled images, from Euclidean coefficient space to
+    the empirical norm.  A fitted constant ratio above RATIO_TOL flags the
+    corresponding assumption; a flag is advice, not an error.  An index p
+    for which j^p overflows raises ParameterError.
     """
     dims = tuple(int(m) for m in dims)
     if not dims or any(m < 1 or m > op.d for m in dims):
         raise ParameterError(f"diagnostic dimensions must be nonempty, in [1, {op.d}]")
     n = op.n
-    S = op.sample_matrix
-    B = op.singular_design.T / math.sqrt(n)
-    g_up, g_lo, nus = [], [], []
-    for m in dims:
-        Bm = B[:, :m]
-        resid = S - Bm @ (Bm.T @ S)
-        g_up.append(np.linalg.svd(resid, compute_uv=False)[0] / math.sqrt(n))
-        Km = Bm.T @ S / math.sqrt(n)
-        sv = np.linalg.svd(Km, compute_uv=False)
-        g_lo.append(sv[min(m, sv.size) - 1])
-        nus.append(np.linalg.norm(np.linalg.pinv(Km), 2))
-    g_up = np.array(g_up)
-    g_lo = np.array(g_lo)
-    nus = np.array(nus)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(g_lo > 0, g_up / g_lo, np.inf)
-    finite = ratios[np.isfinite(ratios)]
-    ratio_bound = float(np.max(finite)) if finite.size else math.inf
-
     j = np.arange(1, op.d + 1, dtype=float)
     with np.errstate(over="ignore"):
         scaled = op.singular_values * j ** op.p
     if not np.all(np.isfinite(scaled)):
         raise ParameterError(f"[problem] p = {op.p!r} is so large that j^p overflows")
     k1, k2 = float(np.min(scaled)), float(np.max(scaled))
+
+    S = op.sample_matrix
+    B = op.singular_design.T / math.sqrt(n)
+    g_up = []
+    for m in dims:
+        Bm = B[:, :m]
+        resid = S - Bm @ (Bm.T @ S)
+        g_up.append(np.linalg.svd(resid, compute_uv=False)[0] / math.sqrt(n))
+    g_up = np.array(g_up)
+    g_lo = op.singular_values[np.array(dims) - 1]
+    ratio_bound = float(np.max(g_up / g_lo))
+
     eigs = np.linalg.eigvalsh(op.G @ op.G.T)
     a1, a2 = float(eigs[0] / n), float(eigs[-1] / n)
 
     sv_ok = k1 > 0 and k2 / k1 <= RATIO_TOL
     sf_ok = a1 > 0 and a2 / a1 <= RATIO_TOL
-    as_ok = bool(np.all(g_lo > 0)) and ratio_bound <= RATIO_TOL
-    return IllposednessDiagnostics(dims, g_up, g_lo, nus, ratio_bound,
+    as_ok = ratio_bound <= RATIO_TOL
+    return IllposednessDiagnostics(dims, g_up, g_lo, 1.0 / g_lo, ratio_bound,
                                    (k1, k2), (a1, a2), sv_ok, sf_ok, as_ok)

@@ -396,10 +396,10 @@ def _select_argv(tmp_path, sections):
     return ["select", "--config", cfg, "--data", out, "--out", str(tmp_path / "sel")]
 
 
-def _data_argv(tmp_path, name, edit, command="select"):
-    """argv of ``command --data`` on synth output whose ``name`` went through
+def _data_argv(tmp_path, name, edit):
+    """argv of ``select --data`` on synth output whose ``name`` went through
     ``edit`` (a map from the file's lines to new lines)."""
-    argv = [command] + _select_argv(tmp_path, TIKHONOV_SELECT)[1:]
+    argv = _select_argv(tmp_path, TIKHONOV_SELECT)
     path = os.path.join(argv[4], name)
     lines = Path(path).read_text().splitlines()
     Path(path).write_text("\n".join(edit(lines)) + "\n")
@@ -498,6 +498,9 @@ OUT_OF_RANGE = {
     "diagnostics dims": lambda tmp: _diag_argv(tmp, DIAG_CFG + "[diagnostics]\ndims = 0\n"),
     "diagnostics empty dims": lambda tmp: _diag_argv(
         tmp, DIAG_CFG + "[diagnostics]\ndims =\n"),
+    # 1/lambda_2 = 2^1050 overflows, and so does j^p
+    "diagnostics p overflow": lambda tmp: _diag_argv(
+        tmp, DIAG_CFG.replace("p = 1.0", "p = 1050")),
     "select count": lambda tmp: _select_argv(
         tmp, SELECT_SECTIONS.format(kind="tikhonov", extra="count = 0\n")),
     # a repeated dimension would be a repeated candidate in the kraft sum
@@ -598,8 +601,8 @@ def _overflowing_y(lines):
     return [lines[0]] + [l.rsplit(",", 1)[0] + ",1e300" for l in lines[1:]]
 
 
-def _synth_small_argv(tmp, command, edits, sections=TIKHONOV_SELECT):
-    """argv of ``command --data`` on the output of configs/synth_small.ini
+def _synth_small_argv(tmp, edits, sections=TIKHONOV_SELECT):
+    """argv of ``select --data`` on the output of configs/synth_small.ini
     (n = 64, d = 4) after ``edits`` (file name -> map from its lines to new
     lines)."""
     data = str(tmp / "synth")
@@ -608,23 +611,27 @@ def _synth_small_argv(tmp, command, edits, sections=TIKHONOV_SELECT):
     for name, edit in edits.items():
         path = Path(data, name)
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-    return [command, "--config", write_config(tmp, "sel.ini", sections),
+    return ["select", "--config", write_config(tmp, "sel.ini", sections),
             "--data", data, "--out", str(tmp / "out")]
 
 
-def _times_1e_160(first):
-    """Multiply every CSV column from index ``first`` on by 1e-160."""
+def _times(factor, first):
+    """Multiply every CSV column from index ``first`` on by ``factor``."""
     def edit(lines):
         rows = [l.split(",") for l in lines[1:]]
-        return [lines[0]] + [",".join(r[:first] + [repr(float(v) * 1e-160)
+        return [lines[0]] + [",".join(r[:first] + [repr(float(v) * factor)
                                                    for v in r[first:]])
                              for r in rows]
     return edit
 
 
+def _tiny_spectrum(factor):
+    # t stays, the operator and the clean and noisy data shrink
+    return {"operator.csv": _times(factor, 0), "data.csv": _times(factor, 1)}
+
+
 # 1/lambda_j^2 overflows for singular values below about 1e-154
-TINY_SPECTRUM = {"operator.csv": _times_1e_160(0),
-                 "data.csv": _times_1e_160(1)}   # t stays, clean and y shrink
+TINY_SPECTRUM = _tiny_spectrum(1e-160)
 
 
 def _shift_t(lines):
@@ -639,30 +646,32 @@ def _clustered_grid(lines):
     return [lines[0]] + [repr(v) for v in t]
 
 
-BAD_DATA = {
+# Faults in grid.csv or operator.csv.  diagnostics --data builds its operator
+# from these files as select does, so each row runs through both commands.
+BAD_OPERATOR_DATA = {
     "unsorted grid": lambda tmp: _data_argv(tmp, "grid.csv", _swap_first_rows),
     "copied operator column": lambda tmp: _data_argv(
         tmp, "operator.csv", _append_copy_of_first_column("copy")),
-    "diagnostics copied operator column": lambda tmp: _data_argv(
-        tmp, "operator.csv", _append_copy_of_first_column("copy"), "diagnostics"),
     "more operator columns than grid rows": lambda tmp: _data_argv(
         tmp, "operator.csv", _seventeen_columns),
     "repeated column name": lambda tmp: _data_argv(
         tmp, "operator.csv", _append_copy_of_first_column("phi1")),
-    "overflowing y": lambda tmp: _data_argv(tmp, "data.csv", _overflowing_y),
     "grid.csv is a directory": _grid_csv_is_a_directory,
-    "data.csv not utf-8": _latin1_data,
     "tiny spectrum": lambda tmp: _synth_small_argv(
-        tmp, "select", TINY_SPECTRUM, SELECT_SECTIONS.format(kind="projection",
-                                                             extra="")),
+        tmp, TINY_SPECTRUM, SELECT_SECTIONS.format(kind="projection", extra="")),
     # the Tikhonov statistics would be subnormal, of two or three digits
-    "tiny spectrum tikhonov": lambda tmp: _synth_small_argv(
-        tmp, "select", TINY_SPECTRUM),
-    "data t off the grid": lambda tmp: _data_argv(tmp, "data.csv", _shift_t),
+    "tiny spectrum tikhonov": lambda tmp: _synth_small_argv(tmp, TINY_SPECTRUM),
+    # the operator's samples are subnormal
+    "subnormal spectrum": lambda tmp: _synth_small_argv(tmp, _tiny_spectrum(1e-308)),
     "near-coincident grid points": lambda tmp: _synth_small_argv(
-        tmp, "select", {"grid.csv": _clustered_grid}),
-    "diagnostics near-coincident grid points": lambda tmp: _synth_small_argv(
-        tmp, "diagnostics", {"grid.csv": _clustered_grid}),
+        tmp, {"grid.csv": _clustered_grid}),
+}
+
+BAD_DATA = {
+    **BAD_OPERATOR_DATA,
+    "overflowing y": lambda tmp: _data_argv(tmp, "data.csv", _overflowing_y),
+    "data.csv not utf-8": _latin1_data,
+    "data t off the grid": lambda tmp: _data_argv(tmp, "data.csv", _shift_t),
 }
 
 
@@ -674,6 +683,9 @@ class TestOutOfRange:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("config error: " if code == 2 else "data error: ")
+        if case in BAD_OPERATOR_DATA:
+            assert main(["diagnostics"] + argv[1:]) == code
+            assert capsys.readouterr().err == err
 
     def test_statistics_overflow_names_p(self, tmp_path, capsys):
         with warnings.catch_warnings():
@@ -687,6 +699,7 @@ class TestOutOfRange:
         ("rates sigma variance overflow", "[problem] sigma"),
         ("rates sigma penalty overflow", "[problem] sigma"),
         ("rates sigma objective overflow", "[problem] sigma"),
+        ("diagnostics p overflow", "[problem] p"),
         ("concentration sigma tail overflow", "[concentration] sigma"),
         ("concentration sigma sample overflow", "[concentration] sigma"),
         ("concentration sigma^2 near overflow", "[concentration] sigma"),
@@ -829,10 +842,7 @@ class TestConfigSweep:
 UNREACHED = {
     "penalty": "one-candidate reference reading of penalties",
     "contrast": "one-candidate reference reading of objectives",
-    "DiscretizedOperator.forward_raw": "reference reading of the sampled operator",
-    "DiscretizedOperator.adjoint": "reference reading of the operator's adjoint",
     "eta": "reference reading of the quadratic-form supremum",
-    "z_envelope": "reference reading of the eta^2 envelope",
     "empirical_norm": "acceptance Criterion 8 and the README quick start",
     "DiscretizedOperator.forward": "acceptance Criterion 8 and the README quick start",
 }

@@ -19,7 +19,6 @@ from invreg import (
     penalized_level,
     projection_identity_check,
     tail_check,
-    z_envelope,
 )
 
 
@@ -53,14 +52,6 @@ class TestEta:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             eta(np.eye(3), np.zeros(4))
-
-    def test_z_envelope_budget_identity(self, rng):
-        for A in (np.eye(4), np.diag([1.0, 0.5, 1.0 / 3.0]),
-                  rng.standard_normal((3, 7))):
-            z = z_envelope(A)
-            sv = np.linalg.svd(A, compute_uv=False)
-            assert np.sum(z) == pytest.approx(np.sum(sv ** 2) / sv[0] ** 2,
-                                              abs=1e-12)
 
 
 class TestProjectionIdentity:

@@ -173,15 +173,6 @@ class TestDiscretizeOperator:
             got = op.forward(x)
             assert np.linalg.norm(got - ref) <= 1e-8 * max(np.linalg.norm(ref), 1.0)
 
-    def test_adjoint_forward_composition_is_diagonal(self, rng):
-        n, d = 12, 4
-        grid = midpoint_grid(n)
-        S = rng.standard_normal((n, d))
-        op = discretize_operator(S, grid, d, p=1.0)
-        comp = np.column_stack([op.adjoint(op.forward(e)) for e in np.eye(d)])
-        expected = op.x_vectors @ np.diag(op.singular_values ** 2) @ op.x_vectors.T
-        assert np.allclose(comp, expected, atol=1e-10)
-
     def test_synthetic_spec_needs_an_orthonormal_design(self):
         grid = DesignGrid(np.linspace(0.0, 1.0, 16))
         with pytest.raises(ParameterError, match="G G\\^t = n I"):
@@ -253,6 +244,27 @@ class TestDiagnostics:
         op = discretize_operator(S, grid, d, p=1.0)
         diag = diagnostics(op, range(1, d + 1))
         assert np.all(diag.nu >= diag.gamma_lower - 1e-12)
+
+    def test_lower_constants_match_explicit_model_operator(self, rng):
+        # random images leave the cosine span, so gamma_upper is nonzero
+        n, d = 20, 6
+        op = discretize_operator(rng.standard_normal((n, d)), midpoint_grid(n), d, p=1.0)
+        diag = diagnostics(op, range(1, d + 1))
+        assert np.all(diag.gamma_upper > 1e-3)
+        B = op.singular_design.T / math.sqrt(n)
+        for m, g, v in zip(diag.dims, diag.gamma_lower, diag.nu):
+            Km = B[:, :m].T @ op.sample_matrix / math.sqrt(n)
+            assert g == pytest.approx(np.linalg.svd(Km, compute_uv=False)[m - 1],
+                                      rel=1e-12)
+            assert v == pytest.approx(np.linalg.norm(np.linalg.pinv(Km), 2), rel=1e-12)
+
+    def test_nu_on_a_steep_spectrum(self):
+        # lambda_2 / lambda_1 = 2^-60: a pseudo-inverse with a relative cutoff
+        # of 1e-15 would drop lambda_2
+        op = discretize_operator(SpectralSynthetic(p=60.0), midpoint_grid(64), 2)
+        diag = diagnostics(op, [1, 2])
+        assert diag.nu.tolist() == [1.0, 2.0 ** 60]
+        assert diag.gamma_lower.tolist() == [1.0, 2.0 ** -60]
 
     def test_orderings_on_nested_models(self, op_p1_d4_n16):
         diag = diagnostics(op_p1_d4_n16, [1, 2, 3, 4])

@@ -164,7 +164,7 @@ class TestRegularizedTruth:
         got = regularized_truth(op_p1_d4_n16, fam, 0, x0)
         assert np.allclose(got, expected, atol=1e-12)
         # dense product route
-        dense = dense_resolvent_matrix(op_p1_d4_n16, alpha) @ op_p1_d4_n16.forward_raw(x0)
+        dense = dense_resolvent_matrix(op_p1_d4_n16, alpha) @ (op_p1_d4_n16.sample_matrix @ x0)
         assert np.allclose(got, dense, atol=1e-12)
 
 
