@@ -667,8 +667,17 @@ BAD_OPERATOR_DATA = {
         tmp, {"grid.csv": _clustered_grid}),
 }
 
+def _as_diagnostics(argv):
+    """The same ``--config``/``--data``/``--out`` run as ``diagnostics``."""
+    return ["diagnostics"] + argv[1:]
+
+
 BAD_DATA = {
     **BAD_OPERATOR_DATA,
+    "diagnostics copied operator column": lambda tmp: _as_diagnostics(
+        BAD_OPERATOR_DATA["copied operator column"](tmp)),
+    "diagnostics near-coincident grid points": lambda tmp: _as_diagnostics(
+        BAD_OPERATOR_DATA["near-coincident grid points"](tmp)),
     "overflowing y": lambda tmp: _data_argv(tmp, "data.csv", _overflowing_y),
     "data.csv not utf-8": _latin1_data,
     "data t off the grid": lambda tmp: _data_argv(tmp, "data.csv", _shift_t),
