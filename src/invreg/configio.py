@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import itertools
 import json
 import math
 import os
@@ -89,11 +90,17 @@ def cell(v) -> str:
     return str(v)
 
 
+# Rows of a float array that ``write_csv`` turns into Python floats at a time.
+WRITE_BLOCK_ROWS = 1024
+
+
 def write_csv(path: str, header, rows, comments=()) -> None:
     """Comment lines, the header, then the rows.
 
     A 2-D float array is written row by row as float reprs, NaN as NA (the
-    rule of ``cell``); any other ``rows`` go value by value through ``cell``.
+    rule of ``cell``), WRITE_BLOCK_ROWS rows at a time, so the bytes do not
+    depend on the block size; any other ``rows`` go value by value through
+    ``cell``.
     """
     with open(path, "w", newline="") as fh:
         for line in comments:
@@ -101,9 +108,11 @@ def write_csv(path: str, header, rows, comments=()) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-            has_nan = np.isnan(rows).any(axis=1).tolist()
-            fh.writelines(",".join(map(cell if nan else repr, row)) + "\r\n"
-                          for row, nan in zip(rows.tolist(), has_nan))
+            for lo in range(0, rows.shape[0], WRITE_BLOCK_ROWS):
+                block = rows[lo:lo + WRITE_BLOCK_ROWS]
+                has_nan = np.isnan(block).any(axis=1).tolist()
+                fh.writelines(",".join(map(cell if nan else repr, row)) + "\r\n"
+                              for row, nan in zip(block.tolist(), has_nan))
         else:
             writer.writerows(map(cell, row) for row in rows)
 
@@ -116,69 +125,90 @@ def _parse_field(token: str) -> float:
     return _parse(float, token)
 
 
-def _bad_body(path: str, header: list[str], body: list[str], reason) -> DataError:
-    """The error for a body that failed the fast parse: it cites the first
-    row with a wrong field count or a token that is not a finite number
-    (the header is row 1; comment and blank lines are not counted), else
-    states ``reason``."""
-    rows = (row for row in csv.reader(body) if row)
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            return DataError(f"{path}: row {i} has {len(row)} fields, "
-                             f"expected {len(header)}")
-        for h, tok in zip(header, row):
-            try:
-                _parse_field(tok)
-            except ValueError:
-                return DataError(f"{path}: row {i}: cannot parse {tok!r} "
-                                 f"in column {h} as a finite number")
+def _split_header(fh):
+    """(header, lines) of the open CSV ``fh``: the first row of the lines
+    that are not comments (None if there is none) and an iterator over the
+    lines below it, comment lines dropped."""
+    lines = (line for line in fh if not line.lstrip().startswith("#"))
+    first = next((row for row in csv.reader(lines) if row), None)
+    return first, lines
+
+
+def _bad_body(path: str, header: list[str], reason) -> DataError:
+    """The error for a body that failed the fast parse: it reads the file
+    again and cites the first row with a wrong field count or a token that
+    is not a finite number (the header is row 1; comment and blank lines are
+    not counted), else states ``reason``."""
+    with open(path, newline="") as fh:
+        _, lines = _split_header(fh)
+        rows = (row for row in csv.reader(lines) if row)
+        for i, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                return DataError(f"{path}: row {i} has {len(row)} fields, "
+                                 f"expected {len(header)}")
+            for h, tok in zip(header, row):
+                try:
+                    _parse_field(tok)
+                except ValueError:
+                    return DataError(f"{path}: row {i}: cannot parse {tok!r} "
+                                     f"in column {h} as a finite number")
     return DataError(f"{path}: {reason}")
 
 
-def read_csv_columns(path: str, expect: list[str] | None = None):
-    """Read a numeric CSV into {column: ndarray}; cites the failing row.
+def _read_table(path: str, expect: list[str] | None) -> tuple[list[str], np.ndarray]:
+    """(header, values) of a numeric CSV, values the n x len(header) body.
 
     Lines whose first non-blank character is ``#`` are comments; the first
-    other non-empty line is the header.  The body is parsed in one
-    ``np.loadtxt``; only when that fails, or finds a value that is not
-    finite, are the rows read again one by one to cite the first bad one.
+    other non-empty line is the header.  The rest of the open file, comment
+    lines dropped, streams through one ``np.loadtxt``; only when that fails,
+    or finds a value that is not finite, is the file read again to cite the
+    first bad row.
     """
     try:
         with open(path, newline="") as fh:
-            lines = [line for line in fh if not line.lstrip().startswith("#")]
+            first, lines = _split_header(fh)
+            if first is None:
+                raise DataError(f"{path}: empty file")
+            header = [h.strip() for h in first]
+            repeated = sorted({h for h in header if header.count(h) > 1})
+            if repeated:
+                raise DataError(f"{path}: repeated column names {repeated}")
+            if expect is not None:
+                missing = [c for c in expect if c not in header]
+                if missing:
+                    raise DataError(f"{path}: missing columns {missing}, "
+                                    f"have {header}")
+            # np.loadtxt warns on an empty body, so the first row is found here
+            row = next((line for line in lines if line.strip("\r\n")), None)
+            if row is None:
+                raise DataError(f"{path}: no data rows below the header")
+            try:
+                values = np.loadtxt(itertools.chain([row], lines), delimiter=",",
+                                    quotechar='"', comments=None, ndmin=2)
+            except UnicodeDecodeError:   # a ValueError, but a fault of the bytes
+                raise
+            except ValueError as exc:
+                raise _bad_body(path, header, exc)
+            if values.shape[1] != len(header) or not np.isfinite(values).all():
+                raise _bad_body(path, header, "width or finiteness check failed")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}")
-    reader = csv.reader(lines)
-    first = next((row for row in reader if row), None)
-    if first is None:
-        raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in first]
-    repeated = sorted({h for h in header if header.count(h) > 1})
-    if repeated:
-        raise DataError(f"{path}: repeated column names {repeated}")
-    if expect is not None:
-        missing = [c for c in expect if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}, have {header}")
-    body = lines[reader.line_num:]
-    if not any(line.strip("\r\n") for line in body):
-        raise DataError(f"{path}: no data rows below the header")
-    try:
-        values = np.loadtxt(body, delimiter=",", quotechar='"', comments=None,
-                            ndmin=2)
-    except ValueError as exc:
-        raise _bad_body(path, header, body, exc)
-    if values.shape[1] != len(header) or not np.isfinite(values).all():
-        raise _bad_body(path, header, body, "width or finiteness check failed")
+    return header, values
+
+
+def read_csv_columns(path: str, expect: list[str] | None = None):
+    """Read a numeric CSV into {column: ndarray}; cites the failing row (see
+    ``_read_table``)."""
+    header, values = _read_table(path, expect)
     # one contiguous array per column, so that products on a column take
     # the same BLAS path whatever the width of the file
     return dict(zip(header, np.ascontiguousarray(values.T)))
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
-    """Numeric matrix CSV (header row, one grid point per row)."""
-    cols = read_csv_columns(path)
-    return np.column_stack(list(cols.values()))
+    """Numeric matrix CSV (header row, one grid point per row), as the
+    C-contiguous n x d array of its body."""
+    return _read_table(path, None)[1]
 
 
 # ---------------------------------------------------------------------------

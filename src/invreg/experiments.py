@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
 from .operator import (
+    DesignGrid,
     DiscretizedOperator,
     SpectralSynthetic,
     choose_m0,
@@ -50,6 +51,13 @@ from .selection import (
     penalties,
     threshold_objectives,
 )
+
+
+# Elements of one block of a blocked product: rows x K x d in the risk
+# kernel, the products its contrasts sum (a block's temporaries are rows x K
+# contrasts and rows x d errors, and the block size changes no output bit),
+# and points x d_ext in synth_problem, the entries of the extended design.
+KERNEL_BLOCK_ELEMENTS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +135,21 @@ def synth_problem(p: float, nu: float, rho: float, n: int, seed: int = 0,
     grid = midpoint_grid(n)
     op = discretize_operator(SpectralSynthetic(p=p), grid, d)
     x0 = source.coefficients(p, d_ext, seed)
-    # only the samples are needed here; the model rows were certified above
-    G_ext = cosine_design(grid, d_ext)
     lam_ext = np.arange(1, d_ext + 1, dtype=float) ** (-float(p))
-    clean = G_ext.T @ (lam_ext * x0)
+    v = lam_ext * x0
+    # clean = G_ext^t v for the d_ext x n extended cosine design G_ext (the
+    # model rows were certified above), a block of at least d_ext grid points
+    # (as cosine_design requires) at a time.  Block edges fall on multiples
+    # of 256 points, so BLAS, which takes rows in groups of a few per thread,
+    # groups each row as in one whole product and gives its bits whenever
+    # that product's thread split falls on a group edge (one thread, or n a
+    # multiple of 4 x threads).
+    step = -(-max(d_ext, KERNEL_BLOCK_ELEMENTS // d_ext) // 256) * 256
+    edges = [0, *range(step, n - step + 1, step), n]
+    clean = np.empty(n)
+    for lo, hi in zip(edges, edges[1:]):
+        block = DesignGrid(grid.points[lo:hi])
+        clean[lo:hi] = cosine_design(block, d_ext).T @ v
     return SynthProblem(op, x0, float(sigma), clean)
 
 
@@ -229,12 +248,6 @@ class ExperimentReport:
         """(method, log n, log risk) triples for external plotting."""
         return [(r.method, math.log(r.n), math.log(r.risk)) for r in self.rows
                 if r.risk > 0]
-
-
-# Rows x K x d of one block of the risk kernel: the products its contrasts
-# sum.  A block's temporaries are rows x K contrasts and rows x d errors, and
-# the block size changes no output bit.
-KERNEL_BLOCK_ELEMENTS = 1 << 18
 
 
 def _mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -328,7 +328,8 @@ def diagnostics(op: DiscretizedOperator, dims: Sequence[int]) -> IllposednessDia
     g_up = []
     for m in dims:
         Bm = B[:, :m]
-        resid = S - Bm @ (Bm.T @ S)
+        resid = Bm @ (Bm.T @ S)
+        np.subtract(S, resid, out=resid)
         g_up.append(np.linalg.svd(resid, compute_uv=False)[0] / math.sqrt(n))
     g_up = np.array(g_up)
     g_lo = op.singular_values[np.array(dims) - 1]

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -938,6 +939,97 @@ class TestCell:
             assert Path(fast).read_bytes() == Path(slow).read_bytes()
             if np.isfinite(body).all():
                 assert read_matrix_csv(fast).tobytes() == body.tobytes()
+
+
+def _traced_peak(call):
+    """(result, tracemalloc peak in bytes) of ``call()``."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCsvStreaming:
+    """The writer formats a float array in row blocks and the readers stream
+    the file, so a round trip holds O(n d) floats and no whole-file text."""
+
+    def test_rows_across_a_write_block_edge_write_the_bytes_of_cell(self, tmp_path):
+        from invreg.configio import WRITE_BLOCK_ROWS, read_matrix_csv, write_csv
+        body = np.random.default_rng(5).standard_normal((2 * WRITE_BLOCK_ROWS + 3, 3))
+        header = ["a", "b", "c"]
+        fast, slow = str(tmp_path / "fast.csv"), str(tmp_path / "slow.csv")
+        write_csv(fast, header, body)
+        assert read_matrix_csv(fast).tobytes() == body.tobytes()
+        # NaN rows on both sides of the first block edge
+        body[WRITE_BLOCK_ROWS - 1, 0] = body[WRITE_BLOCK_ROWS, 2] = math.nan
+        write_csv(fast, header, body)
+        write_csv(slow, header, body.tolist())
+        assert Path(fast).read_bytes() == Path(slow).read_bytes()
+        lines = Path(fast).read_text().splitlines()
+        assert lines[WRITE_BLOCK_ROWS].startswith("NA,")
+        assert lines[WRITE_BLOCK_ROWS + 1].endswith(",NA")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("trailing", [True, False])
+    def test_line_endings(self, tmp_path, newline, trailing):
+        from invreg.configio import read_csv_columns
+        text = newline.join(["# note", "t,y", "0.5,1", "0.25,-2e-3"])
+        path = tmp_path / "d.csv"
+        path.write_bytes((text + (newline if trailing else "")).encode())
+        cols = read_csv_columns(str(path), ["t", "y"])
+        assert cols["t"].tolist() == [0.5, 0.25]
+        assert cols["y"].tolist() == [1.0, -2e-3]
+
+    def test_comment_and_blank_lines_between_rows(self, tmp_path):
+        from invreg.configio import read_matrix_csv
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n\n1,2\n# mid\n\n  # indented\n3,4\n\n")
+        assert read_matrix_csv(str(path)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_quoted_header(self, tmp_path):
+        from invreg.configio import read_csv_columns
+        path = tmp_path / "d.csv"
+        path.write_text('"t","y"\n0.5,1\n')
+        cols = read_csv_columns(str(path), ["t", "y"])
+        assert list(cols) == ["t", "y"] and cols["y"].tolist() == [1.0]
+
+    def test_bad_token_after_an_in_body_comment_cites_its_row(self, tmp_path):
+        from invreg.configio import DataError, read_csv_columns
+        path = tmp_path / "d.csv"
+        path.write_text("# head\nt,y\n0.5,1\n# note\n\n0.25,oops\n")
+        with pytest.raises(DataError, match="row 3: cannot parse 'oops' in column y"):
+            read_csv_columns(str(path))
+
+    def test_undecodable_bytes_far_down_are_a_read_error(self, tmp_path):
+        # far past the first chunk the text layer decodes, so the fault
+        # surfaces inside np.loadtxt; it is a read error, as in a short file,
+        # not the NaN row above it, which np.loadtxt accepts
+        from invreg.configio import DataError, read_matrix_csv
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\nnan,0.5\n" + b"0.125,0.25\n" * 10_000
+                         + "# caf\xe9\n".encode("latin-1"))
+        with pytest.raises(DataError, match="cannot read"):
+            read_matrix_csv(str(path))
+
+    def test_read_matrix_peaks_below_twice_its_array(self, tmp_path):
+        from invreg.configio import read_matrix_csv, write_csv
+        body = np.random.default_rng(6).standard_normal((16384, 26))
+        path = str(tmp_path / "operator.csv")
+        write_csv(path, [f"phi{j}" for j in range(1, 27)], body)
+        S, peak = _traced_peak(lambda: read_matrix_csv(path))
+        assert S.flags.c_contiguous and S.tobytes() == body.tobytes()
+        assert peak <= 2 * S.nbytes
+
+    def test_synth_peaks_below_four_operator_arrays(self, tmp_path):
+        from invreg.operator import choose_m0
+        n = 16384
+        cfg = write_config(tmp_path, "synth.ini",
+                           SYNTH_CFG.replace("n = 16", f"n = {n}"))
+        argv = ["synth", "--config", cfg, "--out", str(tmp_path / "synth")]
+        code, peak = _traced_peak(lambda: main(argv))
+        assert code == 0
+        assert peak <= 4 * n * choose_m0(n, 1.0) * 8
 
 
 class TestShippedConfigs:

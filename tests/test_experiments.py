@@ -64,6 +64,17 @@ class TestSynthProblem:
         lam = prob.op.singular_values
         assert np.allclose(c, lam * prob.x0[:prob.op.d], atol=1e-12)
 
+    @pytest.mark.parametrize("n,d_ext", [(64, 64), (20000, None)])
+    def test_blocked_samples_cover_every_grid_point(self, n, d_ext):
+        # (20000, None) spans several blocks of grid points, the last one
+        # longer; (64, 64) is one block of exactly d_ext points
+        prob = synth_problem(1.0, 0.5, 1.0, n, d_ext=d_ext)
+        d_ext = prob.x0.size
+        G_ext = invreg.operator.cosine_design(prob.op.grid, d_ext)
+        lam_ext = np.arange(1, d_ext + 1) ** -1.0
+        assert np.allclose(prob.clean, G_ext.T @ (lam_ext * prob.x0),
+                           rtol=0, atol=1e-14)
+
     def test_random_omega_is_seed_stable(self):
         src = SourceSpec(0.5, 2.0, "random")
         a = src.omega_vector(16, seed=4)
