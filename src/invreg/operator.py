@@ -8,6 +8,12 @@ G, d x n).  A forward operator is discretized by sampling the images of
 the first d coefficient basis functions on the grid, projecting them onto
 the span of G, and taking a singular value decomposition of the
 projected map.
+
+A sampled operator is projected one row block of the grid at a time (a
+tall-skinny QR of G^t: one QR per block, then one of the stacked R
+factors), and its diagnostics accumulate d x d Gram matrices over the
+same blocks, so neither holds an n x d array besides the samples S and
+the singular design Psi.
 """
 
 from __future__ import annotations
@@ -31,6 +37,11 @@ RANK_RTOL = 1e-12
 
 # Largest ratio of fitted constants that the diagnostics accept.
 RATIO_TOL = 1e3
+
+# Elements of one row block of the design on the sampled path and in the
+# diagnostics: blocks hold about DESIGN_BLOCK_ELEMENTS // d grid points, and
+# at least d.
+DESIGN_BLOCK_ELEMENTS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +105,15 @@ def cosine_design(grid: DesignGrid, d_m: int) -> np.ndarray:
     for j in range(1, d_m):
         G[j] = math.sqrt(2.0) * np.cos(j * math.pi * grid.points)
     return G
+
+
+def _row_blocks(n: int, d_m: int) -> list[slice]:
+    """Consecutive slices covering range(n) in n // step nearly equal row
+    blocks (one if n < step), step = max(d_m, DESIGN_BLOCK_ELEMENTS // d_m),
+    so each block has at least d_m rows unless the whole range has fewer."""
+    step = max(d_m, DESIGN_BLOCK_ELEMENTS // max(d_m, 1))
+    k = max(1, n // step)
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
 def build_design_matrix(grid: DesignGrid, d_m: int) -> np.ndarray:
@@ -162,7 +182,6 @@ class DiscretizedOperator:
     """
 
     grid: DesignGrid
-    G: np.ndarray
     sample_matrix: np.ndarray
     singular_values: np.ndarray
     x_vectors: np.ndarray
@@ -176,6 +195,11 @@ class DiscretizedOperator:
     @property
     def d(self) -> int:
         return self.singular_values.size
+
+    @property
+    def G(self) -> np.ndarray:
+        """The d x n cosine design of the grid, built on each request."""
+        return cosine_design(self.grid, self.d)
 
     def forward(self, x) -> np.ndarray:
         """Samples of the projected operator applied to coefficients x."""
@@ -204,33 +228,44 @@ def discretize_operator(op_spec, grid: DesignGrid, m0: int,
     ``op_spec`` is a SpectralSynthetic (singular values j^(-p) acting
     diagonally on the cosines; needs G G^t = n I, as on ``midpoint_grid``,
     and takes no ``p`` besides its own) or an n x m0 array of sampled
-    images of the coefficient basis, projected on the orthonormal basis of
-    one QR of G^t, whose R factor certifies the design's rank.  ``p``
+    images of the coefficient basis.  The array is projected on the
+    orthonormal basis Q = diag(Q_b) Q_top of a tall-skinny QR of G^t: one
+    QR G_b^t = Q_b R_b per row block of the grid, then one QR of the
+    stacked R_b, whose R factor certifies the design's rank.  Each Q_b is
+    kept in its block's columns of Psi until Psi is formed there.  ``p``
     records the arrays' ill-posedness index (default 1) for the families
     and diagnostics.
     """
     if p is not None and p <= 0:
         raise ParameterError("ill-posedness index must be positive")
-    G = cosine_design(grid, m0)
     n = grid.n
 
     if isinstance(op_spec, SpectralSynthetic):
         if p is not None:
             raise ParameterError("a SpectralSynthetic spec records its own index p")
+        G = cosine_design(grid, m0)
         lam = op_spec.values(m0)
         if np.max(np.abs(G @ G.T / n - np.eye(m0))) > 1e-10:
             raise ParameterError("a SpectralSynthetic spec needs a design with "
                                  "G G^t = n I (a midpoint grid)")
-        return DiscretizedOperator(grid, G, G.T * lam, lam, np.eye(m0), G,
+        return DiscretizedOperator(grid, G.T * lam, lam, np.eye(m0), G,
                                    float(op_spec.p))
 
     S = np.asarray(op_spec, dtype=float)
     if S.shape != (n, m0):
         raise DimensionError(f"sample matrix must be {n} x {m0}, got {S.shape}")
-    # Euclidean-orthonormal basis of the sampled observation space.
-    B, R = np.linalg.qr(G.T)
+    Psi = np.empty((m0, n))
+    blocks = _row_blocks(n, m0)
+    R_blocks, QtS_blocks = [], []
+    for rows in blocks:
+        Q_b, R_b = np.linalg.qr(cosine_design(DesignGrid(grid.points[rows]), m0).T)
+        Psi[:, rows] = Q_b.T
+        R_blocks.append(R_b)
+        QtS_blocks.append(Q_b.T @ S[rows])
+    Q_top, R = np.linalg.qr(np.vstack(R_blocks))
     _certify_rank(R)
-    K = B.T @ S / math.sqrt(n)
+    # Q^t S = sum_b Q_top,b^t (Q_b^t S_b), Q_top,b the b-th d x d block of Q_top
+    K = Q_top.T @ np.vstack(QtS_blocks) / math.sqrt(n)
     W, lam, Vt = np.linalg.svd(K)
     if lam[-1] <= RANK_RTOL * lam[0]:
         raise RankError("projected operator has a numerically zero singular value")
@@ -241,8 +276,11 @@ def discretize_operator(op_spec, grid: DesignGrid, m0: int,
         if V[i, j] < 0:
             V[:, j] = -V[:, j]
             W[:, j] = -W[:, j]
-    Psi = math.sqrt(n) * (B @ W).T
-    return DiscretizedOperator(grid, G, S, lam, V, Psi, 1.0 if p is None else float(p))
+    # Psi = sqrt(n) (Q W)^t, block b being sqrt(n) (Q_top,b W)^t Q_b^t
+    for b, rows in enumerate(blocks):
+        top = Q_top[b * m0:(b + 1) * m0]
+        Psi[:, rows] = (math.sqrt(n) * (top @ W).T) @ Psi[:, rows]
+    return DiscretizedOperator(grid, S, lam, V, Psi, 1.0 if p is None else float(p))
 
 
 def choose_m0(n: int, p: float) -> int:
@@ -263,7 +301,8 @@ class IllposednessDiagnostics:
     """Operator-norm diagnostics over a ladder of nested model dimensions.
 
     gamma_upper[m] is the norm of the residual of the projection applied to
-    the operator, the largest singular value of an explicit dense matrix.
+    the operator, read off the largest eigenvalue of the residual's d x d
+    Gram matrix.
     On the model spanned by the first m singular functions, gamma_lower[m]
     = lambda_m is the smallest amplification of the operator and nu[m] =
     1/lambda_m the norm of the model-wise generalized inverse.  Fitted
@@ -306,36 +345,46 @@ def diagnostics(op: DiscretizedOperator, dims: Sequence[int]) -> IllposednessDia
 
     On the model spanned by the first m singular functions gamma_lower is
     lambda_m and nu is 1/lambda_m, read off the certified singular values.
-    gamma_upper is the largest singular value of an explicit dense matrix,
-    the residual of the sampled images, from Euclidean coefficient space to
-    the empirical norm.  A fitted constant ratio above RATIO_TOL flags the
-    corresponding assumption; a flag is advice, not an error.  An index p
-    for which j^p overflows raises ParameterError.
+    gamma_upper is the norm of the residual of the sampled images, from
+    Euclidean coefficient space to the empirical norm: the square root of
+    the largest eigenvalue of the residual's Gram matrix over n, the Gram
+    matrix summed over row blocks of the grid.  The Gram spectrum of the
+    design is summed over the same blocks.  A fitted constant ratio above
+    RATIO_TOL flags the corresponding assumption; a flag is advice, not an
+    error.  An index p for which j^p overflows raises ParameterError.
     """
     dims = tuple(int(m) for m in dims)
     if not dims or any(m < 1 or m > op.d for m in dims):
         raise ParameterError(f"diagnostic dimensions must be nonempty, in [1, {op.d}]")
-    n = op.n
-    j = np.arange(1, op.d + 1, dtype=float)
+    n, d = op.n, op.d
+    j = np.arange(1, d + 1, dtype=float)
     with np.errstate(over="ignore"):
         scaled = op.singular_values * j ** op.p
     if not np.all(np.isfinite(scaled)):
         raise ParameterError(f"[problem] p = {op.p!r} is so large that j^p overflows")
     k1, k2 = float(np.min(scaled)), float(np.max(scaled))
 
-    S = op.sample_matrix
-    B = op.singular_design.T / math.sqrt(n)
-    g_up = []
-    for m in dims:
-        Bm = B[:, :m]
-        resid = Bm @ (Bm.T @ S)
-        np.subtract(S, resid, out=resid)
-        g_up.append(np.linalg.svd(resid, compute_uv=False)[0] / math.sqrt(n))
-    g_up = np.array(g_up)
+    # The projection of S on the first m singular functions is Psi_m^t C_m.
+    # Residuals enter their Gram matrices times 2^-e, 2^e near max|S|, so
+    # that their squares neither overflow nor underflow; the scaling is exact.
+    S, Psi = op.sample_matrix, op.singular_design
+    C = Psi @ S / n
+    e = int(np.frexp(max(S.max(), -S.min()))[1])
+    resid_grams = np.zeros((len(dims), d, d))
+    design_gram = np.zeros((d, d))
+    for rows in _row_blocks(n, d):
+        G_b = cosine_design(DesignGrid(op.grid.points[rows]), d)
+        design_gram += G_b @ G_b.T
+        for gram, m in zip(resid_grams, dims):
+            resid = Psi[:m, rows].T @ C[:m]
+            np.subtract(S[rows], resid, out=resid)
+            np.ldexp(resid, -e, out=resid)
+            gram += resid.T @ resid
+    g_up = np.ldexp(np.sqrt(np.linalg.eigvalsh(resid_grams)[:, -1] / n), e)
     g_lo = op.singular_values[np.array(dims) - 1]
     ratio_bound = float(np.max(g_up / g_lo))
 
-    eigs = np.linalg.eigvalsh(op.G @ op.G.T)
+    eigs = np.linalg.eigvalsh(design_gram)
     a1, a2 = float(eigs[0] / n), float(eigs[-1] / n)
 
     sv_ok = k1 > 0 and k2 / k1 <= RATIO_TOL

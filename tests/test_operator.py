@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from invreg import (
     empirical_projection,
     midpoint_grid,
 )
-from invreg.operator import _certify_rank
+from invreg import operator
+from invreg.operator import _certify_rank, _row_blocks
 
 
 class TestEmpiricalNorm:
@@ -184,24 +186,92 @@ class TestDiscretizeOperator:
 
     def test_design_is_factored_once_for_samples_and_never_for_synthetic(
             self, rng, monkeypatch):
-        calls = []
+        factored = []
         qr = np.linalg.qr
 
-        def counting_qr(a, *args, **kwargs):
-            calls.append(a.shape)
+        def recording_qr(a, *args, **kwargs):
+            factored.append(np.array(a))
             return qr(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        monkeypatch.setattr(operator, "DESIGN_BLOCK_ELEMENTS", 64)
         discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(32), 6)
-        assert calls == []
-        discretize_operator(rng.standard_normal((32, 6)), midpoint_grid(32), 6)
-        assert calls == [(32, 6)]
+        assert factored == []
+        grid = midpoint_grid(32)
+        discretize_operator(rng.standard_normal((32, 6)), grid, 6)
+        # blocks of 10, 11 and 11 grid points, then the stacked 6 x 6 R factors
+        assert [a.shape for a in factored] == [(10, 6), (11, 6), (11, 6), (18, 6)]
+        assert np.array_equal(np.vstack(factored[:3]), cosine_design(grid, 6).T)
 
     def test_spectrum_underflowing_to_zero_is_rejected(self):
         # 2^(-1100) is below the smallest subnormal
         assert SpectralSynthetic(p=600.0).values(2)[1] > 0
         with pytest.raises(ParameterError, match="underflows"):
             SpectralSynthetic(p=1100.0).values(2)
+
+
+def _clustered_grid(rng):
+    """3000 points, all but 40 of them crowded into [0, 0.25]."""
+    return DesignGrid(np.sort(np.concatenate([rng.uniform(0.0, 0.25, 2960),
+                                              np.linspace(0.3, 1.0, 40)])))
+
+
+class TestBlockedDiscretization:
+    """The blocked QR of G^t is as accurate as one whole-matrix QR, also on
+    certified designs that are ill-conditioned (a basis G^t R^-1 from
+    triangular solves would not be)."""
+
+    @pytest.mark.parametrize("case,d,blocks,min_cond", [
+        ("clustered", 60, 2, 1e4),
+        ("sorted uniform", 90, 1, 1e6),
+    ])
+    def test_matches_a_whole_matrix_qr(self, case, d, blocks, min_cond):
+        rng = np.random.default_rng(7)
+        grid = (_clustered_grid(rng) if case == "clustered"
+                else DesignGrid(np.sort(rng.uniform(0.0, 1.0, 100))))
+        n = grid.n
+        S = rng.standard_normal((n, d))
+        assert len(_row_blocks(n, d)) == blocks
+        Q, R = np.linalg.qr(cosine_design(grid, d).T)
+        sv = np.linalg.svd(R, compute_uv=False)
+        cond = sv[0] / sv[-1]
+        assert cond >= min_cond
+        ref = np.linalg.svd(Q.T @ S / math.sqrt(n), compute_uv=False)
+
+        op = discretize_operator(S, grid, d)
+        Psi = op.singular_design
+        assert np.max(np.abs(Psi @ Psi.T / n - np.eye(d))) <= 1e-13
+        rel = np.abs(op.singular_values - ref) / ref
+        assert np.max(rel) <= 10 * np.finfo(float).eps * cond
+
+
+class TestOperatorMemory:
+    """A sampled operator is discretized and diagnosed one row block at a
+    time: the only n x d array formed besides S is Psi."""
+
+    N, D = 16384, 26
+
+    def _traced(self, call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, *tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    def test_discretize_peaks_below_two_and_a_half_arrays_and_keeps_psi(self, rng):
+        S = rng.standard_normal((self.N, self.D))
+        grid = midpoint_grid(self.N)
+        op, kept, peak = self._traced(lambda: discretize_operator(S, grid, self.D))
+        assert op.singular_design.nbytes == S.nbytes
+        assert peak <= 2.5 * S.nbytes
+        assert kept <= 1.25 * S.nbytes
+
+    def test_diagnostics_allocate_below_one_array(self, rng):
+        S = rng.standard_normal((self.N, self.D))
+        op = discretize_operator(S, midpoint_grid(self.N), self.D)
+        _, _, peak = self._traced(lambda: diagnostics(op, range(1, self.D + 1)))
+        assert peak <= S.nbytes
 
 
 class TestChooseM0:
@@ -257,6 +327,17 @@ class TestDiagnostics:
             assert g == pytest.approx(np.linalg.svd(Km, compute_uv=False)[m - 1],
                                       rel=1e-12)
             assert v == pytest.approx(np.linalg.norm(np.linalg.pinv(Km), 2), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -500])
+    def test_gamma_upper_scales_with_extreme_samples(self, rng, scale):
+        # the squared residuals of 2^600 S would overflow, of 2^-500 S underflow
+        n, d = 40, 6
+        S = rng.standard_normal((n, d))
+        dims = range(1, d)
+        base = diagnostics(discretize_operator(S, midpoint_grid(n), d), dims)
+        scaled = diagnostics(discretize_operator(scale * S, midpoint_grid(n), d), dims)
+        assert np.allclose(scaled.gamma_upper / scale, base.gamma_upper,
+                           rtol=1e-12, atol=0.0)
 
     def test_nu_on_a_steep_spectrum(self):
         # lambda_2 / lambda_1 = 2^-60: a pseudo-inverse with a relative cutoff
