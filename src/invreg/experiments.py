@@ -14,7 +14,8 @@ N(0, sigma^2/n I).  The risk study therefore draws the coefficients
 directly, one R x d block per grid point n, and never forms a sample
 vector.  Its families need only j^(-p) and n, so it samples no design.
 The block is scored against the K x d filter matrix a few rows at a time
-(KERNEL_BLOCK_ELEMENTS), and no R x K x d array is formed: ``objectives``
+(the nearly equal row blocks of ``operator._row_blocks``, sized by
+KERNEL_BLOCK_ELEMENTS), and no R x K x d array is formed: ``objectives``
 takes one length-d dot product per row and candidate, each row's squared
 error is formed for its selected candidate only, and the oracle candidate
 k*, the argmin over k of the mean error |F_k c - x0|^2 across rows, is
@@ -22,7 +23,8 @@ ranked in closed form, |F_k cbar - x0|^2 + sum_j F_kj^2 v_j with cbar and v
 the column mean and population variance of the coefficients, before the
 errors of the two best are formed.  A projection cell's thresholding
 cross-check runs in the same row blocks, so a grid point takes O(R (K + d))
-memory.
+memory.  ``synth_problem`` forms its clean samples in row blocks of the
+grid too, each sample summed in index order without BLAS.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .operator import (
     DesignGrid,
     DiscretizedOperator,
     SpectralSynthetic,
+    _row_blocks,
     choose_m0,
     cosine_design,
     discretize_operator,
@@ -53,10 +56,12 @@ from .selection import (
 )
 
 
-# Elements of one block of a blocked product: rows x K x d in the risk
-# kernel, the products its contrasts sum (a block's temporaries are rows x K
-# contrasts and rows x d errors, and the block size changes no output bit),
-# and points x d_ext in synth_problem, the entries of the extended design.
+# Elements of one row block of a blocked product, which sets its _row_blocks
+# step: rows x K x d in the risk kernel, the products its contrasts sum (a
+# block's temporaries are rows x K contrasts and rows x d errors), rows x d
+# in the column-variance pass, and points x d_ext (at least d_ext points) in
+# synth_problem, the entries of the extended design.  The kernel's errors
+# and synth_problem's samples do not depend on the block size.
 KERNEL_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -139,17 +144,13 @@ def synth_problem(p: float, nu: float, rho: float, n: int, seed: int = 0,
     v = lam_ext * x0
     # clean = G_ext^t v for the d_ext x n extended cosine design G_ext (the
     # model rows were certified above), a block of at least d_ext grid points
-    # (as cosine_design requires) at a time.  Block edges fall on multiples
-    # of 256 points, so BLAS, which takes rows in groups of a few per thread,
-    # groups each row as in one whole product and gives its bits whenever
-    # that product's thread split falls on a group edge (one thread, or n a
-    # multiple of 4 x threads).
-    step = -(-max(d_ext, KERNEL_BLOCK_ELEMENTS // d_ext) // 256) * 256
-    edges = [0, *range(step, n - step + 1, step), n]
+    # (as cosine_design requires) at a time.  einsum sums each sample over j
+    # in index order without BLAS, so neither the block edges nor the thread
+    # count reach its bits.
     clean = np.empty(n)
-    for lo, hi in zip(edges, edges[1:]):
-        block = DesignGrid(grid.points[lo:hi])
-        clean[lo:hi] = cosine_design(block, d_ext).T @ v
+    for rows in _row_blocks(n, max(d_ext, KERNEL_BLOCK_ELEMENTS // d_ext)):
+        np.einsum("ji,j->i", cosine_design(DesignGrid(grid.points[rows]), d_ext), v,
+                  out=clean[rows])
     return SynthProblem(op, x0, float(sigma), clean)
 
 
@@ -258,14 +259,6 @@ def _mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x.mean(axis=0), x.std(axis=0, ddof=1) / math.sqrt(R)
 
 
-def _row_blocks(R: int, width: int) -> list[slice]:
-    """Slices of KERNEL_BLOCK_ELEMENTS // width rows (at least one) covering R
-    rows of ``width`` elements each: the risk kernel's rows span the K x d
-    filters (width K d), the column-variance pass's the d coefficients."""
-    step = max(1, KERNEL_BLOCK_ELEMENTS // width)
-    return [slice(lo, lo + step) for lo in range(0, R, step)]
-
-
 def _score_blocks(F: np.ndarray, lam: np.ndarray, C: np.ndarray, pens: np.ndarray,
                   x0: np.ndarray, oracle: np.ndarray,
                   prefix: bool) -> tuple[np.ndarray, np.ndarray, int]:
@@ -275,15 +268,16 @@ def _score_blocks(F: np.ndarray, lam: np.ndarray, C: np.ndarray, pens: np.ndarra
     ``oracle``, and, for the nested prefixes (``prefix``), the number of rows
     on which the thresholding form selects the same candidate.
 
-    The rows go through in ``_row_blocks``; each error meets the same
-    operations in the same order as in a whole R x K error array, so the
-    result does not depend on the block size.
+    The rows go through in the ``_row_blocks`` of step
+    KERNEL_BLOCK_ELEMENTS // (K d) (at least one row); each error meets the
+    same operations in the same order as in a whole R x K error array, so
+    the result does not depend on the block edges.
     """
     R = C.shape[0]
     picked = np.empty(R)
     errs = np.empty((R, oracle.size))
     agreed = 0
-    for block in _row_blocks(R, F.size):
+    for block in _row_blocks(R, max(1, KERNEL_BLOCK_ELEMENTS // F.size)):
         Cb = C[block]
         _, objs = objectives(F, lam, Cb, pens)
         chosen = np.argmin(objs, axis=1)
@@ -328,7 +322,7 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
     # column mean and population variance, the deviations a row block at a time
     with np.errstate(over="ignore", invalid="ignore"):
         c_mean, c_var = C.mean(axis=0), np.zeros(d)
-        for block in _row_blocks(R, d):
+        for block in _row_blocks(R, max(1, KERNEL_BLOCK_ELEMENTS // d)):
             dev = C[block] - c_mean
             dev *= dev
             c_var += dev.sum(axis=0)

@@ -9,11 +9,12 @@ the first d coefficient basis functions on the grid, projecting them onto
 the span of G, and taking a singular value decomposition of the
 projected map.
 
-A sampled operator is projected one row block of the grid at a time (a
-tall-skinny QR of G^t: one QR per block, then one of the stacked R
-factors), and its diagnostics accumulate d x d Gram matrices over the
-same blocks, so neither holds an n x d array besides the samples S and
-the singular design Psi.
+Every blocked pass of the package walks its rows in the nearly equal
+blocks of ``_row_blocks``.  A sampled operator is projected one row block
+of the grid at a time (a tall-skinny QR of G^t: one QR per block, then
+one of the stacked R factors), and its diagnostics accumulate d x d Gram
+matrices over the same blocks, so neither holds an n x d array besides
+the samples S and the singular design Psi.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ RANK_RTOL = 1e-12
 RATIO_TOL = 1e3
 
 # Elements of one row block of the design on the sampled path and in the
-# diagnostics: blocks hold about DESIGN_BLOCK_ELEMENTS // d grid points, and
-# at least d.
+# diagnostics: their _row_blocks step is max(d, DESIGN_BLOCK_ELEMENTS // d)
+# grid points.
 DESIGN_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -107,11 +108,11 @@ def cosine_design(grid: DesignGrid, d_m: int) -> np.ndarray:
     return G
 
 
-def _row_blocks(n: int, d_m: int) -> list[slice]:
-    """Consecutive slices covering range(n) in n // step nearly equal row
-    blocks (one if n < step), step = max(d_m, DESIGN_BLOCK_ELEMENTS // d_m),
-    so each block has at least d_m rows unless the whole range has fewer."""
-    step = max(d_m, DESIGN_BLOCK_ELEMENTS // max(d_m, 1))
+def _row_blocks(n: int, step: int) -> list[slice]:
+    """Consecutive slices covering range(n) in k = max(1, n // step) nearly
+    equal row blocks, the i-th from n*i//k to n*(i+1)//k, so each block has
+    at least ``step`` rows unless the whole range has fewer.  The one block
+    rule of every blocked pass; each caller passes its own step."""
     k = max(1, n // step)
     return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
@@ -255,7 +256,7 @@ def discretize_operator(op_spec, grid: DesignGrid, m0: int,
     if S.shape != (n, m0):
         raise DimensionError(f"sample matrix must be {n} x {m0}, got {S.shape}")
     Psi = np.empty((m0, n))
-    blocks = _row_blocks(n, m0)
+    blocks = _row_blocks(n, max(m0, DESIGN_BLOCK_ELEMENTS // max(m0, 1)))
     R_blocks, QtS_blocks = [], []
     for rows in blocks:
         Q_b, R_b = np.linalg.qr(cosine_design(DesignGrid(grid.points[rows]), m0).T)
@@ -372,7 +373,7 @@ def diagnostics(op: DiscretizedOperator, dims: Sequence[int]) -> IllposednessDia
     e = int(np.frexp(max(S.max(), -S.min()))[1])
     resid_grams = np.zeros((len(dims), d, d))
     design_gram = np.zeros((d, d))
-    for rows in _row_blocks(n, d):
+    for rows in _row_blocks(n, max(d, DESIGN_BLOCK_ELEMENTS // d)):
         G_b = cosine_design(DesignGrid(op.grid.points[rows]), d)
         design_gram += G_b @ G_b.T
         for gram, m in zip(resid_grams, dims):

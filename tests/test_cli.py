@@ -58,6 +58,23 @@ def run_synth(tmp_path, out_name="synth", cfg_text=SYNTH_CFG):
     return cfg, out
 
 
+def csvs_under_blas_threads(tmp_path, command, cfg):
+    """The CSVs that ``command`` writes from ``cfg`` in a subprocess under one
+    and under two BLAS threads, one {file name: bytes} dict per count."""
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "invreg.cli", command,
+                        "--config", cfg, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        written.append({f.name: f.read_bytes() for f in out.glob("*.csv")})
+    return written
+
+
 class TestSynth:
     def test_smoke_files_and_row_counts(self, tmp_path):
         _, out = run_synth(tmp_path)
@@ -74,6 +91,15 @@ class TestSynth:
             b1 = Path(out1, name).read_bytes()
             b2 = Path(out2, name).read_bytes()
             assert b1 == b2
+
+    def test_csvs_do_not_depend_on_blas_threads(self, tmp_path):
+        # n = 20001 is no multiple of 4 x threads, so a BLAS matrix-vector
+        # product over the grid would sum its last rows in another order
+        cfg = write_config(tmp_path, "threads.ini",
+                           SYNTH_CFG.replace("n = 16", "n = 20001"))
+        one, two = csvs_under_blas_threads(tmp_path, "synth", cfg)
+        assert sorted(one) == ["data.csv", "grid.csv", "operator.csv", "truth.csv"]
+        assert one == two
 
     def test_sigma_zero_gives_clean_observations(self, tmp_path):
         cfg_text = SYNTH_CFG.replace("sigma = 0.1", "sigma = 0.0")
@@ -313,18 +339,8 @@ class TestRiskAndRates:
         cfg = write_config(tmp_path, "threads.ini", RISK_CFG.replace(
             "64, 128, 256, 512", "4096, 8192, 16384, 65536").replace(
             "replications = 5", "replications = 20").replace("seed = 2", "seed = 0"))
-        path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
-                                             os.environ.get("PYTHONPATH")]))
-        written = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
-                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-            subprocess.run([sys.executable, "-m", "invreg.cli", "risk",
-                            "--config", cfg, "--out", str(out)],
-                           env=env, check=True, capture_output=True)
-            written.append((out / "risk.csv").read_bytes())
-        assert written[0] == written[1]
+        one, two = csvs_under_blas_threads(tmp_path, "risk", cfg)
+        assert "risk.csv" in one and one == two
 
 
 CONC_CFG = """

@@ -75,6 +75,13 @@ class TestSynthProblem:
         assert np.allclose(prob.clean, G_ext.T @ (lam_ext * prob.x0),
                            rtol=0, atol=1e-14)
 
+    def test_samples_do_not_depend_on_the_block_size(self, monkeypatch):
+        # at n = 20001 (d_ext = 112) the default splits the grid into 8 blocks,
+        # 2^12 elements into 178 blocks of 112 or 113 points
+        default = synth_problem(1.0, 0.5, 1.0, 20001).clean
+        monkeypatch.setattr(experiments, "KERNEL_BLOCK_ELEMENTS", 1 << 12)
+        assert np.array_equal(synth_problem(1.0, 0.5, 1.0, 20001).clean, default)
+
     def test_random_omega_is_seed_stable(self):
         src = SourceSpec(0.5, 2.0, "random")
         a = src.omega_vector(16, seed=4)
@@ -247,6 +254,8 @@ def _filter_size(n, cfg):
 
 class TestRiskKernel:
     R = 38  # 7 does not divide it
+    # a step of ``rows`` splits the R rows into max(1, R // rows) nearly equal blocks
+    BLOCK_SIZES = {1: [1] * R, 7: [7, 8, 7, 8, 8], R: [R], R + 5: [R]}
 
     @pytest.mark.parametrize("family", ["tikhonov", "projection"])
     @pytest.mark.parametrize("rows", [1, 7, R, R + 5])
@@ -266,8 +275,7 @@ class TestRiskKernel:
                                 rows * _filter_size(n, cfg))
             blocks.clear()
             got = _risk_rows_for_n(n, cfg, d_ext)
-            full, rest = divmod(self.R, min(rows, self.R))
-            assert blocks == [min(rows, self.R)] * full + ([rest] if rest else [])
+            assert blocks == self.BLOCK_SIZES[rows]
             assert ([repr(astuple(r)) for r in got]
                     == [repr(astuple(r)) for r in _reference_rows(n, cfg, d_ext)])
 

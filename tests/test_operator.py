@@ -231,7 +231,7 @@ class TestBlockedDiscretization:
                 else DesignGrid(np.sort(rng.uniform(0.0, 1.0, 100))))
         n = grid.n
         S = rng.standard_normal((n, d))
-        assert len(_row_blocks(n, d)) == blocks
+        assert len(_row_blocks(n, max(d, operator.DESIGN_BLOCK_ELEMENTS // d))) == blocks
         Q, R = np.linalg.qr(cosine_design(grid, d).T)
         sv = np.linalg.svd(R, compute_uv=False)
         cond = sv[0] / sv[-1]
