@@ -171,12 +171,6 @@ def cmd_select(args) -> int:
     seed = args.seed if args.seed is not None else 0
     man = cio.RunManifest("select", cio.config_echo(cp), seed, args.out).start()
     result = select(family, pcfg, op, y)
-    agreement = ""
-    # The thresholding form covers nested prefixes {1..j}, j = 1..m only.
-    m = len(family)
-    if family.kind == "projection" and family.parameters == list(range(1, m + 1)):
-        thr = select_by_threshold(op, y, pcfg, m0=m)
-        agreement = str(int(thr.chosen == result.chosen))
 
     _write_rows(man, "selection.csv", CandidateRow, result.per_candidate)
     stats = zip(family.parameters, family.trace_stats.tolist(),
@@ -195,8 +189,9 @@ def cmd_select(args) -> int:
         f"weight_policy = {weights_key}",
         f"weight_common = {float(w[0])!r}",
     ]
-    if agreement:
-        summary.append(f"threshold_agreement = {agreement}")
+    if family.nested:   # the thresholding form covers the prefix ladder only
+        thr = select_by_threshold(op, y, pcfg, m0=len(family))
+        summary.append(f"threshold_agreement = {int(thr.chosen == result.chosen)}")
     man.text("summary.txt", "\n".join(summary) + "\n")
     man.finish()
     print("\n".join(summary))
@@ -275,9 +270,10 @@ def _concentration_matrix(token: str) -> np.ndarray:
         dims = tuple(int(v) for v in (size or default).split("x"))
     except ValueError:
         dims = ()
-    if len(dims) != default.count("x") + 1 or min(dims) < 1:
-        raise ConfigError(f"bad size in concentration matrix {token!r}: "
-                          f"need positive integers shaped like {default}")
+    if (len(dims) != default.count("x") + 1 or min(dims) < 1
+            or name == "regularizer" and not 2 <= dims[0] <= dims[1]):
+        raise ConfigError(f"bad [concentration] matrices token {token!r}: need positive "
+                          f"integers shaped like {default}, and 2 <= d <= n for dxn")
     if name == "identity":
         return np.eye(dims[0])
     if name == "decay":

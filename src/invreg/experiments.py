@@ -13,18 +13,18 @@ tail rows are orthogonal to the model rows) and the noise adds
 N(0, sigma^2/n I).  The risk study therefore draws the coefficients
 directly, one R x d block per grid point n, and never forms a sample
 vector.  Its families need only j^(-p) and n, so it samples no design.
-The block is scored against the K x d filter matrix a few rows at a time
-(the nearly equal row blocks of ``operator._row_blocks``, sized by
+The block is scored against each K x d family a few rows at a time (the
+nearly equal row blocks of ``operator._row_blocks``, sized by
 KERNEL_BLOCK_ELEMENTS), and no R x K x d array is formed: ``objectives``
-takes one length-d dot product per row and candidate, each row's squared
-error is formed for its selected candidate only, and the oracle candidate
-k*, the argmin over k of the mean error |F_k c - x0|^2 across rows, is
-ranked in closed form, |F_k cbar - x0|^2 + sum_j F_kj^2 v_j with cbar and v
-the column mean and population variance of the coefficients, before the
-errors of the two best are formed.  A projection cell's thresholding
-cross-check runs in the same row blocks, so a grid point takes O(R (K + d))
-memory.  ``synth_problem`` forms its clean samples in row blocks of the
-grid too, each sample summed in index order without BLAS.
+dots each row with every row of the family's squared residual, formed once,
+each row's squared error is formed for its selected candidate only, and
+the oracle candidate k*, the argmin over k of the mean error |F_k c - x0|^2
+across rows, is ranked in closed form, |F_k cbar - x0|^2 + sum_j F_kj^2 v_j
+with cbar and v the column mean and population variance of the
+coefficients, before the errors of the two best are formed.  A ``nested``
+family's thresholding cross-check runs in the same row blocks, so a grid
+point takes O(R (K + d)) memory.  ``synth_problem`` forms its clean samples
+in row blocks of the grid too, each sample summed in index order without BLAS.
 """
 
 from __future__ import annotations
@@ -45,7 +45,12 @@ from .operator import (
     discretize_operator,
     midpoint_grid,
 )
-from .regularizers import QUALIFICATION, projection_family, tikhonov_family
+from .regularizers import (
+    QUALIFICATION,
+    RegularizerFamily,
+    projection_family,
+    tikhonov_family,
+)
 from .selection import (
     PenaltyConfig,
     default_weights,
@@ -259,27 +264,28 @@ def _mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x.mean(axis=0), x.std(axis=0, ddof=1) / math.sqrt(R)
 
 
-def _score_blocks(F: np.ndarray, lam: np.ndarray, C: np.ndarray, pens: np.ndarray,
-                  x0: np.ndarray, oracle: np.ndarray,
-                  prefix: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    """(picked, errs, agreed) of the R x d coefficients C against the K x d
-    filters F: the squared error |F_k c - x0|^2 of each row at its selected
-    candidate k, the R x len(oracle) squared errors of the candidates
-    ``oracle``, and, for the nested prefixes (``prefix``), the number of rows
-    on which the thresholding form selects the same candidate.
+def _score_blocks(family: RegularizerFamily, C: np.ndarray, pens: np.ndarray,
+                  x0: np.ndarray,
+                  oracle: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(picked, errs, agreed) of the R x d coefficients C against ``family``:
+    the squared error |F_k c - x0|^2 of each row at its selected candidate k,
+    the R x len(oracle) squared errors of the candidates ``oracle``, and, for
+    a ``nested`` family, the number of rows on which the thresholding form of
+    its first K coordinates selects the same candidate (NaN otherwise).
 
     The rows go through in the ``_row_blocks`` of step
     KERNEL_BLOCK_ELEMENTS // (K d) (at least one row); each error meets the
     same operations in the same order as in a whole R x K error array, so
     the result does not depend on the block edges.
     """
+    F, lam, K = family.filter_matrix, family.lam, len(family)
     R = C.shape[0]
     picked = np.empty(R)
     errs = np.empty((R, oracle.size))
-    agreed = 0
+    agreed = 0 if family.nested else math.nan
     for block in _row_blocks(R, max(1, KERNEL_BLOCK_ELEMENTS // F.size)):
         Cb = C[block]
-        _, objs = objectives(F, lam, Cb, pens)
+        _, objs = objectives(family.residual_sq, lam, Cb, pens)
         chosen = np.argmin(objs, axis=1)
         sq = F[chosen]
         sq *= Cb
@@ -290,8 +296,8 @@ def _score_blocks(F: np.ndarray, lam: np.ndarray, C: np.ndarray, pens: np.ndarra
         sq -= x0
         sq *= sq
         np.sum(sq, axis=2, out=errs[block])
-        if prefix:
-            _, thr = threshold_objectives(lam, Cb, pens)
+        if family.nested:
+            _, thr = threshold_objectives(lam[:K], Cb[:, :K], pens)
             agreed += int(np.count_nonzero(np.argmin(thr, axis=1) == chosen))
     return picked, errs, agreed
 
@@ -302,15 +308,6 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
     x_ext = SourceSpec(cfg.nu, cfg.rho, cfg.omega).coefficients(cfg.p, d_ext, cfg.seed)
     x0 = x_ext[:d]
     tail = bias_m0(x_ext, d)
-
-    base = PenaltyConfig(sigma2=cfg.sigma ** 2, r=cfg.r, kraft_d=cfg.kraft_d)
-    setups = {}
-    for method in cfg.methods():
-        family = (tikhonov_family(lam, n, cfg.p, cfg.alpha_max, cfg.alpha_ratio)
-                  if method == "tikhonov" else projection_family(lam, n))
-        w = default_weights(family, base, target=cfg.kraft_target)
-        pcfg = replace(base, weights=w)
-        setups[method] = (family, pcfg, kraft_sum(family, pcfg))
 
     # singular coefficients of the data in the sequence model (module docstring)
     R = cfg.replications
@@ -327,9 +324,13 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
             dev *= dev
             c_var += dev.sum(axis=0)
     c_var /= R
+    base = PenaltyConfig(sigma2=cfg.sigma ** 2, r=cfg.r, kraft_d=cfg.kraft_d)
     rows = []
-    for method, (family, pcfg, kr) in setups.items():
-        F = family.filter_matrix
+    for method in cfg.methods():
+        family = (tikhonov_family(lam, n, cfg.p, cfg.alpha_max, cfg.alpha_ratio)
+                  if method == "tikhonov" else projection_family(lam, n))
+        pcfg = replace(base, weights=default_weights(family, base, cfg.kraft_target))
+        kr, F = kraft_sum(family, pcfg), family.filter_matrix
         overflow = ParameterError(
             f"[problem] rho = {cfg.rho!r} and [problem] sigma = {cfg.sigma!r}: the "
             f"penalties, objectives or squared errors of the {method} study, or their "
@@ -346,8 +347,7 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
             mean_k = np.sum((F * c_mean - x0) ** 2 + F * F * c_var, axis=1)
             pair = np.sort(np.argsort(mean_k, kind="stable")[:2])
             try:
-                picked, errs, agreed = _score_blocks(F, lam, C, pens, x0, pair,
-                                                     method == "projection")
+                picked, errs, agreed = _score_blocks(family, C, pens, x0, pair)
             except ParameterError as exc:
                 raise overflow from exc
             picked += tail
@@ -361,11 +361,10 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
         best = int(np.argmin(cand_risk))   # k* = pair[best]
         ratio = (risk - 2.0 * tail - kr / n) / oracle_term
         # the thresholding cross-check ran on the same penalties and row blocks
-        agree = agreed / R if method == "projection" else math.nan
         rows.append(RiskRow(n, method, R, float(risk), float(se),
                             float(cand_risk[best]), float(cand_se[best]),
                             oracle_term, tail, kr, float(ratio),
-                            float(pcfg.weights[0]), agree))
+                            float(pcfg.weights[0]), agreed / R))
     return rows
 
 

@@ -8,17 +8,20 @@ stacks one filter row per tuning parameter, smoothest first:
     tikhonov    F[k, j] = lambda_j / (lambda_j^2 + alpha_k)
     projection  F[k, j] = 1 / lambda_j for j <= m_k, exactly 0 beyond.
 
-A family is thus a function of the d singular values and n alone, with no
-design.  The selection rule reads F and, per row, the trace sum(F[k]^2) / n
-and the spectral radius max(F[k]^2) / n of R_k^t R_k; the dense d x n R_k
-is ``DiscretizedOperator.regularizer``.  The qualification of a filter is
-the largest source smoothness nu its bias can exploit: 1 for Tikhonov,
-unlimited for spectral cut-off.
+A family is a function of the d singular values lambda and n alone, with no
+design, and keeps lambda.  Per row, the selection rule reads the trace
+sum(F[k]^2) / n and spectral radius max(F[k]^2) / n of R_k^t R_k (the dense
+R_k is ``DiscretizedOperator.regularizer``) and the squared residual
+(1 - lambda F)^2, formed once, on first use.  ``nested`` marks the ladder of
+prefixes {1..j}, j = 1..K (increasing dims ending at K), where selection is
+thresholding.  The qualification of a filter is the largest smoothness nu
+its bias can exploit: 1 for Tikhonov, unlimited for spectral cut-off.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -36,14 +39,16 @@ class RegularizerFamily:
     from the smoothest (largest alpha, smallest model) to the roughest.
     """
 
-    def __init__(self, kind: str, parameters: Sequence[float],
+    def __init__(self, kind: str, parameters: Sequence[float], lam: np.ndarray,
                  filter_matrix: np.ndarray, n: int):
         if filter_matrix.shape[0] == 0:
             raise ParameterError("regularizer family must be nonempty")
         self.kind = kind
         self.parameters = [float(v) for v in parameters]
+        self.lam = lam
         self.filter_matrix = filter_matrix
         self.n = n
+        self.nested = kind == "projection" and self.parameters[-1] == len(self)
         with np.errstate(over="ignore"):
             F2 = filter_matrix ** 2
             self.trace_stats = np.sum(F2, axis=1) / n
@@ -59,6 +64,13 @@ class RegularizerFamily:
 
     def __len__(self) -> int:
         return self.filter_matrix.shape[0]
+
+    @cached_property
+    def residual_sq(self) -> np.ndarray:
+        a = 1.0 - self.lam * self.filter_matrix   # K x d, squared in place
+        a *= a
+        a.flags.writeable = False   # every caller reads this one array
+        return a
 
     def label(self, k: int) -> str:
         """Name of candidate k in selection.csv and the summary."""
@@ -93,7 +105,7 @@ def tikhonov_family(lam: np.ndarray, n: int, p: float, alpha_max: float = 1.0,
         raise ParameterError(
             f"empty tikhonov grid: alpha_max={alpha_max} below cutoff {alpha_min}")
     F = lam / (lam ** 2 + np.array(alphas)[:, None])
-    return RegularizerFamily("tikhonov", alphas, F, n)
+    return RegularizerFamily("tikhonov", alphas, lam, F, n)
 
 
 def projection_family(lam: np.ndarray, n: int,
@@ -110,4 +122,4 @@ def projection_family(lam: np.ndarray, n: int,
         raise ParameterError("projection dimensions must increase (smoothest first)")
     with np.errstate(over="ignore"):
         F = np.where(np.arange(d) < np.array(dims)[:, None], 1.0 / lam, 0.0)
-    return RegularizerFamily("projection", dims, F, n)
+    return RegularizerFamily("projection", dims, lam, F, n)

@@ -9,16 +9,16 @@ and ``objectives`` adds it to the contrast of a block of data vectors
 against every candidate: the squared coefficient-space distance between
 the candidate estimate and the maximal-model inversion of the data, taken
 as one length-d dot product of the squared inversion (c / lambda)^2 with
-the candidate's squared filter residual (1 - lambda F_k)^2.  The
-first argmin of contrast + penalty is selected.  ``select`` is the case of
-one data vector, the risk study scores its replications a block of rows
-per call, and the concentration checks measure their tails from half the
-penalty.  For nested projections the rule is hard thresholding of the
+the candidate's squared filter residual (1 - lambda F_k)^2, which the family
+forms once.  The first argmin of contrast + penalty is selected.  ``select``
+is the case of one data vector, on a family it checks was built on the
+operator's singular values; the risk study scores its replications a block
+of rows per call, and the concentration checks measure their tails from half
+the penalty.  For a ``nested`` family the rule is hard thresholding of the
 inverted coefficients; ``threshold_objectives`` computes it that way, with
 the dropped energies summed from the last coordinate backwards, as a
-cross-check of the kernel on the same ``projection_family`` penalties:
-``select_by_threshold`` for one data vector, the risk study in the kernel's
-row blocks.
+cross-check of the kernel on the same penalties: ``select_by_threshold``
+for one data vector, the risk study in the kernel's row blocks.
 """
 
 from __future__ import annotations
@@ -106,25 +106,23 @@ def penalties(trace, radius, cfg: PenaltyConfig) -> np.ndarray:
     return cfg.r * cfg.sigma2 * (1.0 + w) * (trace + np.asarray(radius, dtype=float))
 
 
-def objectives(F: np.ndarray, lam: np.ndarray, C: np.ndarray,
+def objectives(residual_sq: np.ndarray, lam: np.ndarray, C: np.ndarray,
                pen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(contrasts, objectives), both R x K, of R data vectors against K candidates.
 
-    ``F`` is the K x d filter matrix, ``lam`` the d singular values, ``C``
-    the R x d singular coefficients of the data and ``pen`` the K
-    penalties.  The contrast of row r and candidate k is one length-d dot
-    product of the squared inversion x_r^2 = (c_r / lam)^2 with the squared
-    filter residual (1 - lam F_k)^2, so no R x K x d array is formed.  x^2
+    ``residual_sq`` is the family's K x d squared filter residual
+    (1 - lam F)^2, ``lam`` the d singular values, ``C`` the R x d singular
+    coefficients of the data and ``pen`` the K penalties.  Each contrast is
+    one length-d dot product of a squared inversion x_r^2 = (c_r / lam)^2
+    with a residual row, so no R x K x d array is formed.  x^2
     is finite whenever the inversion's energy is, and the residual is at
     most 1 in modulus for every family, so no term overflows where the
     inversion does not.  A non-finite objective raises ParameterError.
     """
     x2 = C / lam
     x2 *= x2
-    a2 = 1.0 - lam * F
-    a2 *= a2
     # a broadcast view, no copy; the same dot product as contrast(), bit for bit
-    con = np.vecdot(x2[:, None, :], a2)
+    con = np.vecdot(x2[:, None, :], residual_sq)
     obj = con + pen
     if not np.all(np.isfinite(obj)):
         raise ParameterError("non-finite selection objective; check the data "
@@ -258,13 +256,12 @@ def select(family: RegularizerFamily, cfg: PenaltyConfig,
     Ties break toward the earlier (smoother) candidate; families are
     ordered smoothest first by construction.  The family must be built for op.
     """
-    F = family.filter_matrix
-    if family.n != op.n or F.shape[1] != op.d:
-        raise DimensionError(f"family built for n = {family.n}, d = {F.shape[1]}, "
-                             f"not the operator's n = {op.n}, d = {op.d}")
-    lam = op.singular_values
+    lam, a2 = op.singular_values, family.residual_sq
+    if family.n != op.n or not np.array_equal(family.lam, lam):
+        raise DimensionError(f"family built for n = {family.n} or on other singular "
+                             f"values than the operator's (n = {op.n}, d = {op.d})")
     return _penalized_argmin(family, cfg, op, y,
-                             lambda C, pens: objectives(F, lam, C, pens))
+                             lambda C, pens: objectives(a2, lam, C, pens))
 
 
 def _penalized_argmin(family: RegularizerFamily, cfg: PenaltyConfig,

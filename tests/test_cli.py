@@ -371,6 +371,14 @@ class TestConcentration:
         assert os.path.exists(os.path.join(out, "identity.csv"))
         assert os.path.exists(os.path.join(out, "moments.csv"))
 
+    def test_csvs_do_not_depend_on_blas_threads(self, tmp_path):
+        # the shipped matrix list, regularizer:4x16 included
+        cfg = write_config(tmp_path, "threads.ini", CONC_CFG.format(kraft_d=1.0).replace(
+            "identity:4 decay:8", "identity:4 decay:8 regularizer:4x16"))
+        one, two = csvs_under_blas_threads(tmp_path, "concentration", cfg)
+        assert sorted(one) == ["identity.csv", "moments.csv", "tails.csv"]
+        assert one == two
+
     def test_oversized_kraft_constant_trips_violation_exit(self, tmp_path):
         # the bound only holds for some small constant; forcing a huge one
         # must be reported as a violation, not hidden
@@ -575,6 +583,7 @@ OUT_OF_RANGE = {
         tmp, "sigma = 1.0", "sigma = 1.3e154"),
     "concentration seed": lambda tmp: _conc_argv(tmp, "seed = 0", "seed = -1"),
     "concentration regularizer:8x4": _matrix_case("regularizer:8x4"),
+    "concentration regularizer:1x16": _matrix_case("regularizer:1x16"),
     "concentration decay:x": _matrix_case("decay:x"),
     "concentration decay:0": _matrix_case("decay:0"),
     "concentration identity:-1": _matrix_case("identity:-1"),
@@ -712,6 +721,13 @@ class TestOutOfRange:
         if case in BAD_OPERATOR_DATA:
             assert main(["diagnostics"] + argv[1:]) == code
             assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("token", ["regularizer:1x16", "regularizer:8x4"])
+    def test_unbuildable_regularizer_names_its_token(self, tmp_path, capsys, token):
+        # the grammar accepts d x n, but a regularizer needs 2 <= d <= n
+        assert main(_matrix_case(token)(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert repr(token) in err and "[concentration] matrices" in err
 
     def test_statistics_overflow_names_p(self, tmp_path, capsys):
         with warnings.catch_warnings():

@@ -265,9 +265,9 @@ class TestRiskKernel:
         d_ext = cfg.extended_dim()
         blocks, original = [], experiments.objectives
 
-        def spy(F, lam, C, pen):
+        def spy(residual_sq, lam, C, pen):
             blocks.append(C.shape[0])
-            return original(F, lam, C, pen)
+            return original(residual_sq, lam, C, pen)
 
         monkeypatch.setattr(experiments, "objectives", spy)
         for n in cfg.n_grid:
@@ -278,6 +278,29 @@ class TestRiskKernel:
             assert blocks == self.BLOCK_SIZES[rows]
             assert ([repr(astuple(r)) for r in got]
                     == [repr(astuple(r)) for r in _reference_rows(n, cfg, d_ext)])
+
+    @pytest.mark.parametrize("family", ["tikhonov", "projection"])
+    def test_one_residual_serves_every_block(self, monkeypatch, family):
+        # one-row blocks: every block reads the residual the family formed once
+        cfg = ExperimentConfig(n_grid=(256,), replications=5, family=family, seed=9)
+        built, seen = [], []
+        for name in ("tikhonov_family", "projection_family"):
+            def build(*args, _build=getattr(experiments, name), **kwargs):
+                built.append(_build(*args, **kwargs))
+                return built[-1]
+            monkeypatch.setattr(experiments, name, build)
+        original = experiments.objectives
+
+        def spy(residual_sq, lam, C, pen):
+            seen.append(residual_sq)
+            return original(residual_sq, lam, C, pen)
+
+        monkeypatch.setattr(experiments, "objectives", spy)
+        monkeypatch.setattr(experiments, "KERNEL_BLOCK_ELEMENTS", 1)
+        _risk_rows_for_n(256, cfg, cfg.extended_dim())
+        (fam,) = built
+        assert len(seen) == cfg.replications
+        assert all(a is fam.residual_sq for a in seen)
 
     @pytest.mark.parametrize("overrides", [{"p": 0.5}, {"nu": 1.0}, {"replications": 1}],
                              ids=["p=1/2", "nu=1", "R=1"])

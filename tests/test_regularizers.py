@@ -168,6 +168,21 @@ class TestRegularizedTruth:
         assert np.allclose(got, dense, atol=1e-12)
 
 
+class TestNested:
+    """``nested`` holds exactly for the projection ladder over dims 1..K."""
+
+    @pytest.mark.parametrize("dims,nested", [(None, True), ([1, 2, 3], True),
+                                             ([1, 3], False), ([2, 3], False)])
+    def test_projection_dims(self, op_p1_d4_n16, dims, nested):
+        assert projection_of(op_p1_d4_n16, dims).nested is nested
+
+    # {"count": 1} and {"alpha_max": 4.0, "count": 2} end their alphas at K
+    @pytest.mark.parametrize("kwargs", [{}, {"count": 1}, {"alpha_max": 4.0, "count": 2},
+                                        {"ratio": 0.9}])
+    def test_tikhonov_never(self, op_p1_d4_n16, kwargs):
+        assert tikhonov_of(op_p1_d4_n16, **kwargs).nested is False
+
+
 class TestInvariants:
     def test_spectral_representation_and_bias(self, op_p1_d4_n16, rng):
         lam = op_p1_d4_n16.singular_values

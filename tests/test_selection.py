@@ -156,6 +156,15 @@ class TestSelect:
         with pytest.raises(DimensionError, match="n = 32"):
             select(fam, PenaltyConfig(sigma2=1.0), op_p1_d4_n16, np.zeros(16))
 
+    def test_family_built_on_another_spectrum_is_rejected(self, rng):
+        # same n and d, but the Tikhonov filters are those of the p = 3 operator
+        grid = midpoint_grid(64)
+        op = discretize_operator(SpectralSynthetic(p=1.0), grid, 4)
+        other = discretize_operator(SpectralSynthetic(p=3.0), grid, 4)
+        fam = tikhonov_family(other.singular_values, 64, 1.0)
+        with pytest.raises(DimensionError, match="other singular values"):
+            select(fam, PenaltyConfig(sigma2=0.01), op, rng.standard_normal(64))
+
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -184,7 +193,7 @@ class TestObjectives:
             ys = rng.standard_normal((5, 16))
             C = np.array([op.svd_coefficients(y) for y in ys])
             pens = penalties(fam.trace_stats, fam.radius_stats, cfg)
-            cons, objs = objectives(fam.filter_matrix, op.singular_values, C, pens)
+            cons, objs = objectives(fam.residual_sq, op.singular_values, C, pens)
             assert objs.shape == (5, len(fam))
             for r, y in enumerate(ys):
                 for k in range(len(fam)):
@@ -197,7 +206,7 @@ class TestObjectives:
         ys = rng.standard_normal((8, 16))
         C = np.array([op_p1_d4_n16.svd_coefficients(y) for y in ys])
         pens = penalties(fam.trace_stats, fam.radius_stats, cfg)
-        _, objs = objectives(fam.filter_matrix, op_p1_d4_n16.singular_values, C, pens)
+        _, objs = objectives(fam.residual_sq, op_p1_d4_n16.singular_values, C, pens)
         chosen = np.argmin(objs, axis=1)
         for y, k in zip(ys, chosen):
             assert select(fam, cfg, op_p1_d4_n16, y).chosen == k
@@ -209,7 +218,7 @@ class TestObjectives:
         C = np.zeros((2, 4))
         C[1, 2] = np.nan
         with pytest.raises(ParameterError):
-            objectives(fam.filter_matrix, op_p1_d4_n16.singular_values, C, pens)
+            objectives(fam.residual_sq, op_p1_d4_n16.singular_values, C, pens)
 
     def test_finite_wherever_the_inversion_is(self):
         # singular values near 1e10 and coefficients near 1e160: c^2 overflows,
@@ -224,7 +233,7 @@ class TestObjectives:
             assert np.isinf(C * C).any()
         for fam in (tikhonov_of(op), projection_of(op)):
             pens = penalties(fam.trace_stats, fam.radius_stats, PenaltyConfig(sigma2=1.0))
-            cons, objs = objectives(fam.filter_matrix, op.singular_values, C, pens)
+            cons, objs = objectives(fam.residual_sq, op.singular_values, C, pens)
             assert np.all(np.isfinite(objs))
             for r, y in enumerate(ys):
                 for k in range(len(fam)):
@@ -238,7 +247,7 @@ class TestObjectives:
         op, m, y, cfg = _prefix_instance(seed, d, n_factor, scale)
         fam = projection_of(op, range(1, m + 1))
         pens = penalties(fam.trace_stats, fam.radius_stats, cfg)
-        _, objs = objectives(fam.filter_matrix, op.singular_values,
+        _, objs = objectives(fam.residual_sq, op.singular_values,
                              op.svd_coefficients(y)[None, :], pens)
         assert int(np.argmin(objs[0])) == select_by_threshold(op, y, cfg, m0=m).chosen
 
@@ -268,14 +277,14 @@ class TestObjectives:
                     tikhonov_of(op, count=m)):
             # the tikhonov grid cutoff may leave fewer than m candidates
             w = np.full(len(fam), cfg.weights[0])
-            F = fam.filter_matrix
+            A2 = fam.residual_sq
             pens = penalties(fam.trace_stats, fam.radius_stats,
                              PenaltyConfig(sigma2=cfg.sigma2, r=cfg.r, weights=w))
-            _, objs = objectives(F, op.singular_values, C, pens)
+            _, objs = objectives(A2, op.singular_values, C, pens)
             best = int(np.argmin(objs[0]))
             assume(np.sum(objs[0] == objs[0, best]) == 1)
             perm = np.array(data.draw(st.permutations(range(len(fam)))))
-            _, permuted = objectives(F[perm], op.singular_values, C, pens[perm])
+            _, permuted = objectives(A2[perm], op.singular_values, C, pens[perm])
             assert perm[int(np.argmin(permuted[0]))] == best
 
 
