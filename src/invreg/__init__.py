@@ -39,6 +39,7 @@ from .operator import (
     DesignGrid,
     DiscretizedOperator,
     IllposednessDiagnostics,
+    SampledProjection,
     SpectralSynthetic,
     build_design_matrix,
     choose_m0,
@@ -66,6 +67,7 @@ from .selection import (
     penalty,
     select,
     select_by_threshold,
+    select_coefficients,
     threshold_objectives,
 )
 

@@ -29,6 +29,7 @@ from .experiments import (
 )
 from .operator import (
     DesignGrid,
+    SampledProjection,
     SpectralSynthetic,
     build_design_matrix,
     diagnostics,
@@ -40,8 +41,8 @@ from .selection import (
     CandidateRow,
     PenaltyConfig,
     default_weights,
-    select,
-    select_by_threshold,
+    select_coefficients,
+    threshold_objectives,
 )
 
 EXIT_CONFIG = 2
@@ -79,41 +80,76 @@ def cmd_synth(args) -> int:
     cp = cio.load_config(args.config)
     prob, seed = _problem_from_config(cp, args.seed)
     man = cio.RunManifest("synth", cio.config_echo(cp), seed, args.out).start()
-    op = prob.op
-    t = op.grid.points
+    t, n = prob.grid.points, prob.grid.n
 
     man.csv("grid.csv", ["t"], t[:, None])
-    man.csv("operator.csv", [f"phi{j + 1}" for j in range(op.d)], op.sample_matrix)
+    man.csv("operator.csv", [f"phi{j + 1}" for j in range(prob.d)],
+            prob.operator_blocks())
     man.csv("truth.csv", ["j", "x0"], enumerate(prob.x0.tolist(), start=1))
-    rng = np.random.default_rng((seed, op.n, 0))
-    y = prob.clean + rng.normal(0.0, prob.sigma, op.n)
+    rng = np.random.default_rng((seed, n, 0))
+    y = prob.clean + rng.normal(0.0, prob.sigma, n)
     man.csv("data.csv", ["t", "clean", "y"], np.column_stack([t, prob.clean, y]))
     man.finish()
     print(f"synth: wrote {len(man.outputs)} files to {args.out}")
     return 0
 
 
-def _operator_from_data(cp, data_dir: str):
-    """The operator sampled in ``data_dir``; any fault found while building it
-    from the files, or a singular value whose square is not a normal double,
-    is a data error (exit 3)."""
+def _operator_from_data(cp, data_dir: str, with_y: bool = False,
+                        residuals: bool = False) -> SampledProjection:
+    """The operator sampled in ``data_dir``, projected in one pass over its
+    row blocks (``SampledProjection``): grid.csv, then with ``with_y`` the
+    ``y`` column of data.csv on the same grid, then operator.csv, read and
+    folded one row block at a time.  Any fault found in the files, or a
+    singular value whose square is not a normal double, is a data error
+    (exit 3)."""
     p = cfg_value(cp, "problem", "p", float, 1.0)
     if not p > 0:
         raise ConfigError(f"[problem] p must be positive, got {p}")
     try:
         grid_cols = cio.read_csv_columns(os.path.join(data_dir, "grid.csv"), ["t"])
         grid = DesignGrid(grid_cols["t"])
-        S = cio.read_matrix_csv(os.path.join(data_dir, "operator.csv"))
-        if S.shape[0] != grid.n:
-            raise DataError(f"operator.csv has {S.shape[0]} rows, grid has {grid.n}")
-        op = discretize_operator(S, grid, S.shape[1], p)
+        y = data_fault = None
+        if with_y:
+            # read before the pass that folds y, but a fault of data.csv is
+            # reported after any fault of operator.csv
+            try:
+                y = _y_on_grid(data_dir, grid)
+            except DataError as exc:
+                data_fault = exc
+        with cio.open_table(os.path.join(data_dir, "operator.csv")) as (header, take):
+            op = SampledProjection(grid, len(header), p, y, residuals)
+            count = 0
+            for rows in op.blocks:
+                S_b = take(rows.stop - rows.start)
+                count += len(S_b)
+                if count < rows.stop:
+                    break
+                op.fold(S_b)
+            else:   # rows past the grid's are counted for the message
+                while len(extra := take(op.blocks[-1].stop - op.blocks[-1].start)):
+                    count += len(extra)
+        if count != grid.n:
+            raise DataError(f"operator.csv has {count} rows, grid has {grid.n}")
+        op.finish()
     except InvregError as exc:
         raise DataError(str(exc)) from exc
     lam_min = float(op.singular_values[-1])
     if lam_min < np.sqrt(np.finfo(float).tiny):
         raise DataError(f"operator.csv: smallest singular value {lam_min!r} is below "
                         "1.5e-154, so its square is not a normal double")
+    if data_fault is not None:
+        raise data_fault
     return op
+
+
+def _y_on_grid(data_dir: str, grid: DesignGrid) -> np.ndarray:
+    """The ``y`` column of data.csv, whose ``t`` must repeat the grid."""
+    data = cio.read_csv_columns(os.path.join(data_dir, "data.csv"), ["t", "y"])
+    y = data["y"]
+    if not np.array_equal(data["t"], grid.points):
+        raise DataError(f"data.csv: column t ({y.size} values) does not repeat "
+                        f"grid.csv ({grid.n} points)")
+    return y
 
 
 def _family_from_config(cp, op):
@@ -133,13 +169,9 @@ def _family_from_config(cp, op):
 
 def cmd_select(args) -> int:
     cp = cio.load_config(args.config)
-    op = _operator_from_data(cp, args.data)
-    data = cio.read_csv_columns(os.path.join(args.data, "data.csv"), ["t", "y"])
-    y = data["y"]
-    if not np.array_equal(data["t"], op.grid.points):
-        raise DataError(f"data.csv: column t ({y.size} values) does not repeat "
-                        f"grid.csv ({op.n} points)")
-    back = op.svd_coefficients(y) / op.singular_values
+    op = _operator_from_data(cp, args.data, with_y=True)
+    c = op.coefficients
+    back = c / op.singular_values
     with np.errstate(over="ignore"):
         overflow = not np.isfinite(np.dot(back, back))
     if overflow:
@@ -170,7 +202,7 @@ def cmd_select(args) -> int:
 
     seed = args.seed if args.seed is not None else 0
     man = cio.RunManifest("select", cio.config_echo(cp), seed, args.out).start()
-    result = select(family, pcfg, op, y)
+    result = select_coefficients(family, pcfg, c, op.x_vectors)
 
     _write_rows(man, "selection.csv", CandidateRow, result.per_candidate)
     stats = zip(family.parameters, family.trace_stats.tolist(),
@@ -190,8 +222,11 @@ def cmd_select(args) -> int:
         f"weight_common = {float(w[0])!r}",
     ]
     if family.nested:   # the thresholding form covers the prefix ladder only
-        thr = select_by_threshold(op, y, pcfg, m0=len(family))
-        summary.append(f"threshold_agreement = {int(thr.chosen == result.chosen)}")
+        # the same coefficients and penalties, in thresholding form
+        K = len(family)
+        pens = np.array([row.penalty for row in result.per_candidate])
+        _, thr = threshold_objectives(family.lam[:K], c[None, :K], pens)
+        summary.append(f"threshold_agreement = {int(np.argmin(thr[0]) == result.chosen)}")
     man.text("summary.txt", "\n".join(summary) + "\n")
     man.finish()
     print("\n".join(summary))
@@ -351,14 +386,14 @@ def cmd_concentration(args) -> int:
 def cmd_diagnostics(args) -> int:
     cp = cio.load_config(args.config)
     if args.data is not None:
-        op = _operator_from_data(cp, args.data)
+        op = _operator_from_data(cp, args.data, residuals=True)
         seed = args.seed if args.seed is not None else 0
     else:
         prob, seed = _problem_from_config(cp, args.seed)
         op = prob.op
     dims = cfg_list(cp, "diagnostics", "dims", int, list(range(1, op.d + 1)))
     man = cio.RunManifest("diagnostics", cio.config_echo(cp), seed, args.out).start()
-    diag = diagnostics(op, dims)
+    diag = op.diagnostics(dims) if args.data is not None else diagnostics(op, dims)
     man.text("diagnostics.txt", diag.to_report())
     man.finish()
     sys.stdout.write(diag.to_report())

@@ -9,6 +9,7 @@ directory and writes every file in it.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import itertools
 import json
@@ -91,30 +92,37 @@ def cell(v) -> str:
 
 
 # Rows of a float array that ``write_csv`` turns into Python floats at a time.
-WRITE_BLOCK_ROWS = 1024
+WRITE_BLOCK_ROWS = 256
+
+
+def _is_float_block(rows) -> bool:
+    return isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
 
 
 def write_csv(path: str, header, rows, comments=()) -> None:
     """Comment lines, the header, then the rows.
 
-    A 2-D float array is written row by row as float reprs, NaN as NA (the
-    rule of ``cell``), WRITE_BLOCK_ROWS rows at a time, so the bytes do not
-    depend on the block size; any other ``rows`` go value by value through
-    ``cell``.
+    ``rows`` is a 2-D float array or an iterable of rows, each a sequence of
+    values or a 2-D float array standing for its own rows (a row block).  A
+    float array is written row by row as float reprs, NaN as NA (the rule of
+    ``cell``), WRITE_BLOCK_ROWS rows at a time, so the bytes depend neither
+    on that size nor on how the rows are cut into blocks; any other row goes
+    value by value through ``cell``.
     """
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(line + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-            for lo in range(0, rows.shape[0], WRITE_BLOCK_ROWS):
-                block = rows[lo:lo + WRITE_BLOCK_ROWS]
+        for row in [rows] if _is_float_block(rows) else rows:
+            if not _is_float_block(row):
+                writer.writerow(map(cell, row))
+                continue
+            for lo in range(0, row.shape[0], WRITE_BLOCK_ROWS):
+                block = row[lo:lo + WRITE_BLOCK_ROWS]
                 has_nan = np.isnan(block).any(axis=1).tolist()
-                fh.writelines(",".join(map(cell if nan else repr, row)) + "\r\n"
-                              for row, nan in zip(block.tolist(), has_nan))
-        else:
-            writer.writerows(map(cell, row) for row in rows)
+                fh.writelines(",".join(map(cell if nan else repr, values)) + "\r\n"
+                              for values, nan in zip(block.tolist(), has_nan))
 
 
 def _parse_field(token: str) -> float:
@@ -127,9 +135,10 @@ def _parse_field(token: str) -> float:
 
 def _split_header(fh):
     """(header, lines) of the open CSV ``fh``: the first row of the lines
-    that are not comments (None if there is none) and an iterator over the
-    lines below it, comment lines dropped."""
-    lines = (line for line in fh if not line.lstrip().startswith("#"))
+    that are neither comments nor empty (None if there is none) and an
+    iterator over those below it.  ``np.loadtxt`` skips empty lines too."""
+    lines = (line for line in fh
+             if line.strip("\r\n") and not line.lstrip().startswith("#"))
     first = next((row for row in csv.reader(lines) if row), None)
     return first, lines
 
@@ -155,14 +164,19 @@ def _bad_body(path: str, header: list[str], reason) -> DataError:
     return DataError(f"{path}: {reason}")
 
 
-def _read_table(path: str, expect: list[str] | None) -> tuple[list[str], np.ndarray]:
-    """(header, values) of a numeric CSV, values the n x len(header) body.
+@contextlib.contextmanager
+def open_table(path: str, expect: list[str] | None = None):
+    """Open a numeric CSV to read its body in row blocks: yields
+    ``(header, take)``, where ``take(k)`` parses the next k body rows (all
+    that are left for k None) into a float array of len(header) columns,
+    with fewer rows at the end of the body and none after it.
 
     Lines whose first non-blank character is ``#`` are comments; the first
-    other non-empty line is the header.  The rest of the open file, comment
-    lines dropped, streams through one ``np.loadtxt``; only when that fails,
-    or finds a value that is not finite, is the file read again to cite the
-    first bad row.
+    other non-empty line is the header.  Each block streams through one
+    ``np.loadtxt``; only when that fails, or finds a value that is not
+    finite, is the file read again to cite its first bad row.  A body
+    without rows is a DataError too, and so is a file that cannot be read
+    or decoded.
     """
     try:
         with open(path, newline="") as fh:
@@ -179,36 +193,40 @@ def _read_table(path: str, expect: list[str] | None) -> tuple[list[str], np.ndar
                     raise DataError(f"{path}: missing columns {missing}, "
                                     f"have {header}")
             # np.loadtxt warns on an empty body, so the first row is found here
-            row = next((line for line in lines if line.strip("\r\n")), None)
+            row = next(lines, None)
             if row is None:
                 raise DataError(f"{path}: no data rows below the header")
-            try:
-                values = np.loadtxt(itertools.chain([row], lines), delimiter=",",
-                                    quotechar='"', comments=None, ndmin=2)
-            except UnicodeDecodeError:   # a ValueError, but a fault of the bytes
-                raise
-            except ValueError as exc:
-                raise _bad_body(path, header, exc)
-            if values.shape[1] != len(header) or not np.isfinite(values).all():
-                raise _bad_body(path, header, "width or finiteness check failed")
+            lines = itertools.chain([row], lines)
+
+            def take(k: int | None = None) -> np.ndarray:
+                body = lines if k is None else itertools.islice(lines, k)
+                row = next(body, None)
+                if row is None:
+                    return np.empty((0, len(header)))
+                try:
+                    values = np.loadtxt(itertools.chain([row], body), delimiter=",",
+                                        quotechar='"', comments=None, ndmin=2)
+                except UnicodeDecodeError:   # a ValueError, but a fault of the bytes
+                    raise
+                except ValueError as exc:
+                    raise _bad_body(path, header, exc)
+                if values.shape[1] != len(header) or not np.isfinite(values).all():
+                    raise _bad_body(path, header, "width or finiteness check failed")
+                return values
+
+            yield header, take
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}")
-    return header, values
 
 
 def read_csv_columns(path: str, expect: list[str] | None = None):
     """Read a numeric CSV into {column: ndarray}; cites the failing row (see
-    ``_read_table``)."""
-    header, values = _read_table(path, expect)
+    ``open_table``)."""
+    with open_table(path, expect) as (header, take):
+        values = take()
     # one contiguous array per column, so that products on a column take
     # the same BLAS path whatever the width of the file
     return dict(zip(header, np.ascontiguousarray(values.T)))
-
-
-def read_matrix_csv(path: str) -> np.ndarray:
-    """Numeric matrix CSV (header row, one grid point per row), as the
-    C-contiguous n x d array of its body."""
-    return _read_table(path, None)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -116,12 +116,38 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class SynthProblem:
-    """A generated problem: operator, extended truth, clean samples."""
+    """A generated problem: a spectral-synthetic operator of index p on the
+    first d cosines of a midpoint grid, the extended truth and clean samples.
 
-    op: DiscretizedOperator
+    ``op`` is built on each request; ``operator_blocks`` yields its samples
+    a row block at a time, so that they can be written without forming the
+    design or the sample matrix.
+    """
+
+    p: float
+    grid: DesignGrid
+    d: int
     x0: np.ndarray
     sigma: float
     clean: np.ndarray
+
+    @property
+    def op(self) -> DiscretizedOperator:
+        """The discretized operator, built on each request."""
+        return discretize_operator(SpectralSynthetic(p=self.p), self.grid, self.d)
+
+    def operator_blocks(self):
+        """The rows G^t lambda of ``op.sample_matrix``, one row block of the
+        grid at a time, each the same floats as the whole matrix."""
+        lam = SpectralSynthetic(p=self.p).values(self.d)
+        for rows in _synth_blocks(self.grid.n, self.x0.size):
+            yield cosine_design(DesignGrid(self.grid.points[rows]), self.d).T * lam
+
+
+def _synth_blocks(n: int, d_ext: int) -> list[slice]:
+    """Row blocks of the extended design in ``synth_problem``: at least d_ext
+    grid points (as cosine_design requires), KERNEL_BLOCK_ELEMENTS entries."""
+    return _row_blocks(n, max(d_ext, KERNEL_BLOCK_ELEMENTS // d_ext))
 
 
 def synth_problem(p: float, nu: float, rho: float, n: int, seed: int = 0,
@@ -142,21 +168,20 @@ def synth_problem(p: float, nu: float, rho: float, n: int, seed: int = 0,
         d_ext = min(4 * d, n)
     if d_ext < d or d_ext > n:
         raise ParameterError(f"extended range must lie in [{d}, {n}]")
+    SpectralSynthetic(p=p).values(d)   # the model's spectrum must not underflow
     grid = midpoint_grid(n)
-    op = discretize_operator(SpectralSynthetic(p=p), grid, d)
     x0 = source.coefficients(p, d_ext, seed)
     lam_ext = np.arange(1, d_ext + 1, dtype=float) ** (-float(p))
     v = lam_ext * x0
-    # clean = G_ext^t v for the d_ext x n extended cosine design G_ext (the
-    # model rows were certified above), a block of at least d_ext grid points
-    # (as cosine_design requires) at a time.  einsum sums each sample over j
-    # in index order without BLAS, so neither the block edges nor the thread
-    # count reach its bits.
+    # clean = G_ext^t v for the d_ext x n extended cosine design G_ext, a row
+    # block at a time.  einsum sums each sample over j in index order
+    # without BLAS, so neither the block edges nor the thread count reach
+    # its bits.
     clean = np.empty(n)
-    for rows in _row_blocks(n, max(d_ext, KERNEL_BLOCK_ELEMENTS // d_ext)):
+    for rows in _synth_blocks(n, d_ext):
         np.einsum("ji,j->i", cosine_design(DesignGrid(grid.points[rows]), d_ext), v,
                   out=clean[rows])
-    return SynthProblem(op, x0, float(sigma), clean)
+    return SynthProblem(float(p), grid, d, x0, float(sigma), clean)
 
 
 def bias_m0(x0, m0: int) -> float:

@@ -10,11 +10,13 @@ the span of G, and taking a singular value decomposition of the
 projected map.
 
 Every blocked pass of the package walks its rows in the nearly equal
-blocks of ``_row_blocks``.  A sampled operator is projected one row block
-of the grid at a time (a tall-skinny QR of G^t: one QR per block, then
-one of the stacked R factors), and its diagnostics accumulate d x d Gram
-matrices over the same blocks, so neither holds an n x d array besides
-the samples S and the singular design Psi.
+blocks of ``_row_blocks``.  A sampled operator is projected in one pass
+over row blocks of the grid (``SampledProjection``, a tall-skinny QR of
+G^t: one QR per block, then one of the stacked R factors) that keeps
+d x d state per block, so it can read its samples a block at a time and
+yields the singular coefficients of data and the diagnostics without an
+n x d array.  ``discretize_operator`` runs the same pass over an array
+and then forms the singular design Psi.
 """
 
 from __future__ import annotations
@@ -38,11 +40,6 @@ RANK_RTOL = 1e-12
 
 # Largest ratio of fitted constants that the diagnostics accept.
 RATIO_TOL = 1e3
-
-# Elements of one row block of the design on the sampled path and in the
-# diagnostics: their _row_blocks step is max(d, DESIGN_BLOCK_ELEMENTS // d)
-# grid points.
-DESIGN_BLOCK_ELEMENTS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +100,10 @@ def cosine_design(grid: DesignGrid, d_m: int) -> np.ndarray:
         raise DimensionError(f"model dimension {d_m} exceeds grid size {grid.n}")
     G = np.empty((d_m, grid.n))
     G[0] = 1.0
-    for j in range(1, d_m):
-        G[j] = math.sqrt(2.0) * np.cos(j * math.pi * grid.points)
+    # one cos call over the (d_m - 1) x n arguments j pi t, in place
+    np.multiply(np.arange(1, d_m)[:, None] * math.pi, grid.points, out=G[1:])
+    np.cos(G[1:], out=G[1:])
+    G[1:] *= math.sqrt(2.0)
     return G
 
 
@@ -117,6 +116,14 @@ def _row_blocks(n: int, step: int) -> list[slice]:
     return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
+def _sampled_blocks(n: int, d: int) -> list[slice]:
+    """The row blocks of every pass over a sampled operator of n grid points
+    and d columns: a step of max(d, isqrt(n d)) points, so that the n_b x d
+    arrays of one block and the d x d state of all blocks both stay
+    O(d sqrt(n d))."""
+    return _row_blocks(n, max(d, math.isqrt(n * d)))
+
+
 def build_design_matrix(grid: DesignGrid, d_m: int) -> np.ndarray:
     """The cosine design of ``grid``, certified to have full row rank by the
     R factor of one QR of G^t (DegenerateDesignError on failure)."""
@@ -125,13 +132,14 @@ def build_design_matrix(grid: DesignGrid, d_m: int) -> np.ndarray:
     return G
 
 
-def _certify_rank(R: np.ndarray) -> None:
-    """Raise DegenerateDesignError unless the design G has full row rank:
-    R, the d x d factor of a QR of G^t, has the singular values of G, and
-    the smallest must exceed RANK_RTOL times the largest."""
+def _certify_rank(R: np.ndarray) -> np.ndarray:
+    """The singular values of the design G, read off R, the d x d factor of a
+    QR of G^t; raises DegenerateDesignError unless G has full row rank, the
+    smallest exceeding RANK_RTOL times the largest."""
     sv = np.linalg.svd(R, compute_uv=False)
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise DegenerateDesignError(f"design matrix is rank deficient (d_m={R.shape[0]})")
+    return sv
 
 
 def empirical_projection(y, G: np.ndarray) -> np.ndarray:
@@ -222,6 +230,132 @@ class DiscretizedOperator:
         return self.x_vectors @ (f[:, None] * self.singular_design) / self.n
 
 
+class SampledProjection:
+    """A sampled operator projected onto the cosine design of its grid in one
+    pass over the row blocks of the grid (``_sampled_blocks``), keeping d x d
+    state per block and no n x d array.
+
+    ``fold`` takes the n_b x d samples S_b of the next block: one QR
+    G_b^t = Q_b R_b of the block's cosine design (Q_b is returned), then
+    R_b and T_b = Q_b^t S_b are kept; with data ``y`` also Q_b^t y_b, and
+    with ``residuals`` the Gram matrix of L_b = S_b - Q_b T_b, the part of
+    the samples outside the block's span, times 2^-2e for 2^e near
+    max|L_b|.  ``finish`` takes one QR Q_top R of the stacked R_b, whose R
+    certifies the design's rank and has its singular values, so that
+    Q = diag(Q_b) Q_top is an orthonormal basis of the span of G^t, and the
+    SVD K = Q^t S / sqrt(n) = Q_top^t [T_b] / sqrt(n) = W diag(lambda) V^t,
+    signed so that the largest component of each column of V is positive.
+    The singular design is Psi = sqrt(n) (Q W)^t, so the singular
+    coefficients Psi y / n of the data are (sqrt(n) Q_top W)^t [Q_b^t y_b] / n.
+    ``p`` records the ill-posedness index for the families and diagnostics.
+    """
+
+    def __init__(self, grid: DesignGrid, d: int, p: float = 1.0, y=None,
+                 residuals: bool = False):
+        if y is not None and np.shape(y) != (grid.n,):
+            raise DimensionError(f"sample vector has length {np.size(y)}, "
+                                 f"grid has {grid.n}")
+        self.grid, self.d, self.p = grid, d, float(p)
+        self.blocks = _sampled_blocks(grid.n, d)
+        self._y, self._residuals = y, residuals
+        self._R, self._T, self._Qty, self._L_grams, self._L_exps = [], [], [], [], []
+
+    @property
+    def n(self) -> int:
+        return self.grid.n
+
+    def fold(self, S_b: np.ndarray) -> np.ndarray:
+        """Take the samples of the next row block; returns its Q_b."""
+        rows = self.blocks[len(self._R)]
+        if S_b.shape != (rows.stop - rows.start, self.d):
+            raise DimensionError(f"row block {len(self._R)} of the samples must be "
+                                 f"{rows.stop - rows.start} x {self.d}, got {S_b.shape}")
+        Q_b, R_b = np.linalg.qr(cosine_design(DesignGrid(self.grid.points[rows]),
+                                              self.d).T)
+        T_b = Q_b.T @ S_b
+        self._R.append(R_b)
+        self._T.append(T_b)
+        if self._y is not None:
+            self._Qty.append(Q_b.T @ self._y[rows])
+        if self._residuals:
+            L = S_b - Q_b @ T_b
+            e = _exponent(L)
+            np.ldexp(L, -e, out=L)
+            self._L_grams.append(L.T @ L)
+            self._L_exps.append(e)
+        return Q_b
+
+    def finish(self) -> "SampledProjection":
+        """The singular system of the folded blocks: sets ``singular_values``,
+        ``x_vectors`` and, with data, ``coefficients``.  A design or operator
+        that is numerically singular raises DegenerateDesignError or
+        RankError."""
+        n, d = self.n, self.d
+        if len(self._R) != len(self.blocks):
+            raise DimensionError(f"{len(self._R)} of {len(self.blocks)} row blocks "
+                                 "of the samples were folded")
+        Q_top, R = np.linalg.qr(np.vstack(self._R))
+        self._design_sv = _certify_rank(R)
+        # Q^t S = sum_b Q_top,b^t (Q_b^t S_b), Q_top,b the b-th d x d block of Q_top
+        self._K = Q_top.T @ np.vstack(self._T) / math.sqrt(n)
+        W, lam, Vt = np.linalg.svd(self._K)
+        if lam[-1] <= RANK_RTOL * lam[0]:
+            raise RankError("projected operator has a numerically zero singular value")
+        V = Vt.T
+        # canonical signs: largest component of each coefficient vector positive
+        for j in range(d):
+            i = int(np.argmax(np.abs(V[:, j])))
+            if V[i, j] < 0:
+                V[:, j] = -V[:, j]
+                W[:, j] = -W[:, j]
+        self._W, self.singular_values, self.x_vectors = W, lam, V
+        # sqrt(n) Q_top W: its b-th d x d block maps Q_b^t to block b of Psi
+        self._psi_top = math.sqrt(n) * (Q_top @ W)
+        if self._y is not None:
+            self.coefficients = self._psi_top.T @ np.concatenate(self._Qty) / n
+        return self
+
+    def diagnostics(self, dims: Sequence[int]) -> IllposednessDiagnostics:
+        """``diagnostics`` of the folded operator (which needs ``residuals``),
+        from the d x d state of the pass.
+
+        On block b the residual of the projection on the first m singular
+        functions is L_b + Q_b D_b(m), D_b(m) = T_b - P_b W_m C_m with P_b
+        the b-th block of sqrt(n) Q_top W and C = W^t K (= Psi S / n).  As
+        Q_b^t L_b = 0, its Gram matrix is the sum of the L_b^t L_b of the
+        pass and of the D_b(m)^t D_b(m), each part scaled by a power of two
+        and the parts added at the larger one, which is exact.  The design
+        spectrum, eig(G G^t) / n, is sv(R)^2 / n.
+        """
+        if not self._residuals:
+            raise ParameterError("diagnostics need a pass that folds the residuals")
+        dims, sv_constants = _decay_constants(self.singular_values, self.p, dims)
+        n, d = self.n, self.d
+        T = np.vstack(self._T)
+        e = _exponent(T)
+        exps = np.array(self._L_exps)
+        top = max(e, int(exps.max()))
+        L_gram = np.sum(np.ldexp(np.array(self._L_grams),
+                                 2 * (exps - top)[:, None, None]), axis=0)
+        np.ldexp(T, -e, out=T)
+        C = np.ldexp(self._W.T @ self._K, -e)
+        grams = np.empty((len(dims), d, d))
+        for gram, m in zip(grams, dims):
+            D = T - self._psi_top[:, :m] @ C[:m]
+            np.ldexp(D.T @ D, 2 * (e - top), out=gram)
+            gram += L_gram
+        g_up = np.ldexp(np.sqrt(np.linalg.eigvalsh(grams)[:, -1] / n), top)
+        sv = self._design_sv
+        return _assess(self.singular_values, dims, sv_constants, g_up,
+                       (float(sv[-1] ** 2 / n), float(sv[0] ** 2 / n)))
+
+
+def _exponent(a: np.ndarray) -> int:
+    """The e of 2^e just above max|a| (0 for a zero array): a / 2^e is below
+    1 in modulus, and its squares neither overflow nor underflow."""
+    return int(np.frexp(max(a.max(), -a.min()))[1])
+
+
 def discretize_operator(op_spec, grid: DesignGrid, m0: int,
                         p: float | None = None) -> DiscretizedOperator:
     """Project a forward operator onto the first m0 cosines of the grid.
@@ -229,13 +363,11 @@ def discretize_operator(op_spec, grid: DesignGrid, m0: int,
     ``op_spec`` is a SpectralSynthetic (singular values j^(-p) acting
     diagonally on the cosines; needs G G^t = n I, as on ``midpoint_grid``,
     and takes no ``p`` besides its own) or an n x m0 array of sampled
-    images of the coefficient basis.  The array is projected on the
-    orthonormal basis Q = diag(Q_b) Q_top of a tall-skinny QR of G^t: one
-    QR G_b^t = Q_b R_b per row block of the grid, then one QR of the
-    stacked R_b, whose R factor certifies the design's rank.  Each Q_b is
-    kept in its block's columns of Psi until Psi is formed there.  ``p``
-    records the arrays' ill-posedness index (default 1) for the families
-    and diagnostics.
+    images of the coefficient basis.  The array runs through the pass of
+    ``SampledProjection`` a row slice at a time; each Q_b is kept in its
+    block's columns of Psi until Psi is formed there.  ``p`` records the
+    arrays' ill-posedness index (default 1) for the families and
+    diagnostics.
     """
     if p is not None and p <= 0:
         raise ParameterError("ill-posedness index must be positive")
@@ -255,33 +387,15 @@ def discretize_operator(op_spec, grid: DesignGrid, m0: int,
     S = np.asarray(op_spec, dtype=float)
     if S.shape != (n, m0):
         raise DimensionError(f"sample matrix must be {n} x {m0}, got {S.shape}")
+    proj = SampledProjection(grid, m0, 1.0 if p is None else p)
     Psi = np.empty((m0, n))
-    blocks = _row_blocks(n, max(m0, DESIGN_BLOCK_ELEMENTS // max(m0, 1)))
-    R_blocks, QtS_blocks = [], []
-    for rows in blocks:
-        Q_b, R_b = np.linalg.qr(cosine_design(DesignGrid(grid.points[rows]), m0).T)
-        Psi[:, rows] = Q_b.T
-        R_blocks.append(R_b)
-        QtS_blocks.append(Q_b.T @ S[rows])
-    Q_top, R = np.linalg.qr(np.vstack(R_blocks))
-    _certify_rank(R)
-    # Q^t S = sum_b Q_top,b^t (Q_b^t S_b), Q_top,b the b-th d x d block of Q_top
-    K = Q_top.T @ np.vstack(QtS_blocks) / math.sqrt(n)
-    W, lam, Vt = np.linalg.svd(K)
-    if lam[-1] <= RANK_RTOL * lam[0]:
-        raise RankError("projected operator has a numerically zero singular value")
-    V = Vt.T
-    # canonical signs: largest component of each coefficient vector positive
-    for j in range(m0):
-        i = int(np.argmax(np.abs(V[:, j])))
-        if V[i, j] < 0:
-            V[:, j] = -V[:, j]
-            W[:, j] = -W[:, j]
-    # Psi = sqrt(n) (Q W)^t, block b being sqrt(n) (Q_top,b W)^t Q_b^t
-    for b, rows in enumerate(blocks):
-        top = Q_top[b * m0:(b + 1) * m0]
-        Psi[:, rows] = (math.sqrt(n) * (top @ W).T) @ Psi[:, rows]
-    return DiscretizedOperator(grid, S, lam, V, Psi, 1.0 if p is None else float(p))
+    for rows in proj.blocks:
+        Psi[:, rows] = proj.fold(S[rows]).T
+    proj.finish()
+    for b, rows in enumerate(proj.blocks):
+        Psi[:, rows] = proj._psi_top[b * m0:(b + 1) * m0].T @ Psi[:, rows]
+    return DiscretizedOperator(grid, S, proj.singular_values, proj.x_vectors, Psi,
+                               proj.p)
 
 
 def choose_m0(n: int, p: float) -> int:
@@ -341,6 +455,37 @@ class IllposednessDiagnostics:
         return "\n".join(lines) + "\n"
 
 
+def _decay_constants(lam: np.ndarray, p: float, dims: Sequence[int]):
+    """(dims as a tuple, (k1, k2)): the checked diagnostic dimensions and the
+    extremes of lambda_j j^p.  Dimensions outside [1, d], or an index p for
+    which j^p overflows, raise ParameterError."""
+    d = lam.size
+    dims = tuple(int(m) for m in dims)
+    if not dims or any(m < 1 or m > d for m in dims):
+        raise ParameterError(f"diagnostic dimensions must be nonempty, in [1, {d}]")
+    j = np.arange(1, d + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        scaled = lam * j ** p
+    if not np.all(np.isfinite(scaled)):
+        raise ParameterError(f"[problem] p = {p!r} is so large that j^p overflows")
+    return dims, (float(np.min(scaled)), float(np.max(scaled)))
+
+
+def _assess(lam: np.ndarray, dims: tuple[int, ...], sv_constants, g_up: np.ndarray,
+            sf_constants) -> IllposednessDiagnostics:
+    """The diagnostics of the singular values ``lam``, the residual norms
+    ``g_up`` at ``dims`` and the design spectrum's bounds ``sf_constants``;
+    a fitted constant ratio above RATIO_TOL flags its assumption."""
+    g_lo = lam[np.array(dims) - 1]
+    ratio_bound = float(np.max(g_up / g_lo))
+    (k1, k2), (a1, a2) = sv_constants, sf_constants
+    sv_ok = k1 > 0 and k2 / k1 <= RATIO_TOL
+    sf_ok = a1 > 0 and a2 / a1 <= RATIO_TOL
+    as_ok = ratio_bound <= RATIO_TOL
+    return IllposednessDiagnostics(dims, g_up, g_lo, 1.0 / g_lo, ratio_bound,
+                                   (k1, k2), (a1, a2), sv_ok, sf_ok, as_ok)
+
+
 def diagnostics(op: DiscretizedOperator, dims: Sequence[int]) -> IllposednessDiagnostics:
     """Compute the ill-posedness diagnostics of the projected operator.
 
@@ -349,31 +494,25 @@ def diagnostics(op: DiscretizedOperator, dims: Sequence[int]) -> IllposednessDia
     gamma_upper is the norm of the residual of the sampled images, from
     Euclidean coefficient space to the empirical norm: the square root of
     the largest eigenvalue of the residual's Gram matrix over n, the Gram
-    matrix summed over row blocks of the grid.  The Gram spectrum of the
-    design is summed over the same blocks.  A fitted constant ratio above
-    RATIO_TOL flags the corresponding assumption; a flag is advice, not an
-    error.  An index p for which j^p overflows raises ParameterError.
+    matrix summed over the row blocks of ``_sampled_blocks``.  The Gram
+    spectrum of the design is summed over the same blocks.  A fitted
+    constant ratio above RATIO_TOL flags the corresponding assumption; a
+    flag is advice, not an error.  An index p for which j^p overflows
+    raises ParameterError.  This is the in-memory reading, from S and Psi,
+    of ``SampledProjection.diagnostics``.
     """
-    dims = tuple(int(m) for m in dims)
-    if not dims or any(m < 1 or m > op.d for m in dims):
-        raise ParameterError(f"diagnostic dimensions must be nonempty, in [1, {op.d}]")
+    dims, sv_constants = _decay_constants(op.singular_values, op.p, dims)
     n, d = op.n, op.d
-    j = np.arange(1, d + 1, dtype=float)
-    with np.errstate(over="ignore"):
-        scaled = op.singular_values * j ** op.p
-    if not np.all(np.isfinite(scaled)):
-        raise ParameterError(f"[problem] p = {op.p!r} is so large that j^p overflows")
-    k1, k2 = float(np.min(scaled)), float(np.max(scaled))
 
     # The projection of S on the first m singular functions is Psi_m^t C_m.
     # Residuals enter their Gram matrices times 2^-e, 2^e near max|S|, so
     # that their squares neither overflow nor underflow; the scaling is exact.
     S, Psi = op.sample_matrix, op.singular_design
     C = Psi @ S / n
-    e = int(np.frexp(max(S.max(), -S.min()))[1])
+    e = _exponent(S)
     resid_grams = np.zeros((len(dims), d, d))
     design_gram = np.zeros((d, d))
-    for rows in _row_blocks(n, max(d, DESIGN_BLOCK_ELEMENTS // d)):
+    for rows in _sampled_blocks(n, d):
         G_b = cosine_design(DesignGrid(op.grid.points[rows]), d)
         design_gram += G_b @ G_b.T
         for gram, m in zip(resid_grams, dims):
@@ -382,14 +521,6 @@ def diagnostics(op: DiscretizedOperator, dims: Sequence[int]) -> IllposednessDia
             np.ldexp(resid, -e, out=resid)
             gram += resid.T @ resid
     g_up = np.ldexp(np.sqrt(np.linalg.eigvalsh(resid_grams)[:, -1] / n), e)
-    g_lo = op.singular_values[np.array(dims) - 1]
-    ratio_bound = float(np.max(g_up / g_lo))
-
     eigs = np.linalg.eigvalsh(design_gram)
-    a1, a2 = float(eigs[0] / n), float(eigs[-1] / n)
-
-    sv_ok = k1 > 0 and k2 / k1 <= RATIO_TOL
-    sf_ok = a1 > 0 and a2 / a1 <= RATIO_TOL
-    as_ok = ratio_bound <= RATIO_TOL
-    return IllposednessDiagnostics(dims, g_up, g_lo, 1.0 / g_lo, ratio_bound,
-                                   (k1, k2), (a1, a2), sv_ok, sf_ok, as_ok)
+    return _assess(op.singular_values, dims, sv_constants, g_up,
+                   (float(eigs[0] / n), float(eigs[-1] / n)))

@@ -10,15 +10,18 @@ against every candidate: the squared coefficient-space distance between
 the candidate estimate and the maximal-model inversion of the data, taken
 as one length-d dot product of the squared inversion (c / lambda)^2 with
 the candidate's squared filter residual (1 - lambda F_k)^2, which the family
-forms once.  The first argmin of contrast + penalty is selected.  ``select``
-is the case of one data vector, on a family it checks was built on the
-operator's singular values; the risk study scores its replications a block
-of rows per call, and the concentration checks measure their tails from half
+forms once.  The first argmin of contrast + penalty is selected.
+``select_coefficients`` is the case of one vector of singular coefficients,
+and ``select`` that of one data vector on an operator whose singular values
+the family was built on; the risk study scores its replications a block of
+rows per call, and the concentration checks measure their tails from half
 the penalty.  For a ``nested`` family the rule is hard thresholding of the
 inverted coefficients; ``threshold_objectives`` computes it that way, with
 the dropped energies summed from the last coordinate backwards, as a
-cross-check of the kernel on the same penalties: ``select_by_threshold``
-for one data vector, the risk study in the kernel's row blocks.
+cross-check of the kernel on the same coefficients and penalties: ``select
+--data`` on its one vector, the risk study in the kernel's row blocks, and
+``select_by_threshold`` as the one-vector reference that builds its own
+prefix family.
 """
 
 from __future__ import annotations
@@ -251,25 +254,40 @@ def default_weights(family: RegularizerFamily, cfg: PenaltyConfig,
 
 def select(family: RegularizerFamily, cfg: PenaltyConfig,
            op: DiscretizedOperator, y) -> SelectionResult:
-    """Penalized argmin over the family.
+    """Penalized argmin over the family of the data y on the operator: the
+    ``select_coefficients`` of the singular coefficients of y.
 
-    Ties break toward the earlier (smoother) candidate; families are
-    ordered smoothest first by construction.  The family must be built for op.
+    The family must be built for op.
     """
-    lam, a2 = op.singular_values, family.residual_sq
-    if family.n != op.n or not np.array_equal(family.lam, lam):
+    if family.n != op.n or not np.array_equal(family.lam, op.singular_values):
         raise DimensionError(f"family built for n = {family.n} or on other singular "
                              f"values than the operator's (n = {op.n}, d = {op.d})")
-    return _penalized_argmin(family, cfg, op, y,
+    return select_coefficients(family, cfg, op.svd_coefficients(y), op.x_vectors)
+
+
+def select_coefficients(family: RegularizerFamily, cfg: PenaltyConfig,
+                        c: np.ndarray, x_vectors: np.ndarray) -> SelectionResult:
+    """Penalized argmin over the family of data with singular coefficients c,
+    on singular values family.lam and coefficient-space singular vectors
+    ``x_vectors``.
+
+    Ties break toward the earlier (smoother) candidate; families are
+    ordered smoothest first by construction.
+    """
+    lam, a2 = family.lam, family.residual_sq
+    if c.shape != lam.shape:
+        raise DimensionError(f"{c.size} singular coefficients for a family on "
+                             f"{lam.size} singular values")
+    return _penalized_argmin(family, cfg, c, x_vectors,
                              lambda C, pens: objectives(a2, lam, C, pens))
 
 
-def _penalized_argmin(family: RegularizerFamily, cfg: PenaltyConfig,
-                      op: DiscretizedOperator, y, kernel) -> SelectionResult:
-    """The selection result of one data vector y: ``kernel`` maps its 1 x d
-    singular coefficients and the K penalties to 1 x K (contrasts,
-    objectives), the first argmin is chosen and its filter row estimates."""
-    c = op.svd_coefficients(y)
+def _penalized_argmin(family: RegularizerFamily, cfg: PenaltyConfig, c: np.ndarray,
+                      x_vectors: np.ndarray, kernel) -> SelectionResult:
+    """The selection result of one data vector with singular coefficients c:
+    ``kernel`` maps them as a 1 x d block and the K penalties to 1 x K
+    (contrasts, objectives), the first argmin is chosen and its filter row
+    estimates."""
     pens = penalties(family.trace_stats, family.radius_stats, cfg)
     cons, objs = kernel(c[None, :], pens)
     best = int(np.argmin(objs[0]))
@@ -277,7 +295,7 @@ def _penalized_argmin(family: RegularizerFamily, cfg: PenaltyConfig,
                          float(pens[k]), float(objs[0, k]))
             for k in range(len(family))]
     rows[best].chosen = True
-    estimate = op.x_vectors @ (family.filter_matrix[best] * c)
+    estimate = x_vectors @ (family.filter_matrix[best] * c)
     return SelectionResult(best, rows, estimate, kraft_sum(family, cfg))
 
 
@@ -312,5 +330,5 @@ def select_by_threshold(op: DiscretizedOperator, y, cfg: PenaltyConfig,
         raise ParameterError(f"prefix bound must lie in [1, {op.d}]")
     family = projection_family(op.singular_values, op.n, range(1, m0 + 1))
     lam = op.singular_values[:m0]
-    return _penalized_argmin(family, cfg, op, y,
+    return _penalized_argmin(family, cfg, op.svd_coefficients(y), op.x_vectors,
                              lambda C, pens: threshold_objectives(lam, C[:, :m0], pens))

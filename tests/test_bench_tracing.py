@@ -4,11 +4,12 @@
 renamed function or a method turned into a property breaks only the traced
 benchmark run.  This runs the tracer around tiny ``rates``,
 ``concentration``, ``synth`` and ``select --data`` invocations (the last
-once on a full-prefix projection family, which ``select_by_threshold``
-rebuilds) and checks that every family they build and every CSV and
-manifest they write passes through the traced layers.  The risk study
-works in singular coordinates, so the sample-space projection
-``svd_coefficients`` is reached through ``select``.
+once on a full-prefix projection family, whose thresholding cross-check
+reads the same coefficients and penalties) and checks that every family
+they build and every CSV and manifest they write passes through the traced
+layers.  The risk study works in singular coordinates and ``select --data``
+takes the singular coefficients from its streamed pass, so neither reaches
+the sample-space projection ``svd_coefficients`` nor ``select_by_threshold``.
 """
 
 import importlib.util
@@ -84,8 +85,8 @@ def _candidates_in_traced_runs() -> int:
     # SYNTH_CFG's select: the default tikhonov family on the synth model size
     lam = spectrum(choose_m0(16, 1.0))
     total += len(tikhonov_family(lam, 16, 1.0))
-    # PROJ_CFG's select builds the prefix family, select_by_threshold again
-    return total + 2 * len(projection_family(lam, 16))
+    # PROJ_CFG's select builds the prefix family once
+    return total + len(projection_family(lam, 16))
 
 
 def test_traced_run_counts_the_monte_carlo_layers(tmp_path):
@@ -114,12 +115,12 @@ def test_traced_run_counts_the_monte_carlo_layers(tmp_path):
     assert codes == [0, 0, 0, 0, 0]
     assert QuadFormSpec.__dict__["eta_squared_samples"] is original
     counts, _ = tracing.layer_metrics(tracer, tracer.op)
-    assert counts["operator.svd_coefficients.calls"] > 0
+    assert counts["operator.svd_coefficients.calls"] == 0
     assert counts["concentration.eta_squared_samples.calls"] > 0
     assert counts["concentration.samples_per_matrix"] == 1.0
     assert counts["regularizers.family_build.calls"] > 0
     assert counts["regularizers.candidates_built"] == _candidates_in_traced_runs()
-    assert counts["selection.select_by_threshold.calls"] == 1
+    assert counts["selection.select_by_threshold.calls"] == 0
     files = [os.path.join(tmp_path, d, name) for d in ("r", "c", "s", "sel", "proj")
              for name in os.listdir(tmp_path / d)]
     csvs = [f for f in files if f.endswith(".csv")]

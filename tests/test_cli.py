@@ -101,6 +101,18 @@ class TestSynth:
         assert sorted(one) == ["data.csv", "grid.csv", "operator.csv", "truth.csv"]
         assert one == two
 
+    def test_operator_csv_is_the_dense_sample_matrix(self, tmp_path):
+        # n = 20001 (d = 28, d_ext = 112) writes the samples in 8 row blocks
+        from invreg.configio import write_csv
+        from invreg.operator import choose_m0, cosine_design, midpoint_grid
+        n = 20001
+        _, out = run_synth(tmp_path, cfg_text=SYNTH_CFG.replace("n = 16", f"n = {n}"))
+        d = choose_m0(n, 1.0)
+        dense = cosine_design(midpoint_grid(n), d).T * np.arange(1, d + 1) ** -1.0
+        path = str(tmp_path / "dense.csv")
+        write_csv(path, [f"phi{j}" for j in range(1, d + 1)], dense)
+        assert Path(out, "operator.csv").read_bytes() == Path(path).read_bytes()
+
     def test_sigma_zero_gives_clean_observations(self, tmp_path):
         cfg_text = SYNTH_CFG.replace("sigma = 0.1", "sigma = 0.0")
         _, out = run_synth(tmp_path, "clean", cfg_text)
@@ -778,6 +790,61 @@ class TestOutOfRange:
         assert "--data" in capsys.readouterr().err
 
 
+def _drop_field(row):
+    return lambda lines: [*lines[:row - 1], lines[row - 1].rsplit(",", 1)[0],
+                          *lines[row:]]
+
+
+def _token(row, token):
+    return lambda lines: [*lines[:row - 1],
+                          ",".join([token] + lines[row - 1].split(",")[1:]),
+                          *lines[row:]]
+
+
+def _comments_then(edit):
+    """``edit``, with comment and blank lines between the rows before it."""
+    def commented(lines):
+        lines = edit(lines)
+        return [lines[0], "# a", *lines[1:20], "", "  # b", *lines[20:]]
+    return commented
+
+
+# Faults of operator.csv on a grid of 64 points, which both commands read in
+# 4 row blocks of 16 (the header is row 1), and today's message for each
+OPERATOR_FAULTS = {
+    "one row short": (lambda lines: lines[:-1], "operator.csv has 63 rows, grid has 64"),
+    "one row over": (lambda lines: lines + lines[-1:],
+                     "operator.csv has 65 rows, grid has 64"),
+    "two blocks over": (lambda lines: lines + lines[1:33],
+                        "operator.csv has 96 rows, grid has 64"),
+    "half the rows": (lambda lines: lines[:33], "operator.csv has 32 rows, grid has 64"),
+    "wrong field count": (_drop_field(40), "row 40 has 3 fields, expected 4"),
+    "wrong field count past the grid": (lambda lines: _drop_field(66)(lines + lines[1:3]),
+                                        "row 66 has 3 fields, expected 4"),
+    "nan": (_token(40, "nan"), "row 40: cannot parse 'nan' in column phi1 as a finite "
+                               "number"),
+    "overflow": (_token(40, "1e999"), "row 40: cannot parse '1e999' in column phi1"),
+    "underscore": (_token(40, "1_0"), "row 40: cannot parse '1_0' in column phi1"),
+    "comment lines between rows": (_comments_then(_token(40, "x")),
+                                   "row 40: cannot parse 'x' in column phi1"),
+}
+
+
+class TestOperatorFaults:
+    @pytest.mark.parametrize("command", ["select", "diagnostics"])
+    @pytest.mark.parametrize("case", list(OPERATOR_FAULTS))
+    def test_streamed_read_keeps_the_message(self, tmp_path, capsys, command, case):
+        edit, message = OPERATOR_FAULTS[case]
+        _, data = run_synth(tmp_path, cfg_text=SYNTH_CFG.replace("n = 16", "n = 64"))
+        path = Path(data, "operator.csv")
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        cfg = write_config(tmp_path, "sel.ini", TIKHONOV_SELECT)
+        assert main([command, "--config", cfg, "--data", data,
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+
+
 def _set_key(text, section, key, value):
     cp = configparser.ConfigParser()
     cp.read_string(text)
@@ -888,6 +955,11 @@ UNREACHED = {
     "empirical_norm": "acceptance Criterion 8 and the README quick start",
     "DiscretizedOperator.forward": "acceptance Criterion 8 and the README quick start",
     "DiscretizedOperator.G": "acceptance Criterion 8c",
+    # select --data takes its coefficients from the streamed pass
+    "select": "acceptance Criteria 6 and 8 and the README quick start",
+    "DiscretizedOperator.svd_coefficients": "in-memory reading of the coefficients "
+                                            "of the streamed pass, through select",
+    "select_by_threshold": "acceptance Criterion 6's thresholding reference",
 }
 
 
@@ -939,6 +1011,13 @@ class TestReach:
         assert unreached == set(UNREACHED)
 
 
+def _read_body(path):
+    """The whole body of a numeric CSV, read through ``open_table``."""
+    from invreg.configio import open_table
+    with open_table(path) as (_, take):
+        return take()
+
+
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
                   1e16, 9999999999999998.0, 1e-5, 0.1, 1.0]
 
@@ -963,7 +1042,7 @@ class TestCell:
     def test_array_body_writes_the_bytes_of_cell(self, body):
         """The array path writes the bytes of the ``cell`` path, and a finite
         body reads back bit for bit."""
-        from invreg.configio import read_matrix_csv, write_csv
+        from invreg.configio import write_csv
         header = [f"c{j}" for j in range(body.shape[1])]
         with tempfile.TemporaryDirectory() as tmp:
             fast, slow = os.path.join(tmp, "fast.csv"), os.path.join(tmp, "slow.csv")
@@ -971,7 +1050,7 @@ class TestCell:
             write_csv(slow, header, body.tolist(), ["# note"])
             assert Path(fast).read_bytes() == Path(slow).read_bytes()
             if np.isfinite(body).all():
-                assert read_matrix_csv(fast).tobytes() == body.tobytes()
+                assert _read_body(fast).tobytes() == body.tobytes()
 
 
 def _traced_peak(call):
@@ -988,12 +1067,12 @@ class TestCsvStreaming:
     the file, so a round trip holds O(n d) floats and no whole-file text."""
 
     def test_rows_across_a_write_block_edge_write_the_bytes_of_cell(self, tmp_path):
-        from invreg.configio import WRITE_BLOCK_ROWS, read_matrix_csv, write_csv
+        from invreg.configio import WRITE_BLOCK_ROWS, write_csv
         body = np.random.default_rng(5).standard_normal((2 * WRITE_BLOCK_ROWS + 3, 3))
         header = ["a", "b", "c"]
         fast, slow = str(tmp_path / "fast.csv"), str(tmp_path / "slow.csv")
         write_csv(fast, header, body)
-        assert read_matrix_csv(fast).tobytes() == body.tobytes()
+        assert _read_body(fast).tobytes() == body.tobytes()
         # NaN rows on both sides of the first block edge
         body[WRITE_BLOCK_ROWS - 1, 0] = body[WRITE_BLOCK_ROWS, 2] = math.nan
         write_csv(fast, header, body)
@@ -1015,10 +1094,23 @@ class TestCsvStreaming:
         assert cols["y"].tolist() == [1.0, -2e-3]
 
     def test_comment_and_blank_lines_between_rows(self, tmp_path):
-        from invreg.configio import read_matrix_csv
         path = tmp_path / "d.csv"
         path.write_text("a,b\n\n1,2\n# mid\n\n  # indented\n3,4\n\n")
-        assert read_matrix_csv(str(path)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert _read_body(str(path)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_row_blocks_read_the_whole_body(self, tmp_path):
+        # comment and blank lines inside and at the edges of blocks of 3 rows
+        from invreg.configio import open_table
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n" + "".join(
+            f"{i},{-i}\n" + ("# c\n" if i % 4 == 0 else "") + ("\n" if i % 3 == 0 else "")
+            for i in range(10)))
+        with open_table(str(path)) as (header, take):
+            blocks = [take(3) for _ in range(5)]
+        assert header == ["a", "b"]
+        assert [len(b) for b in blocks] == [3, 3, 3, 1, 0]
+        assert np.vstack(blocks).tolist() == _read_body(str(path)).tolist()
+        assert np.vstack(blocks)[:, 0].tolist() == list(range(10))
 
     def test_quoted_header(self, tmp_path):
         from invreg.configio import read_csv_columns
@@ -1038,19 +1130,19 @@ class TestCsvStreaming:
         # far past the first chunk the text layer decodes, so the fault
         # surfaces inside np.loadtxt; it is a read error, as in a short file,
         # not the NaN row above it, which np.loadtxt accepts
-        from invreg.configio import DataError, read_matrix_csv
+        from invreg.configio import DataError
         path = tmp_path / "d.csv"
         path.write_bytes(b"a,b\nnan,0.5\n" + b"0.125,0.25\n" * 10_000
                          + "# caf\xe9\n".encode("latin-1"))
         with pytest.raises(DataError, match="cannot read"):
-            read_matrix_csv(str(path))
+            _read_body(str(path))
 
     def test_read_matrix_peaks_below_twice_its_array(self, tmp_path):
-        from invreg.configio import read_matrix_csv, write_csv
+        from invreg.configio import write_csv
         body = np.random.default_rng(6).standard_normal((16384, 26))
         path = str(tmp_path / "operator.csv")
         write_csv(path, [f"phi{j}" for j in range(1, 27)], body)
-        S, peak = _traced_peak(lambda: read_matrix_csv(path))
+        S, peak = _traced_peak(lambda: _read_body(path))
         assert S.flags.c_contiguous and S.tobytes() == body.tobytes()
         assert peak <= 2 * S.nbytes
 
@@ -1063,6 +1155,36 @@ class TestCsvStreaming:
         code, peak = _traced_peak(lambda: main(argv))
         assert code == 0
         assert peak <= 4 * n * choose_m0(n, 1.0) * 8
+
+
+    def test_select_data_peak_grows_like_root_n(self, tmp_path):
+        """select --data reads operator.csv and folds it in row blocks of
+        isqrt(n d) grid points, holding O(d sqrt(n d)) floats besides the
+        columns t and y.  At a fixed d = 40 its peak grows about twofold from
+        n = 2^13 to 2^15, where one n x d array grows fourfold."""
+        from invreg.configio import write_csv
+        from invreg.operator import cosine_design, midpoint_grid
+        rng = np.random.default_rng(8)
+        d, peaks = 40, []
+        cfg = write_config(tmp_path, "sel.ini", SELECT_SECTIONS.format(
+            kind="projection", extra=""))
+        for n in (1 << 13, 1 << 15):
+            data = tmp_path / f"n{n}"
+            data.mkdir()
+            t = midpoint_grid(n).points
+            S = (cosine_design(midpoint_grid(n), d).T * np.arange(1, d + 1) ** -1.0
+                 + 1e-3 * rng.standard_normal((n, d)))
+            write_csv(str(data / "grid.csv"), ["t"], t[:, None])
+            write_csv(str(data / "operator.csv"), [f"phi{j}" for j in range(1, d + 1)], S)
+            write_csv(str(data / "data.csv"), ["t", "y"],
+                      np.column_stack([t, S @ rng.standard_normal(d)]))
+            argv = ["select", "--config", cfg, "--data", str(data),
+                    "--out", str(tmp_path / f"sel{n}")]
+            code, peak = _traced_peak(lambda: main(argv))
+            assert code == 0
+            peaks.append(peak)
+        assert peaks[1] <= 2.5 * peaks[0]
+        assert peaks[1] <= S.nbytes / 3
 
 
 class TestShippedConfigs:

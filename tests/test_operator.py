@@ -10,6 +10,7 @@ from invreg import (
     DimensionError,
     ParameterError,
     RankError,
+    SampledProjection,
     SpectralSynthetic,
     build_design_matrix,
     choose_m0,
@@ -20,8 +21,7 @@ from invreg import (
     empirical_projection,
     midpoint_grid,
 )
-from invreg import operator
-from invreg.operator import _certify_rank, _row_blocks
+from invreg.operator import _certify_rank, _sampled_blocks
 
 
 class TestEmpiricalNorm:
@@ -194,14 +194,14 @@ class TestDiscretizeOperator:
             return qr(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", recording_qr)
-        monkeypatch.setattr(operator, "DESIGN_BLOCK_ELEMENTS", 64)
-        discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(32), 6)
+        discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(45), 6)
         assert factored == []
-        grid = midpoint_grid(32)
-        discretize_operator(rng.standard_normal((32, 6)), grid, 6)
-        # blocks of 10, 11 and 11 grid points, then the stacked 6 x 6 R factors
-        assert [a.shape for a in factored] == [(10, 6), (11, 6), (11, 6), (18, 6)]
-        assert np.array_equal(np.vstack(factored[:3]), cosine_design(grid, 6).T)
+        grid = midpoint_grid(45)
+        discretize_operator(rng.standard_normal((45, 6)), grid, 6)
+        # steps of isqrt(45 * 6) = 16 points: blocks of 22 and 23 grid points,
+        # then the stacked 6 x 6 R factors
+        assert [a.shape for a in factored] == [(22, 6), (23, 6), (12, 6)]
+        assert np.array_equal(np.vstack(factored[:2]), cosine_design(grid, 6).T)
 
     def test_spectrum_underflowing_to_zero_is_rejected(self):
         # 2^(-1100) is below the smallest subnormal
@@ -222,7 +222,7 @@ class TestBlockedDiscretization:
     triangular solves would not be)."""
 
     @pytest.mark.parametrize("case,d,blocks,min_cond", [
-        ("clustered", 60, 2, 1e4),
+        ("clustered", 60, 7, 1e4),
         ("sorted uniform", 90, 1, 1e6),
     ])
     def test_matches_a_whole_matrix_qr(self, case, d, blocks, min_cond):
@@ -231,7 +231,7 @@ class TestBlockedDiscretization:
                 else DesignGrid(np.sort(rng.uniform(0.0, 1.0, 100))))
         n = grid.n
         S = rng.standard_normal((n, d))
-        assert len(_row_blocks(n, max(d, operator.DESIGN_BLOCK_ELEMENTS // d))) == blocks
+        assert len(_sampled_blocks(n, d)) == blocks
         Q, R = np.linalg.qr(cosine_design(grid, d).T)
         sv = np.linalg.svd(R, compute_uv=False)
         cond = sv[0] / sv[-1]
@@ -245,11 +245,79 @@ class TestBlockedDiscretization:
         assert np.max(rel) <= 10 * np.finfo(float).eps * cond
 
 
+def _folded(S, grid, y=None, residuals=False):
+    """The SampledProjection of the samples S, folded a row slice at a time."""
+    proj = SampledProjection(grid, S.shape[1], 1.0, y, residuals)
+    for rows in proj.blocks:
+        proj.fold(S[rows])
+    return proj.finish()
+
+
+class TestSampledProjection:
+    """The streamed pass against the in-memory operator that
+    discretize_operator forms from the same row blocks, on a random grid of
+    15 blocks."""
+
+    N, D = 3000, 12
+
+    def _samples(self, rng, kind):
+        grid = DesignGrid(np.sort(rng.uniform(0.0, 1.0, self.N)))
+        if kind == "random":
+            return grid, rng.standard_normal((self.N, self.D))
+        # inside the span of the design: the residual at m = d is rounding
+        lam = np.arange(1, self.D + 1) ** -1.0
+        return grid, cosine_design(grid, self.D).T * lam
+
+    @pytest.mark.parametrize("kind", ["random", "in span"])
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -500])
+    def test_diagnostics_match_the_in_memory_grams(self, rng, kind, scale):
+        # the squared residuals of 2^600 S would overflow, of 2^-500 S underflow
+        grid, S = self._samples(rng, kind)
+        S *= scale
+        assert len(_sampled_blocks(self.N, self.D)) == 15
+        dims = range(1, self.D + 1)
+        ref = diagnostics(discretize_operator(S, grid, self.D), dims)
+        got = _folded(S, grid, residuals=True).diagnostics(dims)
+        assert np.allclose(got.gamma_upper[:-1] / scale, ref.gamma_upper[:-1] / scale,
+                           rtol=1e-13, atol=0.0)
+        assert abs(got.gamma_upper[-1] - ref.gamma_upper[-1]) / scale <= 1e-12
+        assert np.array_equal(got.gamma_lower, ref.gamma_lower)
+        assert got.sv_constants == ref.sv_constants
+        assert np.allclose(got.sf_constants, ref.sf_constants, rtol=1e-13, atol=0.0)
+        assert (got.sv_ok, got.sf_ok, got.as_ok) == (ref.sv_ok, ref.sf_ok, ref.as_ok)
+
+    def test_coefficients_match_svd_coefficients(self, rng):
+        grid, S = self._samples(rng, "random")
+        y = rng.standard_normal(self.N)
+        op = discretize_operator(S, grid, self.D)
+        proj = _folded(S, grid, y=y)
+        assert np.array_equal(proj.singular_values, op.singular_values)
+        assert np.array_equal(proj.x_vectors, op.x_vectors)
+        ref = op.svd_coefficients(y)
+        # relative to the largest coefficient: a small one carries its rounding
+        assert np.max(np.abs(proj.coefficients - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_finish_needs_every_block(self, rng):
+        grid, S = self._samples(rng, "random")
+        proj = SampledProjection(grid, self.D)
+        proj.fold(S[proj.blocks[0]])
+        with pytest.raises(DimensionError, match="1 of 15 row blocks"):
+            proj.finish()
+
+    def test_diagnostics_need_the_residuals(self, rng):
+        grid, S = self._samples(rng, "random")
+        with pytest.raises(ParameterError, match="residuals"):
+            _folded(S, grid).diagnostics([1])
+
+
 class TestOperatorMemory:
-    """A sampled operator is discretized and diagnosed one row block at a
-    time: the only n x d array formed besides S is Psi."""
+    """A sampled operator is discretized and diagnosed one row block of
+    _sampled_blocks (isqrt(n d) grid points) at a time: the only n x d array
+    formed besides S is Psi, and the rest stays within a few row blocks."""
 
     N, D = 16384, 26
+    # bytes of the largest n_b x d row block, 656 x 26 floats here
+    BLOCK = max(r.stop - r.start for r in _sampled_blocks(N, D)) * D * 8
 
     def _traced(self, call):
         tracemalloc.start()
@@ -264,14 +332,14 @@ class TestOperatorMemory:
         grid = midpoint_grid(self.N)
         op, kept, peak = self._traced(lambda: discretize_operator(S, grid, self.D))
         assert op.singular_design.nbytes == S.nbytes
-        assert peak <= 2.5 * S.nbytes
+        assert peak <= S.nbytes + 8 * self.BLOCK   # 1.31 arrays
         assert kept <= 1.25 * S.nbytes
 
     def test_diagnostics_allocate_below_one_array(self, rng):
         S = rng.standard_normal((self.N, self.D))
         op = discretize_operator(S, midpoint_grid(self.N), self.D)
         _, _, peak = self._traced(lambda: diagnostics(op, range(1, self.D + 1)))
-        assert peak <= S.nbytes
+        assert peak <= 8 * self.BLOCK   # 0.32 arrays
 
 
 class TestChooseM0:

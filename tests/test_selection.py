@@ -22,6 +22,7 @@ from invreg import (
     projection_family,
     select,
     select_by_threshold,
+    select_coefficients,
     threshold_objectives,
     tikhonov_family,
 )
@@ -164,6 +165,13 @@ class TestSelect:
         fam = tikhonov_family(other.singular_values, 64, 1.0)
         with pytest.raises(DimensionError, match="other singular values"):
             select(fam, PenaltyConfig(sigma2=0.01), op, rng.standard_normal(64))
+
+    def test_coefficients_need_one_per_singular_value(self, op_p1_d4_n16, rng):
+        fam = tikhonov_of(op_p1_d4_n16)
+        c = op_p1_d4_n16.svd_coefficients(rng.standard_normal(16))
+        with pytest.raises(DimensionError, match="3 singular coefficients"):
+            select_coefficients(fam, PenaltyConfig(sigma2=0.01), c[:3],
+                                op_p1_d4_n16.x_vectors)
 
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
