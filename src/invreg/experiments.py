@@ -23,14 +23,14 @@ across rows, is ranked in closed form, |F_k cbar - x0|^2 + sum_j F_kj^2 v_j
 with cbar and v the column mean and population variance of the
 coefficients, before the errors of the two best are formed.  A ``nested``
 family's thresholding cross-check runs in the same row blocks, so a grid
-point takes O(R (K + d)) memory.  ``synth_problem`` forms its clean samples
-in row blocks of the grid too, each sample summed in index order without BLAS.
+point takes O(R (K + d)) memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .operator import (
     DiscretizedOperator,
     SpectralSynthetic,
     _row_blocks,
+    _sampled_blocks,
     choose_m0,
     cosine_design,
     discretize_operator,
@@ -63,10 +64,9 @@ from .selection import (
 
 # Elements of one row block of a blocked product, which sets its _row_blocks
 # step: rows x K x d in the risk kernel, the products its contrasts sum (a
-# block's temporaries are rows x K contrasts and rows x d errors), rows x d
-# in the column-variance pass, and points x d_ext (at least d_ext points) in
-# synth_problem, the entries of the extended design.  The kernel's errors
-# and synth_problem's samples do not depend on the block size.
+# block's temporaries are rows x K contrasts and rows x d errors), and rows x d
+# in the column-variance pass.  The kernel's errors do not depend on the block
+# size.
 KERNEL_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -116,20 +116,38 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class SynthProblem:
-    """A generated problem: a spectral-synthetic operator of index p on the
-    first d cosines of a midpoint grid, the extended truth and clean samples.
-
-    ``op`` is built on each request; ``operator_blocks`` yields its samples
-    a row block at a time, so that they can be written without forming the
-    design or the sample matrix.
+    """A generated problem: a spectral-synthetic operator of index p, with
+    singular values ``lam``, on the first d cosines of the midpoint grid of n
+    points, and the extended truth x0.  ``grid`` and ``clean`` are formed on
+    first use (the risk study forms neither), ``op`` on each request, and
+    ``operator_blocks`` yields the samples a row block at a time, so that they
+    can be written without forming the design or the sample matrix.
     """
 
     p: float
-    grid: DesignGrid
+    n: int
     d: int
     x0: np.ndarray
     sigma: float
-    clean: np.ndarray
+    lam: np.ndarray
+
+    @cached_property
+    def grid(self) -> DesignGrid:
+        return midpoint_grid(self.n)
+
+    @cached_property
+    def clean(self) -> np.ndarray:
+        """G_ext^t (lam_ext x0) for the extended cosine design G_ext of
+        x0.size rows, a row block of ``_sampled_blocks`` at a time.  einsum
+        sums each sample over j in index order without BLAS, so neither the
+        block edges nor the thread count reach its bits."""
+        d_ext = self.x0.size
+        v = np.arange(1, d_ext + 1, dtype=float) ** -self.p * self.x0
+        clean = np.empty(self.n)
+        for rows in _sampled_blocks(self.n, d_ext):
+            np.einsum("ji,j->i", cosine_design(DesignGrid(self.grid.points[rows]), d_ext),
+                      v, out=clean[rows])
+        return clean
 
     @property
     def op(self) -> DiscretizedOperator:
@@ -137,17 +155,10 @@ class SynthProblem:
         return discretize_operator(SpectralSynthetic(p=self.p), self.grid, self.d)
 
     def operator_blocks(self):
-        """The rows G^t lambda of ``op.sample_matrix``, one row block of the
-        grid at a time, each the same floats as the whole matrix."""
-        lam = SpectralSynthetic(p=self.p).values(self.d)
-        for rows in _synth_blocks(self.grid.n, self.x0.size):
-            yield cosine_design(DesignGrid(self.grid.points[rows]), self.d).T * lam
-
-
-def _synth_blocks(n: int, d_ext: int) -> list[slice]:
-    """Row blocks of the extended design in ``synth_problem``: at least d_ext
-    grid points (as cosine_design requires), KERNEL_BLOCK_ELEMENTS entries."""
-    return _row_blocks(n, max(d_ext, KERNEL_BLOCK_ELEMENTS // d_ext))
+        """The rows G^t lambda of ``op.sample_matrix``, one row block of
+        ``_sampled_blocks`` at a time, each the same floats as the whole matrix."""
+        for rows in _sampled_blocks(self.n, self.d):
+            yield cosine_design(DesignGrid(self.grid.points[rows]), self.d).T * self.lam
 
 
 def synth_problem(p: float, nu: float, rho: float, n: int, seed: int = 0,
@@ -168,20 +179,9 @@ def synth_problem(p: float, nu: float, rho: float, n: int, seed: int = 0,
         d_ext = min(4 * d, n)
     if d_ext < d or d_ext > n:
         raise ParameterError(f"extended range must lie in [{d}, {n}]")
-    SpectralSynthetic(p=p).values(d)   # the model's spectrum must not underflow
-    grid = midpoint_grid(n)
-    x0 = source.coefficients(p, d_ext, seed)
-    lam_ext = np.arange(1, d_ext + 1, dtype=float) ** (-float(p))
-    v = lam_ext * x0
-    # clean = G_ext^t v for the d_ext x n extended cosine design G_ext, a row
-    # block at a time.  einsum sums each sample over j in index order
-    # without BLAS, so neither the block edges nor the thread count reach
-    # its bits.
-    clean = np.empty(n)
-    for rows in _synth_blocks(n, d_ext):
-        np.einsum("ji,j->i", cosine_design(DesignGrid(grid.points[rows]), d_ext), v,
-                  out=clean[rows])
-    return SynthProblem(float(p), grid, d, x0, float(sigma), clean)
+    lam = SpectralSynthetic(p=p).values(d)   # raises if the spectrum underflows
+    return SynthProblem(float(p), n, d, source.coefficients(p, d_ext, seed),
+                        float(sigma), lam)
 
 
 def bias_m0(x0, m0: int) -> float:
@@ -328,11 +328,10 @@ def _score_blocks(family: RegularizerFamily, C: np.ndarray, pens: np.ndarray,
 
 
 def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]:
-    d = choose_m0(n, cfg.p)
-    lam = SpectralSynthetic(p=cfg.p).values(d)
-    x_ext = SourceSpec(cfg.nu, cfg.rho, cfg.omega).coefficients(cfg.p, d_ext, cfg.seed)
-    x0 = x_ext[:d]
-    tail = bias_m0(x_ext, d)
+    prob = synth_problem(cfg.p, cfg.nu, cfg.rho, n, cfg.seed, cfg.sigma, cfg.omega,
+                         d_ext)
+    d, lam = prob.d, prob.lam
+    x0, tail = prob.x0[:d], bias_m0(prob.x0, d)
 
     # singular coefficients of the data in the sequence model (module docstring)
     R = cfg.replications

@@ -416,6 +416,17 @@ dims = 1, 2, 3
         text = Path(out, "diagnostics.txt").read_text()
         assert "sv_k1 = " in text and "ratio_bound = " in text
 
+    def test_without_data_forms_no_samples(self, tmp_path, monkeypatch):
+        # the operator is discretized from its spectrum; the d_ext-row
+        # extended design of the clean samples is never built
+        built = []
+        real = invreg.experiments.cosine_design
+        monkeypatch.setattr(invreg.experiments, "cosine_design",
+                            lambda grid, rows: built.append(rows) or real(grid, rows))
+        cfg = write_config(tmp_path, "diag.ini", DIAG_CFG)
+        assert main(["diagnostics", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+        assert built == []
+
 
 TIKHONOV_SELECT = SELECT_SECTIONS.format(kind="tikhonov", extra="")
 
@@ -1158,10 +1169,11 @@ class TestCsvStreaming:
 
 
     def test_select_data_peak_grows_like_root_n(self, tmp_path):
-        """select --data reads operator.csv and folds it in row blocks of
-        isqrt(n d) grid points, holding O(d sqrt(n d)) floats besides the
-        columns t and y.  At a fixed d = 40 its peak grows about twofold from
-        n = 2^13 to 2^15, where one n x d array grows fourfold."""
+        """select --data and diagnostics --data read operator.csv and fold it
+        in row blocks of isqrt(n d) grid points, holding O(d sqrt(n d))
+        floats besides the columns t and y.  At a fixed d = 40 each peak grows
+        about twofold from n = 2^13 to 2^15, where one n x d array grows
+        fourfold."""
         from invreg.configio import write_csv
         from invreg.operator import cosine_design, midpoint_grid
         rng = np.random.default_rng(8)
@@ -1178,13 +1190,18 @@ class TestCsvStreaming:
             write_csv(str(data / "operator.csv"), [f"phi{j}" for j in range(1, d + 1)], S)
             write_csv(str(data / "data.csv"), ["t", "y"],
                       np.column_stack([t, S @ rng.standard_normal(d)]))
-            argv = ["select", "--config", cfg, "--data", str(data),
-                    "--out", str(tmp_path / f"sel{n}")]
-            code, peak = _traced_peak(lambda: main(argv))
-            assert code == 0
-            peaks.append(peak)
-        assert peaks[1] <= 2.5 * peaks[0]
-        assert peaks[1] <= S.nbytes / 3
+            for command in ("select", "diagnostics"):
+                argv = [command, "--config", cfg, "--data", str(data),
+                        "--out", str(tmp_path / f"{command}{n}")]
+                code, peak = _traced_peak(lambda: main(argv))
+                assert code == 0
+                peaks.append(peak)
+        select, diag = peaks[0::2], peaks[1::2]
+        assert select[1] <= 2.5 * select[0]
+        assert select[1] <= S.nbytes / 3
+        # diagnostics (all d dims) also holds a residual Gram per row block
+        assert diag[1] <= 2.5 * diag[0]
+        assert diag[1] <= S.nbytes / 2
 
 
 class TestShippedConfigs:

@@ -76,11 +76,31 @@ class TestSynthProblem:
                            rtol=0, atol=1e-14)
 
     def test_samples_do_not_depend_on_the_block_size(self, monkeypatch):
-        # at n = 20001 (d_ext = 112) the default splits the grid into 8 blocks,
-        # 2^12 elements into 178 blocks of 112 or 113 points
+        # at n = 20001 (d_ext = 112) the sampled-pass rule splits the grid into
+        # 13 blocks, a step of d_ext into 178 blocks of 112 or 113 points
         default = synth_problem(1.0, 0.5, 1.0, 20001).clean
-        monkeypatch.setattr(experiments, "KERNEL_BLOCK_ELEMENTS", 1 << 12)
+        used = []
+
+        def step_of_d(n, d):
+            used.append(invreg.operator._row_blocks(n, d))
+            return used[-1]
+
+        monkeypatch.setattr(experiments, "_sampled_blocks", step_of_d)
         assert np.array_equal(synth_problem(1.0, 0.5, 1.0, 20001).clean, default)
+        assert len(invreg.operator._sampled_blocks(20001, 112)) == 13
+        assert [len(blocks) for blocks in used] == [178]
+
+    def test_clean_samples_and_grid_are_formed_on_first_use(self, monkeypatch):
+        calls = []
+        for name in ("cosine_design", "midpoint_grid"):
+            real = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name, lambda *a, _f=real, _n=name:
+                                calls.append(_n) or _f(*a))
+        prob = synth_problem(1.0, 0.5, 1.0, 64)
+        assert calls == []
+        clean, made = prob.clean, len(calls)
+        assert prob.clean is clean and prob.grid is prob.grid
+        assert calls[0] == "midpoint_grid" and len(calls) == made > 1
 
     def test_random_omega_is_seed_stable(self):
         src = SourceSpec(0.5, 2.0, "random")
@@ -139,21 +159,26 @@ class TestMonteCarloRisk:
         assert cell(report.rows[0].risk_se) == "NA"
 
     def test_builds_no_design(self, monkeypatch):
-        # the families come from the singular values and n alone: no cosine
-        # design is ever sampled, even at n = 65536
-        def refuse(grid, d_m):
-            raise AssertionError(f"design sampled at d = {d_m}, n = {grid.n}")
+        # each grid point's problem comes from one synth_problem call and the
+        # families from its singular values and n alone: no grid is formed and
+        # no cosine design is ever sampled, even at n = 65536
+        for original in (invreg.operator.cosine_design, invreg.operator.midpoint_grid):
+            def refuse(*args, _name=original.__name__):
+                raise AssertionError(f"{_name} called with {args}")
 
-        original = invreg.operator.cosine_design
-        for name, module in list(sys.modules.items()):
-            if (name.partition(".")[0] == "invreg"
-                    and getattr(module, "cosine_design", None) is original):
-                monkeypatch.setattr(module, "cosine_design", refuse)
+            for name, module in list(sys.modules.items()):
+                if (name.partition(".")[0] == "invreg"
+                        and getattr(module, original.__name__, None) is original):
+                    monkeypatch.setattr(module, original.__name__, refuse)
+        ns, real = [], experiments.synth_problem
+        monkeypatch.setattr(experiments, "synth_problem",
+                            lambda *args: ns.append(args[3]) or real(*args))
         cfg = ExperimentConfig(n_grid=(4096, 8192, 16384, 32768, 65536),
                                replications=2, seed=3)
         report = monte_carlo_risk(cfg)
         assert len(report.rows) == 10
         assert all(math.isfinite(r.risk) for r in report.rows)
+        assert ns == list(cfg.n_grid)
 
     def test_oracle_never_beats_adaptive_by_much(self):
         report = monte_carlo_risk(SMALL)
