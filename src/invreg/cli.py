@@ -333,6 +333,8 @@ def cmd_concentration(args) -> int:
     if not tokens or trials < 1:
         raise ConfigError("[concentration] needs at least one matrix and "
                           "identity_trials >= 1")
+    if moment_q < 1:
+        raise ConfigError(f"[concentration] moment_q = {moment_q} must be at least 1")
     noise = conc.GaussianNoise(sigma)
     pcfg = PenaltyConfig(sigma2=sigma ** 2,
                          r=cfg_value(cp, "penalty", "r", float, 2.5),
@@ -340,15 +342,16 @@ def cmd_concentration(args) -> int:
                          kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0))
     specs = [(token, conc.QuadFormSpec(_concentration_matrix(token), noise, reps, seed))
              for token in tokens]
+    # each matrix's u grid is checked before the first draw and the output directory
+    u_grids = [conc.default_u_grid(spec, u_count) for _, spec in specs]
     man = cio.RunManifest("concentration", cio.config_echo(cp), seed,
                           args.out).start()
 
     tail_rows, moment_rows, comments = [], [], []
     total_violations = 0
-    for token, spec in specs:
+    for (token, spec), u_grid in zip(specs, u_grids):
         etasq = spec.eta_squared_samples()
-        rep = conc.tail_check(spec, etasq, pcfg, conc.default_u_grid(spec.A, u_count),
-                              weight)
+        rep = conc.tail_check(spec, etasq, pcfg, u_grid, weight)
         total_violations += rep.violations
         comments.append(f"# {token}: " + "; ".join(
             l.lstrip("# ") for l in rep.header_lines()))

@@ -11,6 +11,11 @@ selection rule is calibrated so that
 with Tr and rho the trace and spectral radius of A^t A and u measured in
 sigma^2 units.  The checks here estimate the left side by simulation and
 compare it with the right side at an explicit binomial error budget.
+
+A sample of eta^2 is drawn and reduced one row block of replications at a
+time (``operator._kernel_blocks``, k n products a row), so it takes
+O(replications + KERNEL_BLOCK_ELEMENTS) memory, never a replications x n
+array of noise.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .operator import empirical_projection
+from .operator import _kernel_blocks, empirical_projection
 from .selection import PenaltyConfig, penalties
 
 
@@ -67,9 +72,11 @@ class QuadFormSpec:
 
     ``noise`` is any object with attributes ``sigma`` and
     ``sample(rng, shape)``, which returns an array of that shape of
-    independent draws; the shipped law is GaussianNoise.  All replications
-    come from one generator seeded with ``seed``, as one replications x n
-    block.  ``trace`` and ``radius`` are those of A^t A.
+    independent draws in C order, each call continuing the stream of ``rng``
+    where the last one stopped, so that row blocks drawn one after another
+    concatenate to the draw of one call; the shipped law GaussianNoise meets
+    this.  All replications come from one generator seeded with ``seed``.
+    ``trace`` and ``radius`` are those of A^t A.
     """
 
     A: np.ndarray
@@ -89,10 +96,15 @@ class QuadFormSpec:
         object.__setattr__(self, "radius", rho)
 
     def eta_squared_samples(self) -> np.ndarray:
-        shape = (self.replications, self.A.shape[1])
-        V = self.noise.sample(np.random.default_rng(self.seed), shape) @ self.A.T
+        """|A eps|^2 for each replication, the noise drawn and reduced in the
+        row blocks of ``_kernel_blocks`` (module docstring)."""
+        n = self.A.shape[1]
+        rng = np.random.default_rng(self.seed)
+        etasq = np.empty(self.replications)
         with np.errstate(over="ignore"):
-            etasq = np.vecdot(V, V)
+            for block in _kernel_blocks(self.replications, self.A.size):
+                V = self.noise.sample(rng, (block.stop - block.start, n)) @ self.A.T
+                np.vecdot(V, V, out=etasq[block])
         if not np.all(np.isfinite(etasq)):
             raise ParameterError(f"the eta^2 samples overflow at [concentration] "
                                  f"sigma = {self.noise.sigma!r}")
@@ -193,13 +205,13 @@ def penalized_level(spec: QuadFormSpec, r: float, weight: float) -> float:
     return level
 
 
-def default_u_grid(A, count: int = 8) -> np.ndarray:
-    """Geometric grid of sigma^2-unit offsets scaled to the matrix energy."""
+def default_u_grid(spec: QuadFormSpec, count: int = 8) -> np.ndarray:
+    """Geometric grid of sigma^2-unit offsets scaled to the matrix energy
+    Tr + rho of ``spec``."""
     if count < 1:
         raise ParameterError("the u grid needs at least one point")
-    tr, rho = _gram_stats(np.atleast_2d(np.asarray(A, dtype=float)))
     with np.errstate(over="ignore"):
-        grid = (tr + rho) * 0.25 * 2.0 ** np.arange(count)
+        grid = (spec.trace + spec.radius) * 0.25 * 2.0 ** np.arange(count)
     if not np.isfinite(grid[-1]):
         raise ParameterError(f"[concentration] u_count = {count} overflows the u grid")
     return grid

@@ -14,7 +14,7 @@ N(0, sigma^2/n I).  The risk study therefore draws the coefficients
 directly, one R x d block per grid point n, and never forms a sample
 vector.  Its families need only j^(-p) and n, so it samples no design.
 The block is scored against each K x d family a few rows at a time (the
-nearly equal row blocks of ``operator._row_blocks``, sized by
+nearly equal row blocks of ``operator._kernel_blocks``, sized by
 KERNEL_BLOCK_ELEMENTS), and no R x K x d array is formed: ``objectives``
 dots each row with every row of the family's squared residual, formed once,
 each row's squared error is formed for its selected candidate only, and
@@ -39,7 +39,7 @@ from .operator import (
     DesignGrid,
     DiscretizedOperator,
     SpectralSynthetic,
-    _row_blocks,
+    _kernel_blocks,
     _sampled_blocks,
     choose_m0,
     cosine_design,
@@ -60,14 +60,6 @@ from .selection import (
     penalties,
     threshold_objectives,
 )
-
-
-# Elements of one row block of a blocked product, which sets its _row_blocks
-# step: rows x K x d in the risk kernel, the products its contrasts sum (a
-# block's temporaries are rows x K contrasts and rows x d errors), and rows x d
-# in the column-variance pass.  The kernel's errors do not depend on the block
-# size.
-KERNEL_BLOCK_ELEMENTS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +290,8 @@ def _score_blocks(family: RegularizerFamily, C: np.ndarray, pens: np.ndarray,
     a ``nested`` family, the number of rows on which the thresholding form of
     its first K coordinates selects the same candidate (NaN otherwise).
 
-    The rows go through in the ``_row_blocks`` of step
-    KERNEL_BLOCK_ELEMENTS // (K d) (at least one row); each error meets the
+    The rows go through in the ``_kernel_blocks`` of K d elements a row
+    (KERNEL_BLOCK_ELEMENTS // (K d) rows, at least one); each error meets the
     same operations in the same order as in a whole R x K error array, so
     the result does not depend on the block edges.
     """
@@ -308,7 +300,7 @@ def _score_blocks(family: RegularizerFamily, C: np.ndarray, pens: np.ndarray,
     picked = np.empty(R)
     errs = np.empty((R, oracle.size))
     agreed = 0 if family.nested else math.nan
-    for block in _row_blocks(R, max(1, KERNEL_BLOCK_ELEMENTS // F.size)):
+    for block in _kernel_blocks(R, F.size):
         Cb = C[block]
         _, objs = objectives(family.residual_sq, lam, Cb, pens)
         chosen = np.argmin(objs, axis=1)
@@ -343,7 +335,7 @@ def _risk_rows_for_n(n: int, cfg: ExperimentConfig, d_ext: int) -> list[RiskRow]
     # column mean and population variance, the deviations a row block at a time
     with np.errstate(over="ignore", invalid="ignore"):
         c_mean, c_var = C.mean(axis=0), np.zeros(d)
-        for block in _row_blocks(R, max(1, KERNEL_BLOCK_ELEMENTS // d)):
+        for block in _kernel_blocks(R, d):
             dev = C[block] - c_mean
             dev *= dev
             c_var += dev.sum(axis=0)

@@ -151,7 +151,7 @@ class TestCriterion4ConcentrationTail:
             for L in (0.0, _single_matrix_weight(A)):
                 spec = QuadFormSpec(A, GaussianNoise(1.0), 10_000, seed=4)
                 rep = tail_check(spec, spec.eta_squared_samples(), cfg,
-                                 default_u_grid(A, 8), weight=L)
+                                 default_u_grid(spec, 8), weight=L)
                 total += rep.violations
                 report(f"4a tail bound [{name}, L={L:.2f}]",
                        rep.violations == 0,
@@ -162,7 +162,7 @@ class TestCriterion4ConcentrationTail:
         d, reps = 4, 10_000
         spec = QuadFormSpec(np.eye(d), GaussianNoise(1.0), reps, seed=4)
         cfg = PenaltyConfig(sigma2=1.0, r=2.5)
-        u_grid = default_u_grid(np.eye(d), 8)
+        u_grid = default_u_grid(spec, 8)
         rep = tail_check(spec, spec.eta_squared_samples(), cfg, u_grid, weight=0.0)
         level = (d + 1) * 1.25
         worst = 0.0

@@ -384,12 +384,37 @@ class TestConcentration:
         assert os.path.exists(os.path.join(out, "moments.csv"))
 
     def test_csvs_do_not_depend_on_blas_threads(self, tmp_path):
-        # the shipped matrix list, regularizer:4x16 included
+        # the shipped matrix list, regularizer:4x16 included, whose 2000
+        # replications are one row block, and regularizer:8x4096, drawn in 250
         cfg = write_config(tmp_path, "threads.ini", CONC_CFG.format(kraft_d=1.0).replace(
-            "identity:4 decay:8", "identity:4 decay:8 regularizer:4x16"))
+            "identity:4 decay:8",
+            "identity:4 decay:8 regularizer:4x16 regularizer:8x4096"))
         one, two = csvs_under_blas_threads(tmp_path, "concentration", cfg)
         assert sorted(one) == ["identity.csv", "moments.csv", "tails.csv"]
         assert one == two
+
+    @pytest.mark.parametrize("old,new", [
+        ("identity_trials", "moment_q = 0\nidentity_trials"),
+        ("u_count = 8", "u_count = 0"),
+        # the last grid point (Tr + rho) 2^1020 overflows for identity:64
+        # (Tr + rho = 65), not for identity:4 (5), which is drawn first
+        ("u_count = 8", "u_count = 1023")],
+        ids=["moment_q", "u_count", "u_count overflow"])
+    def test_bad_settings_fail_before_any_draw(self, tmp_path, monkeypatch, old, new):
+        drawn = []
+
+        class CountingNoise(invreg.GaussianNoise):
+            def sample(self, rng, shape):
+                drawn.append(shape)
+                return super().sample(rng, shape)
+
+        monkeypatch.setattr(invreg.concentration, "GaussianNoise", CountingNoise)
+        cfg = write_config(tmp_path, "conc.ini", CONC_CFG.format(kraft_d=1.0).replace(
+            "identity:4 decay:8", "identity:4 identity:64").replace(old, new))
+        out = tmp_path / "conc"
+        assert main(["concentration", "--config", cfg, "--out", str(out)]) == 2
+        assert drawn == []
+        assert not out.exists()
 
     def test_oversized_kraft_constant_trips_violation_exit(self, tmp_path):
         # the bound only holds for some small constant; forcing a huge one

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import invreg.operator
 from invreg import (
     DimensionError,
     GaussianNoise,
@@ -20,6 +22,7 @@ from invreg import (
     projection_identity_check,
     tail_check,
 )
+from invreg.cli import _concentration_matrix
 
 
 class TestEta:
@@ -85,7 +88,7 @@ class TestTailCheck:
     def test_empirical_and_bound_decrease_in_u(self):
         spec = QuadFormSpec(np.eye(4), GaussianNoise(1.0), 3000, seed=1)
         rep = tail_check(spec, spec.eta_squared_samples(), PenaltyConfig(sigma2=1.0),
-                         default_u_grid(np.eye(4)), weight=0.0)
+                         default_u_grid(spec), weight=0.0)
         assert np.all(np.diff(rep.empirical_tail) <= 0)
         assert np.all(np.diff(rep.theoretical_bound) < 0)
         assert rep.empirical_tail[-1] <= rep.empirical_tail[0]
@@ -94,7 +97,7 @@ class TestTailCheck:
         d, sigma, reps = 4, 1.0, 10_000
         spec = QuadFormSpec(np.eye(d), GaussianNoise(sigma), reps, seed=7)
         cfg = PenaltyConfig(sigma2=sigma ** 2, r=2.5)
-        u_grid = default_u_grid(np.eye(d))
+        u_grid = default_u_grid(spec)
         rep = tail_check(spec, spec.eta_squared_samples(), cfg, u_grid, weight=0.0)
         level = (d + 1) * (2.5 / 2.0)
         for u, emp in zip(u_grid, rep.empirical_tail):
@@ -105,9 +108,9 @@ class TestTailCheck:
     def test_diagonal_against_independent_sampler(self):
         A = np.diag([1.0, 0.5, 1.0 / 3.0])
         cfg = PenaltyConfig(sigma2=1.0, r=2.5)
-        u = default_u_grid(A)
         spec1 = QuadFormSpec(A, GaussianNoise(1.0), 8000, seed=11)
         spec2 = QuadFormSpec(A, GaussianNoise(1.0), 8000, seed=2024)
+        u = default_u_grid(spec1)
         rep1 = tail_check(spec1, spec1.eta_squared_samples(), cfg, u, weight=0.0)
         rep2 = tail_check(spec2, spec2.eta_squared_samples(), cfg, u, weight=0.0)
         for e1, s1, e2, s2 in zip(rep1.empirical_tail, rep1.stderr,
@@ -118,7 +121,7 @@ class TestTailCheck:
         cfg = PenaltyConfig(sigma2=1.0, r=2.5)
         for A in (np.eye(4), np.diag(1.0 / np.arange(1.0, 9.0))):
             spec = QuadFormSpec(A, GaussianNoise(1.0), 4000, seed=5)
-            rep = tail_check(spec, spec.eta_squared_samples(), cfg, default_u_grid(A),
+            rep = tail_check(spec, spec.eta_squared_samples(), cfg, default_u_grid(spec),
                              weight=0.0)
             assert rep.violations == 0
 
@@ -196,16 +199,80 @@ class TestMomentCheck:
 
 
 class CountingNoise(GaussianNoise):
-    """Gaussian noise law that counts the values it draws."""
+    """Gaussian noise law that counts the values it draws and records the
+    shape of each call."""
 
     def __init__(self, sigma):
         super().__init__(sigma)
         self.drawn = 0
+        self.shapes = []
 
     def sample(self, rng, shape):
         out = super().sample(rng, shape)
         self.drawn += out.size
+        self.shapes.append(out.shape)
         return out
+
+
+def _one_call_draw(spec):
+    """eta^2 of the whole replications x n noise array drawn in one call."""
+    V = spec.noise.sample(np.random.default_rng(spec.seed),
+                          (spec.replications, spec.A.shape[1])) @ spec.A.T
+    return np.vecdot(V, V)
+
+
+class TestBlockedDraw:
+    """eta_squared_samples draws and reduces one row block at a time."""
+
+    @pytest.mark.parametrize("rows", [1, None], ids=["one-row", "default"])
+    @pytest.mark.parametrize("token,default_blocks", [
+        ("identity:4", 1), ("decay:8", 2), ("regularizer:4x16", 2)])
+    def test_shipped_matrices_match_the_one_call_draw(self, monkeypatch, token,
+                                                      default_blocks, rows):
+        noise = CountingNoise(1.0)
+        spec = QuadFormSpec(_concentration_matrix(token), noise, 10_000, seed=3)
+        if rows is not None:
+            monkeypatch.setattr(invreg.operator, "KERNEL_BLOCK_ELEMENTS",
+                                rows * spec.A.size)
+        got = spec.eta_squared_samples()
+        blocks = invreg.operator._kernel_blocks(spec.replications, spec.A.size)
+        assert noise.shapes == [(b.stop - b.start, spec.A.shape[1]) for b in blocks]
+        assert len(blocks) == (spec.replications if rows == 1 else default_blocks)
+        ref = _one_call_draw(spec)
+        if rows == 1 and token.startswith("regularizer"):
+            # a one-row product is a BLAS matrix-vector product, which sums a
+            # dense row of A in another order than the matrix-matrix product
+            # (measured 1.2e-15 relative)
+            np.testing.assert_allclose(got, ref, rtol=4e-15, atol=0)
+        else:
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("rows", [1, 7, None], ids=["one-row", "7-row", "default"])
+    def test_dense_matrices_match_the_one_call_draw_to_round_off(self, monkeypatch,
+                                                                 rows):
+        # the block edges set how BLAS sums the n products of a row of A eps:
+        # measured up to 8.4e-15 relative on these two matrices
+        for A in (_concentration_matrix("regularizer:8x4096"),
+                  np.random.default_rng(5).standard_normal((4, 1024))):
+            spec = QuadFormSpec(A, GaussianNoise(1.0), 2000, seed=3)
+            if rows is not None:
+                monkeypatch.setattr(invreg.operator, "KERNEL_BLOCK_ELEMENTS",
+                                    rows * A.size)
+            np.testing.assert_allclose(spec.eta_squared_samples(), _one_call_draw(spec),
+                                       rtol=1e-13, atol=0)
+
+    def test_peak_memory_is_a_block_not_the_noise_array(self):
+        # the 2048 x 1024 noise array takes 16 MiB; a block of the default
+        # budget holds 64 of its rows
+        A = np.random.default_rng(5).standard_normal((4, 1024))
+        spec = QuadFormSpec(A, GaussianNoise(1.0), 2048, seed=1)
+        tracemalloc.start()
+        try:
+            spec.eta_squared_samples()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spec.replications * A.shape[1] * 8 / 8
 
 
 class TestSharedSample:
@@ -215,7 +282,7 @@ class TestSharedSample:
         noise = CountingNoise(1.0)
         spec = QuadFormSpec(np.diag([1.0, 0.5, 0.25]), noise, 300, seed=6)
         etasq = spec.eta_squared_samples()
-        tail_check(spec, etasq, self.CFG, default_u_grid(spec.A), weight=1.0)
+        tail_check(spec, etasq, self.CFG, default_u_grid(spec), weight=1.0)
         moment_check(spec, etasq, self.CFG, 1, weight=1.0)
         assert noise.drawn == spec.replications * spec.A.shape[1]
 
@@ -223,7 +290,7 @@ class TestSharedSample:
         spec = QuadFormSpec(np.diag([1.0, 0.5, 0.25]), GaussianNoise(1.0), 500,
                             seed=6)
         shared = spec.eta_squared_samples()
-        u = default_u_grid(spec.A)
+        u = default_u_grid(spec)
         for L in (0.0, 1.0):
             a = tail_check(spec, shared, self.CFG, u, weight=L)
             b = tail_check(spec, spec.eta_squared_samples(), self.CFG, u, weight=L)
@@ -253,4 +320,5 @@ class TestSharedSample:
         tail_check(spec, etasq, self.CFG, np.array([0.5, 1.0]), weight=1.0)
         moment_check(spec, etasq, self.CFG, 1, weight=1.0)
         penalized_level(spec, r=2.5, weight=1.0)
+        default_u_grid(spec)
         assert calls == [(3, 3)]

@@ -296,7 +296,7 @@ class TestRiskKernel:
 
         monkeypatch.setattr(experiments, "objectives", spy)
         for n in cfg.n_grid:
-            monkeypatch.setattr(experiments, "KERNEL_BLOCK_ELEMENTS",
+            monkeypatch.setattr(invreg.operator, "KERNEL_BLOCK_ELEMENTS",
                                 rows * _filter_size(n, cfg))
             blocks.clear()
             got = _risk_rows_for_n(n, cfg, d_ext)
@@ -321,7 +321,7 @@ class TestRiskKernel:
             return original(residual_sq, lam, C, pen)
 
         monkeypatch.setattr(experiments, "objectives", spy)
-        monkeypatch.setattr(experiments, "KERNEL_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(invreg.operator, "KERNEL_BLOCK_ELEMENTS", 1)
         _risk_rows_for_n(256, cfg, cfg.extended_dim())
         (fam,) = built
         assert len(seen) == cfg.replications
