@@ -9,10 +9,12 @@ from .concentration import (
     TailReport,
     default_u_grid,
     eta,
+    moment_bound_shape,
     moment_check,
     penalized_level,
     projection_identity_check,
     tail_check,
+    tail_levels,
 )
 from .errors import (
     DegenerateDesignError,

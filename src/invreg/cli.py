@@ -32,7 +32,6 @@ from .operator import (
     SampledProjection,
     SpectralSynthetic,
     build_design_matrix,
-    diagnostics,
     discretize_operator,
     midpoint_grid,
 )
@@ -342,8 +341,13 @@ def cmd_concentration(args) -> int:
                          kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0))
     specs = [(token, conc.QuadFormSpec(_concentration_matrix(token), noise, reps, seed))
              for token in tokens]
-    # each matrix's u grid is checked before the first draw and the output directory
-    u_grids = [conc.default_u_grid(spec, u_count) for _, spec in specs]
+    # each matrix's u grid, tail levels and moment bound shape are checked
+    # before the first draw and the output directory
+    u_grids = []
+    for _, spec in specs:
+        u_grids.append(conc.default_u_grid(spec, u_count))
+        conc.tail_levels(spec, pcfg.r, weight, u_grids[-1])
+        conc.moment_bound_shape(spec, pcfg, moment_q, weight)
     man = cio.RunManifest("concentration", cio.config_echo(cp), seed,
                           args.out).start()
 
@@ -392,11 +396,19 @@ def cmd_diagnostics(args) -> int:
         op = _operator_from_data(cp, args.data, residuals=True)
         seed = args.seed if args.seed is not None else 0
     else:
+        # the samples synth writes to operator.csv, folded as they are formed
         prob, seed = _problem_from_config(cp, args.seed)
-        op = prob.op
+        op = SampledProjection(prob.grid, prob.d, prob.p, residuals=True)
+        for S_b in prob.operator_blocks():
+            op.fold(S_b)
+        try:
+            op.finish()
+        except RankError as exc:
+            raise ConfigError(f"[problem] p = {prob.p!r} is so large that the "
+                              f"{exc}") from exc
     dims = cfg_list(cp, "diagnostics", "dims", int, list(range(1, op.d + 1)))
     man = cio.RunManifest("diagnostics", cio.config_echo(cp), seed, args.out).start()
-    diag = op.diagnostics(dims) if args.data is not None else diagnostics(op, dims)
+    diag = op.diagnostics(dims)
     man.text("diagnostics.txt", diag.to_report())
     man.finish()
     sys.stdout.write(diag.to_report())

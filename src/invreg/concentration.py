@@ -217,6 +217,21 @@ def default_u_grid(spec: QuadFormSpec, count: int = 8) -> np.ndarray:
     return grid
 
 
+def tail_levels(spec: QuadFormSpec, r: float, weight: float, u_grid) -> np.ndarray:
+    """The levels sigma^2 (level + u) at which ``tail_check`` measures the
+    tail of eta^2, for the penalized level of ``spec`` with weight L =
+    ``weight`` and the u grid ``u_grid``; a level that overflows raises
+    ParameterError.  They need no sample, so a run checks them before its
+    first draw."""
+    sigma = spec.noise.sigma
+    with np.errstate(over="ignore"):
+        levels = penalized_level(spec, r, weight) + sigma ** 2 * u_grid
+    if not np.all(np.isfinite(levels)):
+        raise ParameterError(f"the tail levels overflow at [concentration] "
+                             f"sigma = {sigma!r}, u up to {float(np.max(u_grid))!r}")
+    return levels
+
+
 def tail_check(spec: QuadFormSpec, etasq, cfg: PenaltyConfig, u_grid,
                weight: float) -> TailReport:
     """Compare the Monte Carlo tail of eta^2 with the exponential bound.
@@ -227,12 +242,7 @@ def tail_check(spec: QuadFormSpec, etasq, cfg: PenaltyConfig, u_grid,
     """
     u_grid = np.asarray(u_grid, dtype=float)
     tr, rho = spec.trace, spec.radius
-    sigma = spec.noise.sigma
-    with np.errstate(over="ignore"):
-        levels = penalized_level(spec, cfg.r, weight) + sigma ** 2 * u_grid
-    if not np.all(np.isfinite(levels)):
-        raise ParameterError(f"the tail levels overflow at [concentration] "
-                             f"sigma = {sigma!r}, u up to {float(np.max(u_grid))!r}")
+    levels = tail_levels(spec, cfg.r, weight, u_grid)
     emp = np.array([np.mean(etasq >= t) for t in levels])
     se = np.sqrt(emp * (1.0 - emp) / spec.replications)
     bound = np.exp(-np.sqrt(cfg.kraft_d * (u_grid / rho
@@ -258,23 +268,16 @@ class MomentReport:
     defined: bool
 
 
-def moment_check(spec: QuadFormSpec, etasq, cfg: PenaltyConfig, q: int,
-                 weight: float) -> MomentReport:
-    """Truncated q-th moment of the eta^2 sample ``etasq`` of ``spec`` above
-    the penalized level of weight L = ``weight``.  ``cfg`` supplies r and
-    kraft_d only; sigma comes from ``spec.noise``."""
-    if q < 1:
-        raise ParameterError("moment order must be at least 1")
-    tr, rho = spec.trace, spec.radius
-    level = penalized_level(spec, cfg.r, weight)
-    with np.errstate(over="ignore"):
-        emp = float(np.mean(np.clip(etasq - level, 0.0, None) ** q))
-    if not math.isfinite(emp):
-        raise ParameterError(f"the empirical moment of order [concentration] "
-                             f"moment_q = {q} overflows at [concentration] "
-                             f"sigma = {spec.noise.sigma!r}")
+def moment_bound_shape(spec: QuadFormSpec, cfg: PenaltyConfig, q: int,
+                       weight: float) -> float:
+    """The shape k1^-q (k2^(q - 1/2) + k2^(q - 1)) exp(-sqrt(k2)) of the
+    bound on the q-th moment that ``moment_check`` compares with, NaN for a
+    weight L = ``weight`` of zero, where it is degenerate; a shape that
+    overflows or underflows raises ParameterError.  It needs no sample, so a
+    run checks it before its first draw."""
     if weight <= 0.0:
-        return MomentReport(q, emp, math.nan, math.nan, weight, False)
+        return math.nan
+    tr, rho = spec.trace, spec.radius
     k1 = cfg.kraft_d / (rho * spec.noise.sigma ** 2)
     k2 = cfg.kraft_d * (cfg.r / 2.0) * weight * (tr / rho + 1.0)
     try:
@@ -285,4 +288,24 @@ def moment_check(spec: QuadFormSpec, etasq, cfg: PenaltyConfig, q: int,
     if not 0 < shape < math.inf:
         raise ParameterError(f"moment bound shape {shape!r} is out of range at "
                              f"[concentration] moment_q = {q}, weight = {weight!r}")
+    return shape
+
+
+def moment_check(spec: QuadFormSpec, etasq, cfg: PenaltyConfig, q: int,
+                 weight: float) -> MomentReport:
+    """Truncated q-th moment of the eta^2 sample ``etasq`` of ``spec`` above
+    the penalized level of weight L = ``weight``.  ``cfg`` supplies r and
+    kraft_d only; sigma comes from ``spec.noise``."""
+    if q < 1:
+        raise ParameterError("moment order must be at least 1")
+    level = penalized_level(spec, cfg.r, weight)
+    with np.errstate(over="ignore"):
+        emp = float(np.mean(np.clip(etasq - level, 0.0, None) ** q))
+    if not math.isfinite(emp):
+        raise ParameterError(f"the empirical moment of order [concentration] "
+                             f"moment_q = {q} overflows at [concentration] "
+                             f"sigma = {spec.noise.sigma!r}")
+    if weight <= 0.0:
+        return MomentReport(q, emp, math.nan, math.nan, weight, False)
+    shape = moment_bound_shape(spec, cfg, q, weight)
     return MomentReport(q, emp, shape, emp / shape, weight, True)

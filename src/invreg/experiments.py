@@ -37,13 +37,11 @@ import numpy as np
 from .errors import InsufficientDataError, ParameterError
 from .operator import (
     DesignGrid,
-    DiscretizedOperator,
     SpectralSynthetic,
     _kernel_blocks,
     _sampled_blocks,
     choose_m0,
     cosine_design,
-    discretize_operator,
     midpoint_grid,
 )
 from .regularizers import (
@@ -111,9 +109,9 @@ class SynthProblem:
     """A generated problem: a spectral-synthetic operator of index p, with
     singular values ``lam``, on the first d cosines of the midpoint grid of n
     points, and the extended truth x0.  ``grid`` and ``clean`` are formed on
-    first use (the risk study forms neither), ``op`` on each request, and
-    ``operator_blocks`` yields the samples a row block at a time, so that they
-    can be written without forming the design or the sample matrix.
+    first use (the risk study forms neither), and ``operator_blocks`` yields
+    the samples a row block at a time, so that they can be written or folded
+    without forming the design or the sample matrix.
     """
 
     p: float
@@ -141,14 +139,10 @@ class SynthProblem:
                       v, out=clean[rows])
         return clean
 
-    @property
-    def op(self) -> DiscretizedOperator:
-        """The discretized operator, built on each request."""
-        return discretize_operator(SpectralSynthetic(p=self.p), self.grid, self.d)
-
     def operator_blocks(self):
-        """The rows G^t lambda of ``op.sample_matrix``, one row block of
-        ``_sampled_blocks`` at a time, each the same floats as the whole matrix."""
+        """The samples G^t diag(lambda) of the operator on the grid, one row
+        block of ``_sampled_blocks`` at a time, each the same floats as the
+        whole n x d matrix of ``discretize_operator``."""
         for rows in _sampled_blocks(self.n, self.d):
             yield cosine_design(DesignGrid(self.grid.points[rows]), self.d).T * self.lam
 

@@ -16,7 +16,8 @@ G^t: one QR per block, then one of the stacked R factors) that keeps
 d x d state per block, so it can read its samples a block at a time and
 yields the singular coefficients of data and the diagnostics without an
 n x d array.  ``discretize_operator`` runs the same pass over an array
-and then forms the singular design Psi.
+and then forms the singular design Psi, from which ``diagnostics`` reads
+the same constants in memory, the reference the pass is tested against.
 """
 
 from __future__ import annotations

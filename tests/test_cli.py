@@ -393,14 +393,23 @@ class TestConcentration:
         assert sorted(one) == ["identity.csv", "moments.csv", "tails.csv"]
         assert one == two
 
-    @pytest.mark.parametrize("old,new", [
-        ("identity_trials", "moment_q = 0\nidentity_trials"),
-        ("u_count = 8", "u_count = 0"),
+    @pytest.mark.parametrize("old,new,key", [
+        ("identity_trials", "moment_q = 0\nidentity_trials", "[concentration] moment_q"),
+        ("u_count = 8", "u_count = 0", "the u grid"),
         # the last grid point (Tr + rho) 2^1020 overflows for identity:64
         # (Tr + rho = 65), not for identity:4 (5), which is drawn first
-        ("u_count = 8", "u_count = 1023")],
-        ids=["moment_q", "u_count", "u_count overflow"])
-    def test_bad_settings_fail_before_any_draw(self, tmp_path, monkeypatch, old, new):
+        ("u_count = 8", "u_count = 1023", "[concentration] u_count"),
+        # k2^(3/2) overflows in the shape of the second moment's bound
+        ("weight = 1.0", "weight = 1e300\nmoment_q = 2", "[concentration] moment_q"),
+        # exp(-sqrt(k2)) underflows for identity:64 (k2 = 8.1e5), not identity:4
+        ("weight = 1.0", "weight = 1e4", "[concentration] moment_q"),
+        # sigma^2 (level + u) is 1.7e308 at the top of identity:4's u grid,
+        # and overflows at the top of identity:64's
+        ("sigma = 1.0", "sigma = 1e153", "[concentration] sigma")],
+        ids=["moment_q", "u_count", "u_count overflow", "moment bound overflow",
+             "moment bound underflow", "tail level overflow"])
+    def test_bad_settings_fail_before_any_draw(self, tmp_path, monkeypatch, capsys,
+                                               old, new, key):
         drawn = []
 
         class CountingNoise(invreg.GaussianNoise):
@@ -413,6 +422,7 @@ class TestConcentration:
             "identity:4 decay:8", "identity:4 identity:64").replace(old, new))
         out = tmp_path / "conc"
         assert main(["concentration", "--config", cfg, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
         assert drawn == []
         assert not out.exists()
 
@@ -442,15 +452,43 @@ dims = 1, 2, 3
         assert "sv_k1 = " in text and "ratio_bound = " in text
 
     def test_without_data_forms_no_samples(self, tmp_path, monkeypatch):
-        # the operator is discretized from its spectrum; the d_ext-row
-        # extended design of the clean samples is never built
+        # the operator's samples are formed and folded a row block of d = 4
+        # columns at a time; the d_ext = 16-row extended design of the clean
+        # samples is never built
         built = []
         real = invreg.experiments.cosine_design
         monkeypatch.setattr(invreg.experiments, "cosine_design",
                             lambda grid, rows: built.append(rows) or real(grid, rows))
         cfg = write_config(tmp_path, "diag.ini", DIAG_CFG)
         assert main(["diagnostics", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
-        assert built == []
+        assert built and set(built) == {4}
+
+    @pytest.mark.parametrize("config", [
+        Path(ROOT, "configs", "synth_small.ini").read_text(),
+        # n = 20001, d = 28: the samples span 26 row blocks
+        "[problem]\nn = 20001\np = 1.0\nnu = 0.5\nseed = 5\n"],
+        ids=["synth_small", "several row blocks"])
+    def test_without_data_equals_the_round_trip(self, tmp_path, config):
+        cfg = write_config(tmp_path, "diag.ini", config)
+        data = str(tmp_path / "synth")
+        assert main(["synth", "--config", cfg, "--out", data]) == 0
+        reports = []
+        for extra in (["--data", data], []):
+            out = tmp_path / f"diag{len(reports)}"
+            assert main(["diagnostics", "--config", cfg, "--out", str(out)] + extra) == 0
+            reports.append((out / "diagnostics.txt").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_without_data_peaks_below_half_an_operator_array(self, tmp_path):
+        # n = 2^15, p = 1: d = 32, and one n x d array is 8 MiB
+        n, d = 1 << 15, 32
+        cfg = write_config(tmp_path, "diag.ini", DIAG_CFG.replace("n = 32", f"n = {n}"))
+        argv = ["diagnostics", "--config", cfg, "--out", str(tmp_path / "d")]
+        code, peak = _traced_peak(lambda: main(argv))
+        assert code == 0
+        assert Path(tmp_path, "d", "diagnostics.txt").read_text().startswith(
+            "dims = " + ",".join(str(m) for m in range(1, d + 1)) + "\n")
+        assert peak < n * d * 8 / 2
 
 
 TIKHONOV_SELECT = SELECT_SECTIONS.format(kind="tikhonov", extra="")
@@ -574,6 +612,9 @@ OUT_OF_RANGE = {
     # 1/lambda_2 = 2^1050 overflows, and so does j^p
     "diagnostics p overflow": lambda tmp: _diag_argv(
         tmp, DIAG_CFG.replace("p = 1.0", "p = 1050")),
+    # d = 2 at n = 32 and lambda_2 = 2^-60 is below the rank cliff
+    "diagnostics p rank cliff": lambda tmp: _diag_argv(
+        tmp, DIAG_CFG.replace("p = 1.0", "p = 60")),
     "select count": lambda tmp: _select_argv(
         tmp, SELECT_SECTIONS.format(kind="tikhonov", extra="count = 0\n")),
     # a repeated dimension would be a repeated candidate in the kraft sum
@@ -790,6 +831,7 @@ class TestOutOfRange:
         ("rates sigma penalty overflow", "[problem] sigma"),
         ("rates sigma objective overflow", "[problem] sigma"),
         ("diagnostics p overflow", "[problem] p"),
+        ("diagnostics p rank cliff", "[problem] p"),
         ("concentration sigma tail overflow", "[concentration] sigma"),
         ("concentration sigma sample overflow", "[concentration] sigma"),
         ("concentration sigma^2 near overflow", "[concentration] sigma"),
@@ -996,6 +1038,10 @@ UNREACHED = {
     "DiscretizedOperator.svd_coefficients": "in-memory reading of the coefficients "
                                             "of the streamed pass, through select",
     "select_by_threshold": "acceptance Criterion 6's thresholding reference",
+    # diagnostics fold the samples through SampledProjection, with or without --data
+    "diagnostics": "in-memory reference of SampledProjection.diagnostics, from S and Psi",
+    "DiscretizedOperator.d": "read by the in-memory references forward, G and "
+                             "diagnostics",
 }
 
 

@@ -25,7 +25,7 @@ from invreg import (
 )
 from invreg.configio import cell
 from invreg.experiments import _mean_se, _risk_rows_for_n
-from invreg.operator import SpectralSynthetic, choose_m0
+from invreg.operator import SpectralSynthetic, choose_m0, discretize_operator
 from invreg.regularizers import projection_family, tikhonov_family
 from invreg.selection import (
     PenaltyConfig,
@@ -34,6 +34,11 @@ from invreg.selection import (
     penalties,
     threshold_objectives,
 )
+
+
+def _operator(prob):
+    """The in-memory discretized operator of ``prob``."""
+    return discretize_operator(SpectralSynthetic(p=prob.p), prob.grid, prob.d)
 
 
 class TestSynthProblem:
@@ -51,7 +56,7 @@ class TestSynthProblem:
 
     def test_generated_problem_passes_diagnostics(self):
         prob = synth_problem(1.0, 0.5, 1.0, 128)
-        diag = diagnostics(prob.op, range(1, prob.op.d + 1))
+        diag = diagnostics(_operator(prob), range(1, prob.d + 1))
         assert diag.sv_constants[0] == pytest.approx(1.0, abs=1e-8)
         assert diag.sv_constants[1] == pytest.approx(1.0, abs=1e-8)
         assert diag.sf_constants[0] == pytest.approx(1.0, abs=1e-8)
@@ -60,9 +65,9 @@ class TestSynthProblem:
 
     def test_clean_samples_match_spectrum(self):
         prob = synth_problem(1.0, 0.5, 1.0, 64)
-        c = prob.op.svd_coefficients(prob.clean)
-        lam = prob.op.singular_values
-        assert np.allclose(c, lam * prob.x0[:prob.op.d], atol=1e-12)
+        op = _operator(prob)
+        c = op.svd_coefficients(prob.clean)
+        assert np.allclose(c, op.singular_values * prob.x0[:op.d], atol=1e-12)
 
     @pytest.mark.parametrize("n,d_ext", [(64, 64), (20000, None)])
     def test_blocked_samples_cover_every_grid_point(self, n, d_ext):
@@ -70,7 +75,7 @@ class TestSynthProblem:
         # longer; (64, 64) is one block of exactly d_ext points
         prob = synth_problem(1.0, 0.5, 1.0, n, d_ext=d_ext)
         d_ext = prob.x0.size
-        G_ext = invreg.operator.cosine_design(prob.op.grid, d_ext)
+        G_ext = invreg.operator.cosine_design(prob.grid, d_ext)
         lam_ext = np.arange(1, d_ext + 1) ** -1.0
         assert np.allclose(prob.clean, G_ext.T @ (lam_ext * prob.x0),
                            rtol=0, atol=1e-14)
@@ -122,9 +127,8 @@ class TestBiasM0:
 
     def test_matches_direct_series_summation(self):
         prob = synth_problem(1.0, 0.5, 1.0, 64)
-        d = prob.op.d
-        oracle = sum(float(prob.x0[j]) ** 2 for j in range(d, prob.x0.size))
-        assert bias_m0(prob.x0, prob.op.d) == pytest.approx(oracle, abs=1e-15)
+        oracle = sum(float(prob.x0[j]) ** 2 for j in range(prob.d, prob.x0.size))
+        assert bias_m0(prob.x0, prob.d) == pytest.approx(oracle, abs=1e-15)
 
 
 SMALL = ExperimentConfig(n_grid=(64, 128, 256, 512), replications=20, seed=3)
