@@ -28,6 +28,7 @@ from .experiments import (
     synth_problem,
 )
 from .operator import (
+    RANK_RTOL,
     DesignGrid,
     SampledProjection,
     SpectralSynthetic,
@@ -72,7 +73,12 @@ def _problem_from_config(cp, seed_override):
     seed = _seed(cp, "problem", seed_override)
     omega = cfg_value(cp, "problem", "omega", str, "log-uniform")
     d_ext = cfg_value(cp, "problem", "d_ext", int, None)
-    return synth_problem(p, nu, rho, n, seed, sigma, omega, d_ext), seed
+    prob = synth_problem(p, nu, rho, n, seed, sigma, omega, d_ext)
+    # the rank cliff that SampledProjection.finish applies to the files of synth
+    if prob.lam[-1] <= RANK_RTOL * prob.lam[0]:
+        raise ConfigError(f"[problem] p = {prob.p!r} is so large that the projected "
+                          "operator has a numerically zero singular value")
+    return prob, seed
 
 
 def cmd_synth(args) -> int:
@@ -401,11 +407,7 @@ def cmd_diagnostics(args) -> int:
         op = SampledProjection(prob.grid, prob.d, prob.p, residuals=True)
         for S_b in prob.operator_blocks():
             op.fold(S_b)
-        try:
-            op.finish()
-        except RankError as exc:
-            raise ConfigError(f"[problem] p = {prob.p!r} is so large that the "
-                              f"{exc}") from exc
+        op.finish()
     dims = cfg_list(cp, "diagnostics", "dims", int, list(range(1, op.d + 1)))
     man = cio.RunManifest("diagnostics", cio.config_echo(cp), seed, args.out).start()
     diag = op.diagnostics(dims)

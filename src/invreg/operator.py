@@ -12,12 +12,13 @@ projected map.
 Every blocked pass of the package walks its rows in the nearly equal
 blocks of ``_row_blocks``.  A sampled operator is projected in one pass
 over row blocks of the grid (``SampledProjection``, a tall-skinny QR of
-G^t: one QR per block, then one of the stacked R factors) that keeps
-d x d state per block, so it can read its samples a block at a time and
-yields the singular coefficients of data and the diagnostics without an
-n x d array.  ``discretize_operator`` runs the same pass over an array
-and then forms the singular design Psi, from which ``diagnostics`` reads
-the same constants in memory, the reference the pass is tested against.
+G^t by a flat reduction tree: one QR per block, whose rows are folded
+into one running R factor) that keeps d x d state, however many blocks
+there are, so it can read its samples a block at a time and yields the
+singular coefficients of data and the diagnostics without an n x d
+array.  ``discretize_operator`` runs the same pass over an array and
+then forms the singular design Psi, from which ``diagnostics`` reads the
+same constants in memory, the reference the pass is tested against.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ def _kernel_blocks(n: int, per_row: int) -> list[slice]:
 def _sampled_blocks(n: int, d: int) -> list[slice]:
     """The row blocks of every pass over a sampled operator of n grid points
     and d columns: a step of max(d, isqrt(n d)) points, so that the n_b x d
-    arrays of one block and the d x d state of all blocks both stay
-    O(d sqrt(n d))."""
+    arrays of one block stay O(d sqrt(n d)), and every such pass forms the
+    same products of each block, the same bits."""
     return _row_blocks(n, max(d, math.isqrt(n * d)))
 
 
@@ -251,22 +252,21 @@ class DiscretizedOperator:
 
 class SampledProjection:
     """A sampled operator projected onto the cosine design of its grid in one
-    pass over the row blocks of the grid (``_sampled_blocks``), keeping d x d
-    state per block and no n x d array.
+    pass over the row blocks of the grid (``_sampled_blocks``) that keeps one
+    R factor of at most 2d + 1 rows and no n x d array.
 
-    ``fold`` takes the n_b x d samples S_b of the next block: one QR
-    G_b^t = Q_b R_b of the block's cosine design (Q_b is returned), then
-    R_b and T_b = Q_b^t S_b are kept; with data ``y`` also Q_b^t y_b, and
-    with ``residuals`` the Gram matrix of L_b = S_b - Q_b T_b, the part of
-    the samples outside the block's span, times 2^-2e for 2^e near
-    max|L_b|.  ``finish`` takes one QR Q_top R of the stacked R_b, whose R
-    certifies the design's rank and has its singular values, so that
-    Q = diag(Q_b) Q_top is an orthonormal basis of the span of G^t, and the
-    SVD K = Q^t S / sqrt(n) = Q_top^t [T_b] / sqrt(n) = W diag(lambda) V^t,
-    signed so that the largest component of each column of V is positive.
-    The singular design is Psi = sqrt(n) (Q W)^t, so the singular
-    coefficients Psi y / n of the data are (sqrt(n) Q_top W)^t [Q_b^t y_b] / n.
-    ``p`` records the ill-posedness index for the families and diagnostics.
+    ``fold`` takes the samples S_b of the next block and a QR G_b^t = Q_b R_b
+    of the block's cosine design, stacks the rows [R_b | Q_b^t y_b | Q_b^t S_b]
+    (y_b = 0 without data ``y``) below R and keeps the R factor of the stack
+    (a flat reduction tree); with ``residuals`` it adds the Gram matrix of
+    L_b = S_b - Q_b Q_b^t S_b, times 2^-2e for 2^e near max|L_b|, to a sum
+    kept at the largest such power of two.  For the orthonormal basis Q of the
+    span of G^t that the pass implies, the top d rows of R hold the design's R
+    factor (its rank certificate and singular values), Q^t y and T = Q^t S;
+    ``finish`` takes the SVD K = T / sqrt(n) = W diag(lambda) V^t, signed so
+    that the largest component of each column of V is positive.  Psi =
+    sqrt(n) (Q W)^t is the singular design, so the coefficients Psi y / n of
+    the data are W^t Q^t y / sqrt(n).  ``p`` records the ill-posedness index.
     """
 
     def __init__(self, grid: DesignGrid, d: int, p: float = 1.0, y=None,
@@ -277,91 +277,85 @@ class SampledProjection:
         self.grid, self.d, self.p = grid, d, float(p)
         self.blocks = _sampled_blocks(grid.n, d)
         self._y, self._residuals = y, residuals
-        self._R, self._T, self._Qty, self._L_grams, self._L_exps = [], [], [], [], []
+        self._folded, self._R = 0, None
+        # the exponent of a zero sum lies below that of every nonzero double
+        self._L_gram, self._L_exp = np.zeros((d, d)), -1075
 
     @property
     def n(self) -> int:
         return self.grid.n
 
-    def fold(self, S_b: np.ndarray) -> np.ndarray:
-        """Take the samples of the next row block; returns its Q_b."""
-        rows = self.blocks[len(self._R)]
-        if S_b.shape != (rows.stop - rows.start, self.d):
-            raise DimensionError(f"row block {len(self._R)} of the samples must be "
-                                 f"{rows.stop - rows.start} x {self.d}, got {S_b.shape}")
-        Q_b, R_b = np.linalg.qr(cosine_design(DesignGrid(self.grid.points[rows]),
-                                              self.d).T)
+    def fold(self, S_b: np.ndarray) -> None:
+        """Take the samples of the next row block."""
+        d, rows = self.d, self.blocks[self._folded]
+        if S_b.shape != (rows.stop - rows.start, d):
+            raise DimensionError(f"row block {self._folded} of the samples must be "
+                                 f"{rows.stop - rows.start} x {d}, got {S_b.shape}")
+        Q_b, R_b = np.linalg.qr(cosine_design(DesignGrid(self.grid.points[rows]), d).T)
         T_b = Q_b.T @ S_b
-        self._R.append(R_b)
-        self._T.append(T_b)
-        if self._y is not None:
-            self._Qty.append(Q_b.T @ self._y[rows])
+        # y before S: the rows of Q^t S come from the design's reflections
+        # alone, in QRs of one shape, the same bits with or without data
+        Qty_b = np.zeros(d) if self._y is None else Q_b.T @ self._y[rows]
+        rows_b = np.column_stack([R_b, Qty_b, T_b])
+        self._R = (rows_b if self._R is None   # the first block's are an R factor
+                   else np.linalg.qr(np.vstack([self._R, rows_b]), mode="r"))
         if self._residuals:
             L = S_b - Q_b @ T_b
             e = _exponent(L)
             np.ldexp(L, -e, out=L)
-            self._L_grams.append(L.T @ L)
-            self._L_exps.append(e)
-        return Q_b
+            top = max(e, self._L_exp)
+            self._L_gram = (np.ldexp(self._L_gram, 2 * (self._L_exp - top))
+                            + np.ldexp(L.T @ L, 2 * (e - top)))
+            self._L_exp = top
+        self._folded += 1
 
     def finish(self) -> "SampledProjection":
         """The singular system of the folded blocks: sets ``singular_values``,
         ``x_vectors`` and, with data, ``coefficients``.  A design or operator
         that is numerically singular raises DegenerateDesignError or
         RankError."""
-        n, d = self.n, self.d
-        if len(self._R) != len(self.blocks):
-            raise DimensionError(f"{len(self._R)} of {len(self.blocks)} row blocks "
+        n, d, R = self.n, self.d, self._R
+        if self._folded != len(self.blocks):
+            raise DimensionError(f"{self._folded} of {len(self.blocks)} row blocks "
                                  "of the samples were folded")
-        Q_top, R = np.linalg.qr(np.vstack(self._R))
-        self._design_sv = _certify_rank(R)
-        # Q^t S = sum_b Q_top,b^t (Q_b^t S_b), Q_top,b the b-th d x d block of Q_top
-        self._K = Q_top.T @ np.vstack(self._T) / math.sqrt(n)
-        W, lam, Vt = np.linalg.svd(self._K)
+        self._design_sv = _certify_rank(R[:d, :d])
+        W, lam, Vt = np.linalg.svd(R[:d, d + 1:] / math.sqrt(n))
         if lam[-1] <= RANK_RTOL * lam[0]:
             raise RankError("projected operator has a numerically zero singular value")
-        V = Vt.T
         # canonical signs: largest component of each coefficient vector positive
-        for j in range(d):
-            i = int(np.argmax(np.abs(V[:, j])))
-            if V[i, j] < 0:
-                V[:, j] = -V[:, j]
-                W[:, j] = -W[:, j]
-        self._W, self.singular_values, self.x_vectors = W, lam, V
-        # sqrt(n) Q_top W: its b-th d x d block maps Q_b^t to block b of Psi
-        self._psi_top = math.sqrt(n) * (Q_top @ W)
+        signs = np.sign(Vt[range(d), np.argmax(np.abs(Vt), axis=1)])
+        self._W, self.singular_values, self.x_vectors = W * signs, lam, Vt.T * signs
         if self._y is not None:
-            self.coefficients = self._psi_top.T @ np.concatenate(self._Qty) / n
+            self.coefficients = self._W.T @ R[:d, d] / math.sqrt(n)
         return self
 
     def diagnostics(self, dims: Sequence[int]) -> IllposednessDiagnostics:
-        """``diagnostics`` of the folded operator (which needs ``residuals``),
-        from the d x d state of the pass.
+        """``diagnostics`` of the folded operator (which needs ``residuals``).
 
-        On block b the residual of the projection on the first m singular
-        functions is L_b + Q_b D_b(m), D_b(m) = T_b - P_b W_m C_m with P_b
-        the b-th block of sqrt(n) Q_top W and C = W^t K (= Psi S / n).  As
-        Q_b^t L_b = 0, its Gram matrix is the sum of the L_b^t L_b of the
-        pass and of the D_b(m)^t D_b(m), each part scaled by a power of two
-        and the parts added at the larger one, which is exact.  The design
-        spectrum, eig(G G^t) / n, is sv(R)^2 / n.
+        For the stacked L_b, the orthonormal factor [X | Y] of the reduction
+        tree (X its first d columns) and E, the rows of R below the first d
+        in the columns of S, the residual of the projection on the first m
+        singular functions is L + diag(Q_b) (X (I - W_m W_m^t) T + Y E).  Its
+        Gram matrix L^t L + E^t E + n sum_{j>m} lambda_j^2 v_j v_j^t sums
+        orthogonal parts, each scaled by a power of two and added at the
+        largest, which is exact.  The design spectrum, eig(G G^t) / n, is
+        sv^2 / n for the singular values sv of the design's R factor.
         """
         if not self._residuals:
             raise ParameterError("diagnostics need a pass that folds the residuals")
         dims, sv_constants = _decay_constants(self.singular_values, self.p, dims)
         n, d = self.n, self.d
-        T = np.vstack(self._T)
-        e = _exponent(T)
-        exps = np.array(self._L_exps)
-        top = max(e, int(exps.max()))
-        L_gram = np.sum(np.ldexp(np.array(self._L_grams),
-                                 2 * (exps - top)[:, None, None]), axis=0)
-        np.ldexp(T, -e, out=T)
-        C = np.ldexp(self._W.T @ self._K, -e)
+        TE = self._R[:, d + 1:]
+        e = _exponent(TE)
+        top = max(e, self._L_exp)
+        # the rows sqrt(n) lambda_j v_j^t, then E, times 2^-e: the Gram matrix
+        # of the rows from m on is the residual's beyond L^t L
+        Z = np.vstack([(math.sqrt(n) * np.ldexp(self.singular_values, -e))[:, None]
+                       * self.x_vectors.T, np.ldexp(TE[d:], -e)])
+        L_gram = np.ldexp(self._L_gram, 2 * (self._L_exp - top))
         grams = np.empty((len(dims), d, d))
         for gram, m in zip(grams, dims):
-            D = T - self._psi_top[:, :m] @ C[:m]
-            np.ldexp(D.T @ D, 2 * (e - top), out=gram)
+            np.ldexp(Z[m:].T @ Z[m:], 2 * (e - top), out=gram)
             gram += L_gram
         g_up = np.ldexp(np.sqrt(np.linalg.eigvalsh(grams)[:, -1] / n), top)
         sv = self._design_sv
@@ -383,10 +377,11 @@ def discretize_operator(op_spec, grid: DesignGrid, m0: int,
     diagonally on the cosines; needs G G^t = n I, as on ``midpoint_grid``,
     and takes no ``p`` besides its own) or an n x m0 array of sampled
     images of the coefficient basis.  The array runs through the pass of
-    ``SampledProjection`` a row slice at a time; each Q_b is kept in its
-    block's columns of Psi until Psi is formed there.  ``p`` records the
-    arrays' ill-posedness index (default 1) for the families and
-    diagnostics.
+    ``SampledProjection`` a row slice at a time, and Psi = sqrt(n) W^t R^-t G
+    (R the design's R factor) a block at a time; one step of Cholesky QR
+    restores the orthogonality that the solve loses in proportion to the
+    condition of G.  ``p`` records the arrays' ill-posedness index (default
+    1) for the families and diagnostics.
     """
     if p is not None and p <= 0:
         raise ParameterError("ill-posedness index must be positive")
@@ -407,12 +402,16 @@ def discretize_operator(op_spec, grid: DesignGrid, m0: int,
     if S.shape != (n, m0):
         raise DimensionError(f"sample matrix must be {n} x {m0}, got {S.shape}")
     proj = SampledProjection(grid, m0, 1.0 if p is None else p)
+    for rows in proj.blocks:
+        proj.fold(S[rows])
+    proj.finish()
+    M = math.sqrt(n) * np.linalg.solve(proj._R[:m0, :m0], proj._W).T
     Psi = np.empty((m0, n))
     for rows in proj.blocks:
-        Psi[:, rows] = proj.fold(S[rows]).T
-    proj.finish()
-    for b, rows in enumerate(proj.blocks):
-        Psi[:, rows] = proj._psi_top[b * m0:(b + 1) * m0].T @ Psi[:, rows]
+        Psi[:, rows] = M @ cosine_design(DesignGrid(grid.points[rows]), m0)
+    C = np.linalg.inv(np.linalg.cholesky(Psi @ Psi.T / n))
+    for rows in proj.blocks:
+        Psi[:, rows] = C @ Psi[:, rows]
     return DiscretizedOperator(grid, S, proj.singular_values, proj.x_vectors, Psi,
                                proj.p)
 

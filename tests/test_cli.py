@@ -125,6 +125,17 @@ class TestSynth:
         assert main(["synth", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("command", ["synth", "diagnostics"])
+    def test_spectrum_below_the_rank_cliff_writes_nothing(self, tmp_path, capsys,
+                                                          command):
+        # d = 2 at n = 32: lambda_2 = 2^-60 is below the cliff that the
+        # readers of the files apply, so synth would write files none accepts
+        cfg = write_config(tmp_path, "cliff.ini", DIAG_CFG.replace("p = 1.0", "p = 60"))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "[problem] p = 60.0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSelect:
     def test_single_candidate_named_in_summary(self, tmp_path):

@@ -199,8 +199,9 @@ class TestDiscretizeOperator:
         grid = midpoint_grid(45)
         discretize_operator(rng.standard_normal((45, 6)), grid, 6)
         # steps of isqrt(45 * 6) = 16 points: blocks of 22 and 23 grid points,
-        # then the stacked 6 x 6 R factors
-        assert [a.shape for a in factored] == [(22, 6), (23, 6), (12, 6)]
+        # then the 6 x 13 rows [R_b | 0 | Q_b^t S_b] of both blocks, stacked (the
+        # zero column stands for the data, which discretize_operator has none of)
+        assert [a.shape for a in factored] == [(22, 6), (23, 6), (12, 13)]
         assert np.array_equal(np.vstack(factored[:2]), cosine_design(grid, 6).T)
 
     def test_spectrum_underflowing_to_zero_is_rejected(self):
@@ -286,8 +287,11 @@ class TestSampledProjection:
         assert np.allclose(got.sf_constants, ref.sf_constants, rtol=1e-13, atol=0.0)
         assert (got.sv_ok, got.sf_ok, got.as_ok) == (ref.sv_ok, ref.sf_ok, ref.as_ok)
 
-    def test_coefficients_match_svd_coefficients(self, rng):
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -500])
+    def test_coefficients_match_svd_coefficients(self, rng, scale):
+        # the running R carries Q^t y beside Q^t S of 2^600 S or 2^-500 S
         grid, S = self._samples(rng, "random")
+        S *= scale
         y = rng.standard_normal(self.N)
         op = discretize_operator(S, grid, self.D)
         proj = _folded(S, grid, y=y)
@@ -308,6 +312,41 @@ class TestSampledProjection:
         grid, S = self._samples(rng, "random")
         with pytest.raises(ParameterError, match="residuals"):
             _folded(S, grid).diagnostics([1])
+
+    def _folded_at(self, rng, n):
+        grid = DesignGrid(np.sort(rng.uniform(0.0, 1.0, n)))
+        return _folded(rng.standard_normal((n, self.D)), grid, residuals=True)
+
+    def test_state_does_not_grow_with_the_grid(self, rng):
+        # 15 and 50 row blocks leave the same arrays behind
+        assert [len(_sampled_blocks(n, self.D)) for n in (3000, 30000)] == [15, 50]
+        held = [_array_bytes(vars(self._folded_at(rng, n))) for n in (3000, 30000)]
+        assert held[0] == held[1]
+
+    def test_diagnostics_form_no_array_of_more_than_2d_plus_1_rows(self, rng):
+        # the d x d x d Gram matrices of all dims, and else a few arrays of
+        # 2d + 1 rows; one (blocks d) x d array at n = 30000 would be 57.6 kB
+        bound = self.D ** 3 * 8 + 5 * (2 * self.D + 1) * self.D * 8
+        for n in (3000, 30000):
+            proj = self._folded_at(rng, n)
+            tracemalloc.start()
+            try:
+                proj.diagnostics(range(1, self.D + 1))
+                assert tracemalloc.get_traced_memory()[1] <= bound
+            finally:
+                tracemalloc.stop()
+
+
+def _array_bytes(value) -> int:
+    """Bytes of the numpy arrays in ``value`` and in the lists, tuples and
+    dict values it holds."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(_array_bytes(v) for v in value)
+    return 0
 
 
 class TestOperatorMemory:
