@@ -33,7 +33,6 @@ from .operator import (
     SampledProjection,
     SpectralSynthetic,
     build_design_matrix,
-    discretize_operator,
     midpoint_grid,
 )
 from .regularizers import projection_family, tikhonov_family
@@ -318,10 +317,13 @@ def _concentration_matrix(token: str) -> np.ndarray:
         return np.eye(dims[0])
     if name == "decay":
         return np.diag(1.0 / np.arange(1.0, dims[0] + 1.0))
+    # the d x n matrix op.regularizer(f) of the midpoint grid is f Psi / n, as
+    # V = I there, and Psi Psi^t = n I, so its singular values are f / sqrt(n):
+    # diag(f / sqrt(n)) has the same trace, radius and law of eta^2
     d, n = dims
-    op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(n), d)
-    fam = tikhonov_family(op.singular_values, n, op.p, alpha_max=0.25, count=1)
-    return op.regularizer(fam.filter_matrix[0])
+    f = tikhonov_family(SpectralSynthetic(1.0).values(d), n, 1.0, alpha_max=0.25,
+                        count=1).filter_matrix[0]
+    return np.diag(f / np.sqrt(n))
 
 
 def cmd_concentration(args) -> int:

@@ -12,10 +12,12 @@ with Tr and rho the trace and spectral radius of A^t A and u measured in
 sigma^2 units.  The checks here estimate the left side by simulation and
 compare it with the right side at an explicit binomial error budget.
 
-A sample of eta^2 is drawn and reduced one row block of replications at a
-time (``operator._kernel_blocks``, k n products a row), so it takes
-O(replications + KERNEL_BLOCK_ELEMENTS) memory, never a replications x n
-array of noise.
+For gaussian noise, eta^2 = |A eps|^2 has the law sigma^2 sum_i s_i^2 z_i^2,
+with s the singular values of A and z_i independent N(0, 1), by rotation
+invariance (Imhof, Biometrika 48, 1961).  A sample of eta^2 is drawn from
+that law, min(k, n) normals a replication, one row block of replications at
+a time (``operator._kernel_blocks``), so it forms no noise vector and no
+product with A, and its bits do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -42,9 +44,6 @@ class GaussianNoise:
             raise ParameterError("noise scale must be positive, sigma^2 finite")
         self.sigma = float(sigma)
 
-    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        return rng.normal(0.0, self.sigma, shape)
-
 
 # ---------------------------------------------------------------------------
 # quadratic-form supremum
@@ -60,29 +59,21 @@ def eta(A, eps) -> float:
     return float(np.linalg.norm(A @ eps))
 
 
-def _gram_stats(A: np.ndarray) -> tuple[float, float]:
-    """Trace and spectral radius of A^t A, from one SVD of A."""
-    sv = np.linalg.svd(A, compute_uv=False)
-    return float(np.sum(sv * sv)), float(sv[0] ** 2)
-
-
 @dataclass(frozen=True)
 class QuadFormSpec:
-    """A matrix, a noise law and a replication budget for the Monte Carlo.
+    """A matrix, a gaussian noise law and a replication budget for the Monte
+    Carlo.
 
-    ``noise`` is any object with attributes ``sigma`` and
-    ``sample(rng, shape)``, which returns an array of that shape of
-    independent draws in C order, each call continuing the stream of ``rng``
-    where the last one stopped, so that row blocks drawn one after another
-    concatenate to the draw of one call; the shipped law GaussianNoise meets
-    this.  All replications come from one generator seeded with ``seed``.
-    ``trace`` and ``radius`` are those of A^t A.
+    ``sv`` holds the singular values of A from one SVD; ``trace`` and
+    ``radius``, those of A^t A, are read off them.  All replications come
+    from one generator seeded with ``seed``.
     """
 
     A: np.ndarray
-    noise: object
+    noise: GaussianNoise
     replications: int = 10_000
     seed: int = 0
+    sv: np.ndarray = field(init=False)
     trace: float = field(init=False)
     radius: float = field(init=False)
 
@@ -91,20 +82,22 @@ class QuadFormSpec:
         object.__setattr__(self, "A", A)
         if self.replications < 1:
             raise ParameterError("need at least one replication")
-        tr, rho = _gram_stats(A)
-        object.__setattr__(self, "trace", tr)
-        object.__setattr__(self, "radius", rho)
+        sv = np.linalg.svd(A, compute_uv=False)
+        object.__setattr__(self, "sv", sv)
+        object.__setattr__(self, "trace", float(np.sum(sv * sv)))
+        object.__setattr__(self, "radius", float(sv[0] ** 2))
 
     def eta_squared_samples(self) -> np.ndarray:
-        """|A eps|^2 for each replication, the noise drawn and reduced in the
-        row blocks of ``_kernel_blocks`` (module docstring)."""
-        n = self.A.shape[1]
+        """|A eps|^2 for each replication, drawn as sigma^2 sum_i s_i^2 z_i^2
+        in the row blocks of ``_kernel_blocks`` (module docstring)."""
         rng = np.random.default_rng(self.seed)
         etasq = np.empty(self.replications)
         with np.errstate(over="ignore"):
-            for block in _kernel_blocks(self.replications, self.A.size):
-                V = self.noise.sample(rng, (block.stop - block.start, n)) @ self.A.T
-                np.vecdot(V, V, out=etasq[block])
+            for block in _kernel_blocks(self.replications, self.sv.size):
+                Z = rng.normal(0.0, self.noise.sigma,
+                               (block.stop - block.start, self.sv.size))
+                Z *= self.sv
+                np.vecdot(Z, Z, out=etasq[block])
         if not np.all(np.isfinite(etasq)):
             raise ParameterError(f"the eta^2 samples overflow at [concentration] "
                                  f"sigma = {self.noise.sigma!r}")

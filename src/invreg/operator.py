@@ -118,14 +118,11 @@ def _row_blocks(n: int, step: int) -> list[slice]:
     return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
-# Elements of one row block of a blocked product, which sets its _row_blocks
+# Elements of one row block of a blocked pass, which sets its _row_blocks
 # step: rows x K x d in the risk kernel, the products its contrasts sum (a
 # block's temporaries are rows x K contrasts and rows x d errors), rows x d in
-# the column-variance pass, and rows x k x n in the concentration draw (a
-# block's temporaries are rows x n noise values and rows x k images).  The risk
-# kernel's results do not depend on the block size; the block edges can move
-# the last bits of a concentration draw over a dense k x n matrix, whose BLAS
-# product sums a row of A eps in an order set by the block's shape.
+# the column-variance pass, and rows x min(k, n) in the concentration draw (its
+# scaled normals).  No result depends on the block size.
 KERNEL_BLOCK_ELEMENTS = 1 << 18
 
 

@@ -395,11 +395,10 @@ class TestConcentration:
         assert os.path.exists(os.path.join(out, "moments.csv"))
 
     def test_csvs_do_not_depend_on_blas_threads(self, tmp_path):
-        # the shipped matrix list, regularizer:4x16 included, whose 2000
-        # replications are one row block, and regularizer:8x4096, drawn in 250
+        # the shipped matrix list, regularizer:4x16 included, and two wide ones
         cfg = write_config(tmp_path, "threads.ini", CONC_CFG.format(kraft_d=1.0).replace(
-            "identity:4 decay:8",
-            "identity:4 decay:8 regularizer:4x16 regularizer:8x4096"))
+            "identity:4 decay:8", "identity:4 decay:8 regularizer:4x16 "
+            "regularizer:8x4096 regularizer:32x16384"))
         one, two = csvs_under_blas_threads(tmp_path, "concentration", cfg)
         assert sorted(one) == ["identity.csv", "moments.csv", "tails.csv"]
         assert one == two
@@ -422,13 +421,13 @@ class TestConcentration:
     def test_bad_settings_fail_before_any_draw(self, tmp_path, monkeypatch, capsys,
                                                old, new, key):
         drawn = []
+        draw = invreg.QuadFormSpec.eta_squared_samples
 
-        class CountingNoise(invreg.GaussianNoise):
-            def sample(self, rng, shape):
-                drawn.append(shape)
-                return super().sample(rng, shape)
+        def counting(spec):
+            drawn.append(spec.A.shape)
+            return draw(spec)
 
-        monkeypatch.setattr(invreg.concentration, "GaussianNoise", CountingNoise)
+        monkeypatch.setattr(invreg.QuadFormSpec, "eta_squared_samples", counting)
         cfg = write_config(tmp_path, "conc.ini", CONC_CFG.format(kraft_d=1.0).replace(
             "identity:4 decay:8", "identity:4 identity:64").replace(old, new))
         out = tmp_path / "conc"
@@ -1053,6 +1052,12 @@ UNREACHED = {
     "diagnostics": "in-memory reference of SampledProjection.diagnostics, from S and Psi",
     "DiscretizedOperator.d": "read by the in-memory references forward, G and "
                              "diagnostics",
+    # concentration builds regularizer:dxn as the d x d diagonal of its spectrum
+    "discretize_operator": "acceptance Criteria 4, 6, 7 and 8 and the README "
+                           "quick start",
+    "DiscretizedOperator.regularizer": "acceptance Criterion 4",
+    "DiscretizedOperator.n": "acceptance Criteria 4, 6, 7 and 8 and the README "
+                             "quick start",
 }
 
 

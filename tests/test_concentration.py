@@ -12,15 +12,18 @@ from invreg import (
     ParameterError,
     PenaltyConfig,
     QuadFormSpec,
+    SpectralSynthetic,
     build_design_matrix,
     cosine_design,
     default_u_grid,
+    discretize_operator,
     eta,
     midpoint_grid,
     moment_check,
     penalized_level,
     projection_identity_check,
     tail_check,
+    tikhonov_family,
 )
 from invreg.cli import _concentration_matrix
 
@@ -198,93 +201,127 @@ class TestMomentCheck:
         assert math.isnan(rep.bound_shape)
 
 
-class CountingNoise(GaussianNoise):
-    """Gaussian noise law that counts the values it draws and records the
-    shape of each call."""
-
-    def __init__(self, sigma):
-        super().__init__(sigma)
-        self.drawn = 0
-        self.shapes = []
-
-    def sample(self, rng, shape):
-        out = super().sample(rng, shape)
-        self.drawn += out.size
-        self.shapes.append(out.shape)
-        return out
-
-
 def _one_call_draw(spec):
-    """eta^2 of the whole replications x n noise array drawn in one call."""
-    V = spec.noise.sample(np.random.default_rng(spec.seed),
-                          (spec.replications, spec.A.shape[1])) @ spec.A.T
-    return np.vecdot(V, V)
+    """eta^2 of the whole replications x rank array of normals drawn in one
+    call and scaled by the singular values of A."""
+    Z = np.random.default_rng(spec.seed).normal(
+        0.0, spec.noise.sigma, (spec.replications, spec.sv.size)) * spec.sv
+    return np.vecdot(Z, Z)
+
+
+def _sample_space_draw(A, sigma, replications, seed, rows=500):
+    """|A eps|^2 for replications x n gaussian noise, the noise drawn and
+    multiplied by A^t ``rows`` replications at a time."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for start in range(0, replications, rows):
+        V = rng.normal(0.0, sigma, (min(rows, replications - start), A.shape[1])) @ A.T
+        out.append(np.vecdot(V, V))
+    return np.concatenate(out)
+
+
+def _regularizer_matrix(d, n):
+    """The dense d x n Tikhonov regularizer that ``regularizer:dxn`` stands
+    for, built on the discretized operator of the midpoint grid."""
+    op = discretize_operator(SpectralSynthetic(p=1.0), midpoint_grid(n), d)
+    fam = tikhonov_family(op.singular_values, n, op.p, alpha_max=0.25, count=1)
+    return op.regularizer(fam.filter_matrix[0])
 
 
 class TestBlockedDraw:
-    """eta_squared_samples draws and reduces one row block at a time."""
+    """eta_squared_samples draws sigma^2 sum_i s_i^2 z_i^2, one row block of
+    replications at a time, the same bits as one call for any block size."""
 
     @pytest.mark.parametrize("rows", [1, None], ids=["one-row", "default"])
     @pytest.mark.parametrize("token,default_blocks", [
-        ("identity:4", 1), ("decay:8", 2), ("regularizer:4x16", 2)])
+        ("identity:4", 1), ("decay:8", 1), ("regularizer:4x16", 1)])
     def test_shipped_matrices_match_the_one_call_draw(self, monkeypatch, token,
                                                       default_blocks, rows):
-        noise = CountingNoise(1.0)
-        spec = QuadFormSpec(_concentration_matrix(token), noise, 10_000, seed=3)
+        spec = QuadFormSpec(_concentration_matrix(token), GaussianNoise(1.0), 10_000,
+                            seed=3)
         if rows is not None:
             monkeypatch.setattr(invreg.operator, "KERNEL_BLOCK_ELEMENTS",
-                                rows * spec.A.size)
-        got = spec.eta_squared_samples()
-        blocks = invreg.operator._kernel_blocks(spec.replications, spec.A.size)
-        assert noise.shapes == [(b.stop - b.start, spec.A.shape[1]) for b in blocks]
+                                rows * spec.sv.size)
+        blocks = invreg.operator._kernel_blocks(spec.replications, spec.sv.size)
         assert len(blocks) == (spec.replications if rows == 1 else default_blocks)
-        ref = _one_call_draw(spec)
-        if rows == 1 and token.startswith("regularizer"):
-            # a one-row product is a BLAS matrix-vector product, which sums a
-            # dense row of A in another order than the matrix-matrix product
-            # (measured 1.2e-15 relative)
-            np.testing.assert_allclose(got, ref, rtol=4e-15, atol=0)
-        else:
-            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(spec.eta_squared_samples(), _one_call_draw(spec))
 
     @pytest.mark.parametrize("rows", [1, 7, None], ids=["one-row", "7-row", "default"])
-    def test_dense_matrices_match_the_one_call_draw_to_round_off(self, monkeypatch,
-                                                                 rows):
-        # the block edges set how BLAS sums the n products of a row of A eps:
-        # measured up to 8.4e-15 relative on these two matrices
-        for A in (_concentration_matrix("regularizer:8x4096"),
-                  np.random.default_rng(5).standard_normal((4, 1024))):
-            spec = QuadFormSpec(A, GaussianNoise(1.0), 2000, seed=3)
-            if rows is not None:
-                monkeypatch.setattr(invreg.operator, "KERNEL_BLOCK_ELEMENTS",
-                                    rows * A.size)
-            np.testing.assert_allclose(spec.eta_squared_samples(), _one_call_draw(spec),
-                                       rtol=1e-13, atol=0)
+    def test_dense_matrix_matches_the_one_call_draw_bit_for_bit(self, monkeypatch,
+                                                                rows):
+        A = np.random.default_rng(5).standard_normal((32, 300))
+        spec = QuadFormSpec(A, GaussianNoise(1.5), 2000, seed=3)
+        assert spec.sv.size == 32
+        if rows is not None:
+            monkeypatch.setattr(invreg.operator, "KERNEL_BLOCK_ELEMENTS",
+                                rows * spec.sv.size)
+        blocks = invreg.operator._kernel_blocks(spec.replications, spec.sv.size)
+        assert len(blocks) == {1: 2000, 7: 285, None: 1}[rows]
+        np.testing.assert_array_equal(spec.eta_squared_samples(), _one_call_draw(spec))
 
-    def test_peak_memory_is_a_block_not_the_noise_array(self):
-        # the 2048 x 1024 noise array takes 16 MiB; a block of the default
-        # budget holds 64 of its rows
-        A = np.random.default_rng(5).standard_normal((4, 1024))
-        spec = QuadFormSpec(A, GaussianNoise(1.0), 2048, seed=1)
-        tracemalloc.start()
-        try:
-            spec.eta_squared_samples()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < spec.replications * A.shape[1] * 8 / 8
+    @pytest.mark.parametrize("dense", [True, False],
+                             ids=["dense 4x64", "regularizer:8x4096"])
+    def test_law_matches_the_sample_space_draw(self, dense):
+        # the same law as |A eps|^2 for noise eps in R^n, not the same bits;
+        # the command's d x d regularizer:dxn against the dense d x n matrix
+        if dense:
+            A = M = np.random.default_rng(8).standard_normal((4, 64))
+        else:
+            A, M = _regularizer_matrix(8, 4096), _concentration_matrix("regularizer:8x4096")
+        sigma, reps = 0.7, 4000
+        got = QuadFormSpec(M, GaussianNoise(sigma), reps, seed=21).eta_squared_samples()
+        ref = _sample_space_draw(A, sigma, reps, seed=22)
+        assert stats.ks_2samp(got, ref).pvalue > 0.01
+        for level in np.sum(A * A) * sigma ** 2 * np.array([0.25, 0.5, 1.0, 2.0, 4.0]):
+            p, q = np.mean(got >= level), np.mean(ref >= level)
+            se = math.sqrt((p * (1 - p) + q * (1 - q)) / reps)
+            assert abs(p - q) <= 3 * se + 1e-12
+
+    @pytest.mark.parametrize("d,n", [(4, 16), (8, 4096), (32, 1024)])
+    def test_regularizer_token_has_the_dense_spectrum(self, d, n):
+        closed = QuadFormSpec(_concentration_matrix(f"regularizer:{d}x{n}"),
+                              GaussianNoise(1.0), 1)
+        np.testing.assert_allclose(closed.sv, np.linalg.svd(
+            _regularizer_matrix(d, n), compute_uv=False), rtol=1e-14, atol=0)
+
+    def test_memory_does_not_grow_with_the_regularizer_width(self):
+        peaks = []
+        for n in (4096, 65536):
+            tracemalloc.start()
+            try:
+                spec = QuadFormSpec(_concentration_matrix(f"regularizer:8x{n}"),
+                                    GaussianNoise(1.0), 2000, seed=1)
+                spec.eta_squared_samples()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 1024
 
 
 class TestSharedSample:
     CFG = PenaltyConfig(sigma2=1.0, r=2.5)
 
-    def test_tail_and_moment_check_draw_each_replication_once(self):
-        noise = CountingNoise(1.0)
-        spec = QuadFormSpec(np.diag([1.0, 0.5, 0.25]), noise, 300, seed=6)
+    def test_tail_and_moment_check_draw_each_replication_once(self, monkeypatch):
+        default_rng = np.random.default_rng
+        generators, shapes = [], []
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                generators.append(seed)
+                self.rng = default_rng(seed)
+
+            def normal(self, loc, scale, size):
+                shapes.append(size)
+                return self.rng.normal(loc, scale, size)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        spec = QuadFormSpec(np.diag([1.0, 0.5, 0.25]), GaussianNoise(1.0), 300, seed=6)
         etasq = spec.eta_squared_samples()
         tail_check(spec, etasq, self.CFG, default_u_grid(spec), weight=1.0)
         moment_check(spec, etasq, self.CFG, 1, weight=1.0)
-        assert noise.drawn == spec.replications * spec.A.shape[1]
+        assert generators == [6]
+        assert {cols for _, cols in shapes} == {3}
+        assert sum(rows * cols for rows, cols in shapes) == spec.replications * 3
 
     def test_shared_sample_reports_equal_independent_draws(self):
         spec = QuadFormSpec(np.diag([1.0, 0.5, 0.25]), GaussianNoise(1.0), 500,
