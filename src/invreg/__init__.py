@@ -46,7 +46,6 @@ from .operator import (
     build_design_matrix,
     choose_m0,
     cosine_design,
-    diagnostics,
     discretize_operator,
     empirical_norm,
     empirical_projection,
@@ -61,12 +60,10 @@ from .selection import (
     CandidateRow,
     PenaltyConfig,
     SelectionResult,
-    contrast,
     default_weights,
     kraft_sum,
     objectives,
     penalties,
-    penalty,
     select,
     select_by_threshold,
     select_coefficients,

@@ -104,10 +104,10 @@ def write_csv(path: str, header, rows, comments=()) -> None:
 
     ``rows`` is a 2-D float array or an iterable of rows, each a sequence of
     values or a 2-D float array standing for its own rows (a row block).  A
-    float array is written row by row as float reprs, NaN as NA (the rule of
-    ``cell``), WRITE_BLOCK_ROWS rows at a time, so the bytes depend neither
-    on that size nor on how the rows are cut into blocks; any other row goes
-    value by value through ``cell``.
+    float array is written WRITE_BLOCK_ROWS rows at a time through one row
+    template of float reprs, NaN as NA (the rule of ``cell``), so the bytes
+    depend neither on that size nor on how the rows are cut into blocks; any
+    other row goes value by value through ``cell``.
     """
     with open(path, "w", newline="") as fh:
         for line in comments:
@@ -118,11 +118,12 @@ def write_csv(path: str, header, rows, comments=()) -> None:
             if not _is_float_block(row):
                 writer.writerow(map(cell, row))
                 continue
+            line = ",".join(["%r"] * row.shape[1]) + "\r\n"
             for lo in range(0, row.shape[0], WRITE_BLOCK_ROWS):
                 block = row[lo:lo + WRITE_BLOCK_ROWS]
-                has_nan = np.isnan(block).any(axis=1).tolist()
-                fh.writelines(",".join(map(cell if nan else repr, values)) + "\r\n"
-                              for values, nan in zip(block.tolist(), has_nan))
+                text = line * block.shape[0] % tuple(block.ravel().tolist())
+                # no other float repr contains "nan"
+                fh.write(text.replace("nan", "NA") if np.isnan(block).any() else text)
 
 
 def _parse_field(token: str) -> float:

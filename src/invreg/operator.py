@@ -501,6 +501,7 @@ def _assess(lam: np.ndarray, dims: tuple[int, ...], sv_constants, g_up: np.ndarr
                                    (k1, k2), (a1, a2), sv_ok, sf_ok, as_ok)
 
 
+# kept in this module, unexported, because bench/tracing.py wraps it by this path
 def diagnostics(op: DiscretizedOperator, dims: Sequence[int]) -> IllposednessDiagnostics:
     """Compute the ill-posedness diagnostics of the projected operator.
 

@@ -27,7 +27,7 @@ prefix family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,32 +124,13 @@ def objectives(residual_sq: np.ndarray, lam: np.ndarray, C: np.ndarray,
     """
     x2 = C / lam
     x2 *= x2
-    # a broadcast view, no copy; the same dot product as contrast(), bit for bit
+    # a broadcast view, no copy; each entry equals a one-row np.vecdot, bit for bit
     con = np.vecdot(x2[:, None, :], residual_sq)
     obj = con + pen
     if not np.all(np.isfinite(obj)):
         raise ParameterError("non-finite selection objective; check the data "
                              "and the penalty constants")
     return con, obj
-
-
-def penalty(family: RegularizerFamily, k: int, cfg: PenaltyConfig) -> float:
-    """pen(k) of one candidate (one-candidate reference reading of
-    ``penalties``); its weight is cfg.weights[k]."""
-    one = replace(cfg, weights=None if cfg.weights is None else cfg.weights[k:k + 1])
-    return float(penalties(family.trace_stats[k:k + 1],
-                           family.radius_stats[k:k + 1], one)[0])
-
-
-def contrast(family: RegularizerFamily, k: int, op: DiscretizedOperator, y) -> float:
-    """Squared distance, after inversion on the maximal model, between the
-    data and the image of candidate k's estimate (one-candidate reference
-    reading of ``objectives``: the squared inversion dotted with candidate
-    k's squared filter residual)."""
-    lam = op.singular_values
-    x = op.svd_coefficients(y) / lam
-    a = 1.0 - lam * family.filter_matrix[k]
-    return float(np.vecdot(x * x, a * a))
 
 
 def _kraft_factors(trace: np.ndarray, radius: np.ndarray, n: int,

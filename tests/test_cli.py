@@ -1037,8 +1037,6 @@ class TestConfigSweep:
 # exported functions and methods that no command calls, each a reading the
 # ROADMAP, the acceptance criteria or the README quick start names
 UNREACHED = {
-    "penalty": "one-candidate reference reading of penalties",
-    "contrast": "one-candidate reference reading of objectives",
     "eta": "reference reading of the quadratic-form supremum",
     "empirical_norm": "acceptance Criterion 8 and the README quick start",
     "DiscretizedOperator.forward": "acceptance Criterion 8 and the README quick start",
@@ -1048,8 +1046,6 @@ UNREACHED = {
     "DiscretizedOperator.svd_coefficients": "in-memory reading of the coefficients "
                                             "of the streamed pass, through select",
     "select_by_threshold": "acceptance Criterion 6's thresholding reference",
-    # diagnostics fold the samples through SampledProjection, with or without --data
-    "diagnostics": "in-memory reference of SampledProjection.diagnostics, from S and Psi",
     "DiscretizedOperator.d": "read by the in-memory references forward, G and "
                              "diagnostics",
     # concentration builds regularizer:dxn as the d x d diagonal of its spectrum

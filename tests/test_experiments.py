@@ -17,7 +17,6 @@ from invreg import (
     RiskRow,
     SourceSpec,
     bias_m0,
-    diagnostics,
     fit_rate,
     monte_carlo_risk,
     synth_problem,
@@ -25,7 +24,7 @@ from invreg import (
 )
 from invreg.configio import cell
 from invreg.experiments import _mean_se, _risk_rows_for_n
-from invreg.operator import SpectralSynthetic, choose_m0, discretize_operator
+from invreg.operator import SpectralSynthetic, choose_m0, diagnostics, discretize_operator
 from invreg.regularizers import projection_family, tikhonov_family
 from invreg.selection import (
     PenaltyConfig,
@@ -212,7 +211,7 @@ class TestMonteCarloRisk:
 def _reference_objectives(F, lam, C, pen):
     """The unblocked, out-of-place selection objectives."""
     back = (1.0 - lam * F) * C[:, None, :] / lam
-    con = np.vecdot(back, back)   # same dot product as contrast(), bit for bit
+    con = np.vecdot(back, back)   # the dot product of test_selection's contrast reference
     obj = con + pen
     if not np.all(np.isfinite(obj)):
         raise ParameterError("non-finite selection objective; check the data "

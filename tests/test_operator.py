@@ -15,13 +15,12 @@ from invreg import (
     build_design_matrix,
     choose_m0,
     cosine_design,
-    diagnostics,
     discretize_operator,
     empirical_norm,
     empirical_projection,
     midpoint_grid,
 )
-from invreg.operator import _certify_rank, _sampled_blocks
+from invreg.operator import _certify_rank, _sampled_blocks, diagnostics
 
 
 class TestEmpiricalNorm:

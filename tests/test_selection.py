@@ -1,5 +1,3 @@
-import types
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,14 +9,12 @@ from invreg import (
     PenaltyConfig,
     SpectralSynthetic,
     choose_m0,
-    contrast,
     default_weights,
     discretize_operator,
     kraft_sum,
     midpoint_grid,
     objectives,
     penalties,
-    penalty,
     projection_family,
     select,
     select_by_threshold,
@@ -43,31 +39,42 @@ def tikhonov(op, alpha):
     return tikhonov_of(op, alpha_max=alpha, count=1)
 
 
+def contrast(family, k, op, y):
+    """Squared distance, after inversion on the maximal model, between the
+    data y and the image of candidate k's estimate: the one-candidate
+    reference reading that ``objectives`` must equal bit for bit (the
+    squared inversion dotted with candidate k's squared filter residual)."""
+    lam = op.singular_values
+    x = op.svd_coefficients(y) / lam
+    a = 1.0 - lam * family.filter_matrix[k]
+    return float(np.vecdot(x * x, a * a))
+
+
+def _stub_stats(request):
+    """Trace 2 and radius 1: pen = r sigma^2 (1 + L) 3."""
+    return np.array([2.0]), np.array([1.0])
+
+
+def _identity_tikhonov_stats(request):
+    """Tikhonov at alpha = 1 on the identity operator (d = 4, n = 16): every
+    filter value is 1/2, so Tr = 4/64 and rho = 1/64."""
+    fam = tikhonov(request.getfixturevalue("identity_op_d4_n16"), 1.0)
+    return fam.trace_stats, fam.radius_stats
+
+
 class TestPenalty:
-    def test_direct_arithmetic(self):
-        stub = types.SimpleNamespace(trace_stats=np.array([2.0]),
-                                     radius_stats=np.array([1.0]))
-        cfg = PenaltyConfig(sigma2=1.0, r=3.0)
-        assert penalty(stub, 0, cfg) == pytest.approx(9.0)
-
-    def test_linear_in_one_plus_weight(self):
-        stub = types.SimpleNamespace(trace_stats=np.array([2.0]),
-                                     radius_stats=np.array([1.0]))
-        base = penalty(stub, 0, PenaltyConfig(sigma2=1.0, r=3.0))
-        with_weight = penalty(stub, 0, PenaltyConfig(sigma2=1.0, r=3.0,
-                                                     weights=np.array([1.0])))
-        assert with_weight == pytest.approx(2 * base)
-
-    def test_identity_operator_value(self, identity_op_d4_n16):
-        fam = tikhonov(identity_op_d4_n16, 1.0)
-        cfg = PenaltyConfig(sigma2=1.0, r=2.5)
-        assert penalty(fam, 0, cfg) == pytest.approx(0.1953125)
-
-    def test_homogeneity_in_sigma2(self, identity_op_d4_n16):
-        fam = tikhonov(identity_op_d4_n16, 1.0)
-        one = penalty(fam, 0, PenaltyConfig(sigma2=1.0, r=2.5))
-        three = penalty(fam, 0, PenaltyConfig(sigma2=3.0, r=2.5))
-        assert three == pytest.approx(3 * one)
+    @pytest.mark.parametrize("stats, cfg, expected", [
+        (_stub_stats, PenaltyConfig(sigma2=1.0, r=3.0), 9.0),
+        # the (1 + L) factor: L = 1 doubles the penalty
+        (_stub_stats, PenaltyConfig(sigma2=1.0, r=3.0, weights=np.array([1.0])), 18.0),
+        (_identity_tikhonov_stats, PenaltyConfig(sigma2=1.0, r=2.5), 0.1953125),
+        # linear in sigma^2: three times the variance, three times the penalty
+        (_identity_tikhonov_stats, PenaltyConfig(sigma2=3.0, r=2.5), 3 * 0.1953125),
+    ], ids=["direct_arithmetic", "linear_in_one_plus_weight",
+            "identity_operator_value", "homogeneity_in_sigma2"])
+    def test_hand_values(self, request, stats, cfg, expected):
+        trace, radius = stats(request)
+        assert penalties(trace, radius, cfg) == pytest.approx([expected])
 
     def test_r_must_exceed_two(self):
         with pytest.raises(ParameterError):
@@ -128,8 +135,8 @@ class TestSelect:
         cfg = PenaltyConfig(sigma2=1.0, r=2.5)
         res = select(fam, cfg, op_p1_d4_n16, y)
         # exhaustive oracle over the same family
-        objs = [contrast(fam, k, op_p1_d4_n16, y) + penalty(fam, k, cfg)
-                for k in range(len(fam))]
+        pens = penalties(fam.trace_stats, fam.radius_stats, cfg)
+        objs = [contrast(fam, k, op_p1_d4_n16, y) + pens[k] for k in range(len(fam))]
         assert res.chosen == int(np.argmin(objs)) == 1   # model {1, 2}
 
     def test_objective_decomposition_and_argmin(self, op_p1_d4_n16, rng):
@@ -206,7 +213,7 @@ class TestObjectives:
             for r, y in enumerate(ys):
                 for k in range(len(fam)):
                     assert cons[r, k] == contrast(fam, k, op, y)
-                    assert objs[r, k] == contrast(fam, k, op, y) + penalty(fam, k, cfg)
+                    assert objs[r, k] == contrast(fam, k, op, y) + pens[k]
 
     def test_rows_match_select(self, op_p1_d4_n16, rng):
         fam = tikhonov_of(op_p1_d4_n16)
