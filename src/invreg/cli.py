@@ -98,8 +98,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _operator_from_data(cp, data_dir: str, with_y: bool = False,
-                        residuals: bool = False) -> SampledProjection:
+def _operator_from_data(cp, data_dir: str, with_y: bool = False) -> SampledProjection:
     """The operator sampled in ``data_dir``, projected in one pass over its
     row blocks (``SampledProjection``): grid.csv, then with ``with_y`` the
     ``y`` column of data.csv on the same grid, then operator.csv, read and
@@ -121,7 +120,7 @@ def _operator_from_data(cp, data_dir: str, with_y: bool = False,
             except DataError as exc:
                 data_fault = exc
         with cio.open_table(os.path.join(data_dir, "operator.csv")) as (header, take):
-            op = SampledProjection(grid, len(header), p, y, residuals)
+            op = SampledProjection(grid, len(header), p, y)
             count = 0
             for rows in op.blocks:
                 S_b = take(rows.stop - rows.start)
@@ -174,6 +173,11 @@ def _family_from_config(cp, op):
 def cmd_select(args) -> int:
     cp = cio.load_config(args.config)
     op = _operator_from_data(cp, args.data, with_y=True)
+    lam_max = float(op.singular_values[0])
+    if (1.0 / lam_max) ** 2 / op.n < np.finfo(float).tiny:
+        raise DataError(f"operator.csv: largest singular value {lam_max!r} is so large "
+                        "that 1/(n lambda_1^2), the smallest projection statistic, "
+                        "is not a normal double")
     c = op.coefficients
     back = c / op.singular_values
     with np.errstate(over="ignore"):
@@ -401,12 +405,12 @@ def cmd_concentration(args) -> int:
 def cmd_diagnostics(args) -> int:
     cp = cio.load_config(args.config)
     if args.data is not None:
-        op = _operator_from_data(cp, args.data, residuals=True)
+        op = _operator_from_data(cp, args.data)
         seed = args.seed if args.seed is not None else 0
     else:
         # the samples synth writes to operator.csv, folded as they are formed
         prob, seed = _problem_from_config(cp, args.seed)
-        op = SampledProjection(prob.grid, prob.d, prob.p, residuals=True)
+        op = SampledProjection(prob.grid, prob.d, prob.p)
         for S_b in prob.operator_blocks():
             op.fold(S_b)
         op.finish()

@@ -12,13 +12,14 @@ projected map.
 Every blocked pass of the package walks its rows in the nearly equal
 blocks of ``_row_blocks``.  A sampled operator is projected in one pass
 over row blocks of the grid (``SampledProjection``, a tall-skinny QR of
-G^t by a flat reduction tree: one QR per block, whose rows are folded
-into one running R factor) that keeps d x d state, however many blocks
-there are, so it can read its samples a block at a time and yields the
-singular coefficients of data and the diagnostics without an n x d
-array.  ``discretize_operator`` runs the same pass over an array and
-then forms the singular design Psi, from which ``diagnostics`` reads the
-same constants in memory, the reference the pass is tested against.
+the rows [G^t | y | S] by a flat reduction tree: one Householder QR per
+block, whose R factor is folded into one running R factor) that keeps
+d x d state, however many blocks there are, so it can read its samples a
+block at a time and yields the singular coefficients of data and the
+diagnostics without an n x d array.  ``discretize_operator`` runs the
+same pass over an array and then forms the singular design Psi, from
+which ``diagnostics`` reads the same constants in memory, the reference
+the pass is tested against.
 """
 
 from __future__ import annotations
@@ -252,31 +253,26 @@ class SampledProjection:
     pass over the row blocks of the grid (``_sampled_blocks``) that keeps one
     R factor of at most 2d + 1 rows and no n x d array.
 
-    ``fold`` takes the samples S_b of the next block and a QR G_b^t = Q_b R_b
-    of the block's cosine design, stacks the rows [R_b | Q_b^t y_b | Q_b^t S_b]
-    (y_b = 0 without data ``y``) below R and keeps the R factor of the stack
-    (a flat reduction tree); with ``residuals`` it adds the Gram matrix of
-    L_b = S_b - Q_b Q_b^t S_b, times 2^-2e for 2^e near max|L_b|, to a sum
-    kept at the largest such power of two.  For the orthonormal basis Q of the
-    span of G^t that the pass implies, the top d rows of R hold the design's R
-    factor (its rank certificate and singular values), Q^t y and T = Q^t S;
-    ``finish`` takes the SVD K = T / sqrt(n) = W diag(lambda) V^t, signed so
-    that the largest component of each column of V is positive.  Psi =
-    sqrt(n) (Q W)^t is the singular design, so the coefficients Psi y / n of
-    the data are W^t Q^t y / sqrt(n).  ``p`` records the ill-posedness index.
+    ``fold`` takes the samples S_b of the next block and folds the R factor
+    of the block's rows [G_b^t | y_b | S_b] (y_b = 0 without data ``y``) into
+    R by one QR of the two stacked, so R is the R factor of [G^t | y | S].
+    For the orthonormal basis Q of the span of G^t, its top d rows hold the
+    design's R factor (its rank certificate and singular values), Q^t y and
+    T = Q^t S; without data its rows below d, in the columns of S, are an R
+    factor E of the residual S - Q T.  ``finish`` takes the SVD K = T / sqrt(n)
+    = W diag(lambda) V^t, signed so that the largest component of each column
+    of V is positive.  Psi = sqrt(n) (Q W)^t is the singular design, so the
+    coefficients Psi y / n of the data are W^t Q^t y / sqrt(n).  ``p`` records
+    the ill-posedness index.
     """
 
-    def __init__(self, grid: DesignGrid, d: int, p: float = 1.0, y=None,
-                 residuals: bool = False):
+    def __init__(self, grid: DesignGrid, d: int, p: float = 1.0, y=None):
         if y is not None and np.shape(y) != (grid.n,):
             raise DimensionError(f"sample vector has length {np.size(y)}, "
                                  f"grid has {grid.n}")
         self.grid, self.d, self.p = grid, d, float(p)
         self.blocks = _sampled_blocks(grid.n, d)
-        self._y, self._residuals = y, residuals
-        self._folded, self._R = 0, None
-        # the exponent of a zero sum lies below that of every nonzero double
-        self._L_gram, self._L_exp = np.zeros((d, d)), -1075
+        self._y, self._folded, self._R = y, 0, None
 
     @property
     def n(self) -> int:
@@ -284,26 +280,20 @@ class SampledProjection:
 
     def fold(self, S_b: np.ndarray) -> None:
         """Take the samples of the next row block."""
-        d, rows = self.d, self.blocks[self._folded]
+        d, k = self.d, self._folded
+        if k == len(self.blocks):
+            raise DimensionError(f"all {k} row blocks of the samples are folded")
+        rows = self.blocks[k]
         if S_b.shape != (rows.stop - rows.start, d):
-            raise DimensionError(f"row block {self._folded} of the samples must be "
+            raise DimensionError(f"row block {k} of the samples must be "
                                  f"{rows.stop - rows.start} x {d}, got {S_b.shape}")
-        Q_b, R_b = np.linalg.qr(cosine_design(DesignGrid(self.grid.points[rows]), d).T)
-        T_b = Q_b.T @ S_b
-        # y before S: the rows of Q^t S come from the design's reflections
-        # alone, in QRs of one shape, the same bits with or without data
-        Qty_b = np.zeros(d) if self._y is None else Q_b.T @ self._y[rows]
-        rows_b = np.column_stack([R_b, Qty_b, T_b])
-        self._R = (rows_b if self._R is None   # the first block's are an R factor
-                   else np.linalg.qr(np.vstack([self._R, rows_b]), mode="r"))
-        if self._residuals:
-            L = S_b - Q_b @ T_b
-            e = _exponent(L)
-            np.ldexp(L, -e, out=L)
-            top = max(e, self._L_exp)
-            self._L_gram = (np.ldexp(self._L_gram, 2 * (self._L_exp - top))
-                            + np.ldexp(L.T @ L, 2 * (e - top)))
-            self._L_exp = top
+        # y before S: T = Q^t S then has the same bits with or without data
+        # (LAPACK would skip a zero y in the last column)
+        y_b = np.zeros(len(S_b)) if self._y is None else self._y[rows]
+        G_b = cosine_design(DesignGrid(self.grid.points[rows]), d)
+        R_b = np.linalg.qr(np.column_stack([G_b.T, y_b, S_b]), mode="r")
+        self._R = (R_b if self._R is None   # the first block's is the R factor
+                   else np.linalg.qr(np.vstack([self._R, R_b]), mode="r"))
         self._folded += 1
 
     def finish(self) -> "SampledProjection":
@@ -327,34 +317,22 @@ class SampledProjection:
         return self
 
     def diagnostics(self, dims: Sequence[int]) -> IllposednessDiagnostics:
-        """``diagnostics`` of the folded operator (which needs ``residuals``).
-
-        For the stacked L_b, the orthonormal factor [X | Y] of the reduction
-        tree (X its first d columns) and E, the rows of R below the first d
-        in the columns of S, the residual of the projection on the first m
-        singular functions is L + diag(Q_b) (X (I - W_m W_m^t) T + Y E).  Its
-        Gram matrix L^t L + E^t E + n sum_{j>m} lambda_j^2 v_j v_j^t sums
-        orthogonal parts, each scaled by a power of two and added at the
-        largest, which is exact.  The design spectrum, eig(G G^t) / n, is
-        sv^2 / n for the singular values sv of the design's R factor.
-        """
-        if not self._residuals:
-            raise ParameterError("diagnostics need a pass that folds the residuals")
+        """``diagnostics`` of a finished pass without data (else DimensionError
+        or ParameterError).  The residual of the projection on the first m
+        singular functions has the orthogonal parts S - Q T and Q W_{>m} W_{>m}^t
+        T, so gamma_upper is the largest singular value of the rows lambda_j
+        v_j^t, j > m, stacked on E / sqrt(n); no sample is squared.  The design
+        spectrum, eig(G G^t) / n, is sv^2 / n for the singular values sv of the
+        design's R factor."""
+        if not hasattr(self, "singular_values"):
+            raise DimensionError("diagnostics need a finished pass")
+        if self._y is not None:
+            raise ParameterError("diagnostics need a pass that folds no data")
         dims, sv_constants = _decay_constants(self.singular_values, self.p, dims)
         n, d = self.n, self.d
-        TE = self._R[:, d + 1:]
-        e = _exponent(TE)
-        top = max(e, self._L_exp)
-        # the rows sqrt(n) lambda_j v_j^t, then E, times 2^-e: the Gram matrix
-        # of the rows from m on is the residual's beyond L^t L
-        Z = np.vstack([(math.sqrt(n) * np.ldexp(self.singular_values, -e))[:, None]
-                       * self.x_vectors.T, np.ldexp(TE[d:], -e)])
-        L_gram = np.ldexp(self._L_gram, 2 * (self._L_exp - top))
-        grams = np.empty((len(dims), d, d))
-        for gram, m in zip(grams, dims):
-            np.ldexp(Z[m:].T @ Z[m:], 2 * (e - top), out=gram)
-            gram += L_gram
-        g_up = np.ldexp(np.sqrt(np.linalg.eigvalsh(grams)[:, -1] / n), top)
+        Z = np.vstack([self.singular_values[:, None] * self.x_vectors.T,
+                       self._R[d:, d + 1:] / math.sqrt(n)])
+        g_up = np.array([np.linalg.norm(Z[m:], 2) for m in dims])
         sv = self._design_sv
         return _assess(self.singular_values, dims, sv_constants, g_up,
                        (float(sv[-1] ** 2 / n), float(sv[0] ** 2 / n)))
@@ -431,13 +409,11 @@ class IllposednessDiagnostics:
     """Operator-norm diagnostics over a ladder of nested model dimensions.
 
     gamma_upper[m] is the norm of the residual of the projection applied to
-    the operator, read off the largest eigenvalue of the residual's d x d
-    Gram matrix.
-    On the model spanned by the first m singular functions, gamma_lower[m]
-    = lambda_m is the smallest amplification of the operator and nu[m] =
-    1/lambda_m the norm of the model-wise generalized inverse.  Fitted
-    constants bracket the singular-value decay (k1 j^-p <= lambda_j <=
-    k2 j^-p) and the Gram spectrum (a1 n <= eig(G G^t) <= a2 n).
+    the operator.  On the model spanned by the first m singular functions,
+    gamma_lower[m] = lambda_m is the smallest amplification of the operator
+    and nu[m] = 1/lambda_m the norm of the model-wise generalized inverse.
+    Fitted constants bracket the singular-value decay (k1 j^-p <= lambda_j
+    <= k2 j^-p) and the Gram spectrum (a1 n <= eig(G G^t) <= a2 n).
     Violations show up as flags, never as exceptions.
     """
 

@@ -58,20 +58,23 @@ def run_synth(tmp_path, out_name="synth", cfg_text=SYNTH_CFG):
     return cfg, out
 
 
-def csvs_under_blas_threads(tmp_path, command, cfg):
-    """The CSVs that ``command`` writes from ``cfg`` in a subprocess under one
-    and under two BLAS threads, one {file name: bytes} dict per count."""
+def csvs_under_blas_threads(tmp_path, command, cfg, data=None):
+    """The CSVs and text files that ``command`` writes from ``cfg`` (and the
+    files under ``data``, if given) in a subprocess under one and under two
+    BLAS threads, one {file name: bytes} dict per count."""
     path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
                                          os.environ.get("PYTHONPATH")]))
+    extra = [] if data is None else ["--data", data]
     written = []
     for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
+        out = tmp_path / f"{command}-{'data-' if extra else ''}threads{threads}"
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
                "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
         subprocess.run([sys.executable, "-m", "invreg.cli", command,
-                        "--config", cfg, "--out", str(out)],
+                        "--config", cfg, "--out", str(out)] + extra,
                        env=env, check=True, capture_output=True)
-        written.append({f.name: f.read_bytes() for f in out.glob("*.csv")})
+        written.append({f.name: f.read_bytes() for pattern in ("*.csv", "*.txt")
+                        for f in out.glob(pattern)})
     return written
 
 
@@ -489,6 +492,20 @@ dims = 1, 2, 3
             reports.append((out / "diagnostics.txt").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_round_trip_does_not_depend_on_blas_threads(self, tmp_path):
+        # n = 30001, p = 1 (d = 32): row blocks of 1000 and 1001 points, where a
+        # BLAS product over the grid points sums in an order set by the thread
+        # count
+        cfg_text = SYNTH_CFG.replace("n = 16", "n = 30001") + TIKHONOV_SELECT
+        cfg, data = run_synth(tmp_path, cfg_text=cfg_text)
+        for command, files, extra in [("select", ["family.csv", "selection.csv",
+                                                  "summary.txt"], data),
+                                      ("diagnostics", ["diagnostics.txt"], data),
+                                      ("diagnostics", ["diagnostics.txt"], None)]:
+            one, two = csvs_under_blas_threads(tmp_path, command, cfg, extra)
+            assert sorted(one) == files
+            assert one == two, command
+
     def test_without_data_peaks_below_half_an_operator_array(self, tmp_path):
         # n = 2^15, p = 1: d = 32, and one n x d array is 8 MiB
         n, d = 1 << 15, 32
@@ -792,6 +809,30 @@ BAD_OPERATOR_DATA = {
         tmp, {"grid.csv": _clustered_grid}),
 }
 
+
+def _huge_spectrum(factor):
+    """argv of ``select --data`` with the projection family on files whose
+    operator is ``factor`` times cosine_design(grid, 16)^t j^-1 (n = 4096, the
+    midpoint grid): singular values ``factor`` / j."""
+    def argv(tmp):
+        from invreg.configio import write_csv
+        from invreg.operator import cosine_design, midpoint_grid
+        n, d = 4096, 16
+        grid = midpoint_grid(n)
+        S = cosine_design(grid, d).T * (factor / np.arange(1, d + 1))
+        y = S.sum(axis=1)
+        data = tmp / "huge"
+        data.mkdir()
+        write_csv(str(data / "grid.csv"), ["t"], grid.points[:, None])
+        write_csv(str(data / "operator.csv"), [f"phi{j}" for j in range(1, d + 1)], S)
+        write_csv(str(data / "data.csv"), ["t", "clean", "y"],
+                  np.column_stack([grid.points, y, y]))
+        sections = SELECT_SECTIONS.format(kind="projection", extra="")
+        return ["select", "--config", write_config(tmp, "sel.ini", sections),
+                "--data", str(data), "--out", str(tmp / "out")]
+    return argv
+
+
 def _as_diagnostics(argv):
     """The same ``--config``/``--data``/``--out`` run as ``diagnostics``."""
     return ["diagnostics"] + argv[1:]
@@ -806,6 +847,11 @@ BAD_DATA = {
     "overflowing y": lambda tmp: _data_argv(tmp, "data.csv", _overflowing_y),
     "data.csv not utf-8": _latin1_data,
     "data t off the grid": lambda tmp: _data_argv(tmp, "data.csv", _shift_t),
+    # 1/(n lambda_1^2) = 2.4e-318 is subnormal: the projection statistics
+    # would lose most of their digits
+    "huge spectrum": _huge_spectrum(1e157),
+    # 1/lambda_1^2 underflows to 0: every projection filter squares to 0
+    "huge spectrum zero filter": _huge_spectrum(1e300),
 }
 
 

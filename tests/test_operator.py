@@ -198,10 +198,12 @@ class TestDiscretizeOperator:
         grid = midpoint_grid(45)
         discretize_operator(rng.standard_normal((45, 6)), grid, 6)
         # steps of isqrt(45 * 6) = 16 points: blocks of 22 and 23 grid points,
-        # then the 6 x 13 rows [R_b | 0 | Q_b^t S_b] of both blocks, stacked (the
-        # zero column stands for the data, which discretize_operator has none of)
-        assert [a.shape for a in factored] == [(22, 6), (23, 6), (12, 13)]
-        assert np.array_equal(np.vstack(factored[:2]), cosine_design(grid, 6).T)
+        # each as the rows [G_b^t | 0 | S_b] (the zero column stands for the
+        # data, which discretize_operator has none of), then the 13 x 13 R
+        # factors of both blocks, stacked
+        assert [a.shape for a in factored] == [(22, 13), (23, 13), (26, 13)]
+        assert np.array_equal(np.vstack([a[:, :6] for a in factored[:2]]),
+                              cosine_design(grid, 6).T)
 
     def test_spectrum_underflowing_to_zero_is_rejected(self):
         # 2^(-1100) is below the smallest subnormal
@@ -245,9 +247,9 @@ class TestBlockedDiscretization:
         assert np.max(rel) <= 10 * np.finfo(float).eps * cond
 
 
-def _folded(S, grid, y=None, residuals=False):
+def _folded(S, grid, y=None):
     """The SampledProjection of the samples S, folded a row slice at a time."""
-    proj = SampledProjection(grid, S.shape[1], 1.0, y, residuals)
+    proj = SampledProjection(grid, S.shape[1], 1.0, y)
     for rows in proj.blocks:
         proj.fold(S[rows])
     return proj.finish()
@@ -277,7 +279,7 @@ class TestSampledProjection:
         assert len(_sampled_blocks(self.N, self.D)) == 15
         dims = range(1, self.D + 1)
         ref = diagnostics(discretize_operator(S, grid, self.D), dims)
-        got = _folded(S, grid, residuals=True).diagnostics(dims)
+        got = _folded(S, grid).diagnostics(dims)
         assert np.allclose(got.gamma_upper[:-1] / scale, ref.gamma_upper[:-1] / scale,
                            rtol=1e-13, atol=0.0)
         assert abs(got.gamma_upper[-1] - ref.gamma_upper[-1]) / scale <= 1e-12
@@ -307,14 +309,28 @@ class TestSampledProjection:
         with pytest.raises(DimensionError, match="1 of 15 row blocks"):
             proj.finish()
 
-    def test_diagnostics_need_the_residuals(self, rng):
+    def test_fold_past_the_last_block_is_a_dimension_error(self, rng):
         grid, S = self._samples(rng, "random")
-        with pytest.raises(ParameterError, match="residuals"):
-            _folded(S, grid).diagnostics([1])
+        proj = _folded(S, grid)
+        with pytest.raises(DimensionError, match="all 15 row blocks"):
+            proj.fold(S[proj.blocks[-1]])
+
+    def test_diagnostics_need_a_finished_pass(self, rng):
+        grid, S = self._samples(rng, "random")
+        proj = SampledProjection(grid, self.D)
+        for rows in proj.blocks:
+            proj.fold(S[rows])
+        with pytest.raises(DimensionError, match="finished pass"):
+            proj.diagnostics([1])
+
+    def test_diagnostics_refuse_a_pass_with_data(self, rng):
+        grid, S = self._samples(rng, "random")
+        with pytest.raises(ParameterError, match="folds no data"):
+            _folded(S, grid, y=rng.standard_normal(self.N)).diagnostics([1])
 
     def _folded_at(self, rng, n):
         grid = DesignGrid(np.sort(rng.uniform(0.0, 1.0, n)))
-        return _folded(rng.standard_normal((n, self.D)), grid, residuals=True)
+        return _folded(rng.standard_normal((n, self.D)), grid)
 
     def test_state_does_not_grow_with_the_grid(self, rng):
         # 15 and 50 row blocks leave the same arrays behind
