@@ -32,6 +32,7 @@ from .operator import (
     DesignGrid,
     SampledProjection,
     SpectralSynthetic,
+    _sampled_blocks,
     build_design_matrix,
     midpoint_grid,
 )
@@ -73,7 +74,7 @@ def _problem_from_config(cp, seed_override):
     omega = cfg_value(cp, "problem", "omega", str, "log-uniform")
     d_ext = cfg_value(cp, "problem", "d_ext", int, None)
     prob = synth_problem(p, nu, rho, n, seed, sigma, omega, d_ext)
-    # the rank cliff that SampledProjection.finish applies to the files of synth
+    # the rank cliff that SampledProjection applies to the files of synth
     if prob.lam[-1] <= RANK_RTOL * prob.lam[0]:
         raise ConfigError(f"[problem] p = {prob.p!r} is so large that the projected "
                           "operator has a numerically zero singular value")
@@ -101,9 +102,9 @@ def cmd_synth(args) -> int:
 def _operator_from_data(cp, data_dir: str, with_y: bool = False) -> SampledProjection:
     """The operator sampled in ``data_dir``, projected in one pass over its
     row blocks (``SampledProjection``): grid.csv, then with ``with_y`` the
-    ``y`` column of data.csv on the same grid, then operator.csv, read and
-    folded one row block at a time.  Any fault found in the files, or a
-    singular value whose square is not a normal double, is a data error
+    ``y`` column of data.csv on the same grid, then operator.csv, read one
+    row block at a time (``_operator_rows``).  Any fault found in the files,
+    or a singular value whose square is not a normal double, is a data error
     (exit 3)."""
     p = cfg_value(cp, "problem", "p", float, 1.0)
     if not p > 0:
@@ -120,20 +121,8 @@ def _operator_from_data(cp, data_dir: str, with_y: bool = False) -> SampledProje
             except DataError as exc:
                 data_fault = exc
         with cio.open_table(os.path.join(data_dir, "operator.csv")) as (header, take):
-            op = SampledProjection(grid, len(header), p, y)
-            count = 0
-            for rows in op.blocks:
-                S_b = take(rows.stop - rows.start)
-                count += len(S_b)
-                if count < rows.stop:
-                    break
-                op.fold(S_b)
-            else:   # rows past the grid's are counted for the message
-                while len(extra := take(op.blocks[-1].stop - op.blocks[-1].start)):
-                    count += len(extra)
-        if count != grid.n:
-            raise DataError(f"operator.csv has {count} rows, grid has {grid.n}")
-        op.finish()
+            op = SampledProjection(grid, len(header),
+                                   _operator_rows(take, grid.n, len(header)), p, y)
     except InvregError as exc:
         raise DataError(str(exc)) from exc
     lam_min = float(op.singular_values[-1])
@@ -143,6 +132,25 @@ def _operator_from_data(cp, data_dir: str, with_y: bool = False) -> SampledProje
     if data_fault is not None:
         raise data_fault
     return op
+
+
+def _operator_rows(take, n: int, d: int):
+    """The row blocks of ``_sampled_blocks(n, d)`` read from operator.csv by
+    ``take``, up to the first short block; at the end, a body of other than
+    n rows is a DataError, its rows past the grid's counted for the
+    message."""
+    count = 0
+    for rows in _sampled_blocks(n, d):
+        S_b = take(rows.stop - rows.start)
+        count += len(S_b)
+        if count < rows.stop:
+            break
+        yield S_b
+    else:
+        while len(extra := take(rows.stop - rows.start)):
+            count += len(extra)
+    if count != n:
+        raise DataError(f"operator.csv has {count} rows, grid has {n}")
 
 
 def _y_on_grid(data_dir: str, grid: DesignGrid) -> np.ndarray:
@@ -410,10 +418,7 @@ def cmd_diagnostics(args) -> int:
     else:
         # the samples synth writes to operator.csv, folded as they are formed
         prob, seed = _problem_from_config(cp, args.seed)
-        op = SampledProjection(prob.grid, prob.d, prob.p)
-        for S_b in prob.operator_blocks():
-            op.fold(S_b)
-        op.finish()
+        op = SampledProjection(prob.grid, prob.d, prob.operator_blocks(), prob.p)
     dims = cfg_list(cp, "diagnostics", "dims", int, list(range(1, op.d + 1)))
     man = cio.RunManifest("diagnostics", cio.config_echo(cp), seed, args.out).start()
     diag = op.diagnostics(dims)

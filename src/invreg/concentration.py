@@ -298,7 +298,5 @@ def moment_check(spec: QuadFormSpec, etasq, cfg: PenaltyConfig, q: int,
         raise ParameterError(f"the empirical moment of order [concentration] "
                              f"moment_q = {q} overflows at [concentration] "
                              f"sigma = {spec.noise.sigma!r}")
-    if weight <= 0.0:
-        return MomentReport(q, emp, math.nan, math.nan, weight, False)
     shape = moment_bound_shape(spec, cfg, q, weight)
-    return MomentReport(q, emp, shape, emp / shape, weight, True)
+    return MomentReport(q, emp, shape, emp / shape, weight, weight > 0.0)

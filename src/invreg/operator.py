@@ -11,11 +11,12 @@ projected map.
 
 Every blocked pass of the package walks its rows in the nearly equal
 blocks of ``_row_blocks``.  A sampled operator is projected in one pass
-over row blocks of the grid (``SampledProjection``, a tall-skinny QR of
-the rows [G^t | y | S] by a flat reduction tree: one Householder QR per
-block, whose R factor is folded into one running R factor) that keeps
-d x d state, however many blocks there are, so it can read its samples a
-block at a time and yields the singular coefficients of data and the
+over row blocks of the grid: ``SampledProjection`` is built in one call
+from an iterable of the blocks' samples, a tall-skinny QR of the rows
+[G^t | y | S] by a flat reduction tree (one Householder QR per block,
+whose R factor is folded into one running R factor).  It keeps d x d
+state, however many blocks there are, so it can read its samples a block
+at a time and yields the singular coefficients of data and the
 diagnostics without an n x d array.  ``discretize_operator`` runs the
 same pass over an array and then forms the singular design Psi, from
 which ``diagnostics`` reads the same constants in memory, the reference
@@ -248,84 +249,79 @@ class DiscretizedOperator:
         return self.x_vectors @ (f[:, None] * self.singular_design) / self.n
 
 
+def _fold_rows(R, grid: DesignGrid, rows: slice, y, S_b: np.ndarray) -> np.ndarray:
+    """The running R factor ``R`` (None before the first row block) with the
+    R factor of the block's rows [G_b^t | y_b | S_b] folded in by one QR of
+    the two stacked; y_b = 0 without data ``y``.  Its temporaries are freed
+    before the next block is read."""
+    # y before S: T = Q^t S then has the same bits with or without data
+    # (LAPACK would skip a zero y in the last column)
+    y_b = np.zeros(len(S_b)) if y is None else y[rows]
+    G_b = cosine_design(DesignGrid(grid.points[rows]), S_b.shape[1])
+    R_b = np.linalg.qr(np.column_stack([G_b.T, y_b, S_b]), mode="r")
+    return (R_b if R is None   # the first block's is the R factor
+            else np.linalg.qr(np.vstack([R, R_b]), mode="r"))
+
+
 class SampledProjection:
     """A sampled operator projected onto the cosine design of its grid in one
     pass over the row blocks of the grid (``_sampled_blocks``) that keeps one
     R factor of at most 2d + 1 rows and no n x d array.
 
-    ``fold`` takes the samples S_b of the next block and folds the R factor
-    of the block's rows [G_b^t | y_b | S_b] (y_b = 0 without data ``y``) into
-    R by one QR of the two stacked, so R is the R factor of [G^t | y | S].
-    For the orthonormal basis Q of the span of G^t, its top d rows hold the
-    design's R factor (its rank certificate and singular values), Q^t y and
-    T = Q^t S; without data its rows below d, in the columns of S, are an R
-    factor E of the residual S - Q T.  ``finish`` takes the SVD K = T / sqrt(n)
-    = W diag(lambda) V^t, signed so that the largest component of each column
-    of V is positive.  Psi = sqrt(n) (Q W)^t is the singular design, so the
-    coefficients Psi y / n of the data are W^t Q^t y / sqrt(n).  ``p`` records
-    the ill-posedness index.
+    ``samples`` yields the n_b x d samples S_b of each row block in order,
+    and the constructor folds the R factor of each block's rows
+    [G_b^t | y_b | S_b] (y_b = 0 without data ``y``) into R by one QR of the
+    two stacked, so R is the R factor of [G^t | y | S].  It pulls
+    ``samples`` to its end, and too few or too many blocks, or a misshaped
+    one, raise DimensionError.  For the orthonormal basis Q of the span of
+    G^t, the top d rows of R hold the design's R factor (its rank certificate
+    and singular values), Q^t y and T = Q^t S; without data its rows below
+    d, in the columns of S, are an R factor E of the residual S - Q T.  The
+    SVD K = T / sqrt(n) = W diag(lambda) V^t, signed so that the largest
+    component of each column of V is positive, gives ``singular_values`` and
+    ``x_vectors``.  Psi = sqrt(n) (Q W)^t is the singular design, so the
+    ``coefficients`` Psi y / n of the data are W^t Q^t y / sqrt(n).  A design
+    or operator that is numerically singular raises DegenerateDesignError or
+    RankError.  ``p`` records the ill-posedness index.
     """
 
-    def __init__(self, grid: DesignGrid, d: int, p: float = 1.0, y=None):
-        if y is not None and np.shape(y) != (grid.n,):
-            raise DimensionError(f"sample vector has length {np.size(y)}, "
-                                 f"grid has {grid.n}")
-        self.grid, self.d, self.p = grid, d, float(p)
-        self.blocks = _sampled_blocks(grid.n, d)
-        self._y, self._folded, self._R = y, 0, None
-
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
-    def fold(self, S_b: np.ndarray) -> None:
-        """Take the samples of the next row block."""
-        d, k = self.d, self._folded
-        if k == len(self.blocks):
-            raise DimensionError(f"all {k} row blocks of the samples are folded")
-        rows = self.blocks[k]
-        if S_b.shape != (rows.stop - rows.start, d):
-            raise DimensionError(f"row block {k} of the samples must be "
-                                 f"{rows.stop - rows.start} x {d}, got {S_b.shape}")
-        # y before S: T = Q^t S then has the same bits with or without data
-        # (LAPACK would skip a zero y in the last column)
-        y_b = np.zeros(len(S_b)) if self._y is None else self._y[rows]
-        G_b = cosine_design(DesignGrid(self.grid.points[rows]), d)
-        R_b = np.linalg.qr(np.column_stack([G_b.T, y_b, S_b]), mode="r")
-        self._R = (R_b if self._R is None   # the first block's is the R factor
-                   else np.linalg.qr(np.vstack([self._R, R_b]), mode="r"))
-        self._folded += 1
-
-    def finish(self) -> "SampledProjection":
-        """The singular system of the folded blocks: sets ``singular_values``,
-        ``x_vectors`` and, with data, ``coefficients``.  A design or operator
-        that is numerically singular raises DegenerateDesignError or
-        RankError."""
-        n, d, R = self.n, self.d, self._R
-        if self._folded != len(self.blocks):
-            raise DimensionError(f"{self._folded} of {len(self.blocks)} row blocks "
-                                 "of the samples were folded")
-        self._design_sv = _certify_rank(R[:d, :d])
+    def __init__(self, grid: DesignGrid, d: int, samples, p: float = 1.0, y=None):
+        n = grid.n
+        if y is not None and np.shape(y) != (n,):
+            raise DimensionError(f"sample vector has length {np.size(y)}, grid has {n}")
+        self.grid, self.d, self.p, self._y = grid, d, float(p), y
+        blocks, samples, R = _sampled_blocks(n, d), iter(samples), None
+        for k, rows in enumerate(blocks):
+            S_b = next(samples, None)
+            if S_b is None:
+                raise DimensionError(f"fewer than {len(blocks)} row blocks of samples")
+            if S_b.shape != (rows.stop - rows.start, d):
+                raise DimensionError(f"row block {k} of the samples must be "
+                                     f"{rows.stop - rows.start} x {d}, got {S_b.shape}")
+            R = _fold_rows(R, grid, rows, y, S_b)
+        if next(samples, None) is not None:
+            raise DimensionError(f"more than {len(blocks)} row blocks of samples")
+        self._R, self._design_sv = R, _certify_rank(R[:d, :d])
         W, lam, Vt = np.linalg.svd(R[:d, d + 1:] / math.sqrt(n))
         if lam[-1] <= RANK_RTOL * lam[0]:
             raise RankError("projected operator has a numerically zero singular value")
         # canonical signs: largest component of each coefficient vector positive
         signs = np.sign(Vt[range(d), np.argmax(np.abs(Vt), axis=1)])
         self._W, self.singular_values, self.x_vectors = W * signs, lam, Vt.T * signs
-        if self._y is not None:
+        if y is not None:
             self.coefficients = self._W.T @ R[:d, d] / math.sqrt(n)
-        return self
+
+    @property
+    def n(self) -> int:
+        return self.grid.n
 
     def diagnostics(self, dims: Sequence[int]) -> IllposednessDiagnostics:
-        """``diagnostics`` of a finished pass without data (else DimensionError
-        or ParameterError).  The residual of the projection on the first m
-        singular functions has the orthogonal parts S - Q T and Q W_{>m} W_{>m}^t
-        T, so gamma_upper is the largest singular value of the rows lambda_j
-        v_j^t, j > m, stacked on E / sqrt(n); no sample is squared.  The design
-        spectrum, eig(G G^t) / n, is sv^2 / n for the singular values sv of the
-        design's R factor."""
-        if not hasattr(self, "singular_values"):
-            raise DimensionError("diagnostics need a finished pass")
+        """``diagnostics`` of a pass without data (else ParameterError).  The
+        residual of the projection on the first m singular functions has the
+        orthogonal parts S - Q T and Q W_{>m} W_{>m}^t T, so gamma_upper is the
+        largest singular value of the rows lambda_j v_j^t, j > m, stacked on
+        E / sqrt(n); no sample is squared.  The design spectrum, eig(G G^t) / n,
+        is sv^2 / n for the singular values sv of the design's R factor."""
         if self._y is not None:
             raise ParameterError("diagnostics need a pass that folds no data")
         dims, sv_constants = _decay_constants(self.singular_values, self.p, dims)
@@ -376,16 +372,15 @@ def discretize_operator(op_spec, grid: DesignGrid, m0: int,
     S = np.asarray(op_spec, dtype=float)
     if S.shape != (n, m0):
         raise DimensionError(f"sample matrix must be {n} x {m0}, got {S.shape}")
-    proj = SampledProjection(grid, m0, 1.0 if p is None else p)
-    for rows in proj.blocks:
-        proj.fold(S[rows])
-    proj.finish()
+    blocks = _sampled_blocks(n, m0)
+    proj = SampledProjection(grid, m0, (S[rows] for rows in blocks),
+                             1.0 if p is None else p)
     M = math.sqrt(n) * np.linalg.solve(proj._R[:m0, :m0], proj._W).T
     Psi = np.empty((m0, n))
-    for rows in proj.blocks:
+    for rows in blocks:
         Psi[:, rows] = M @ cosine_design(DesignGrid(grid.points[rows]), m0)
     C = np.linalg.inv(np.linalg.cholesky(Psi @ Psi.T / n))
-    for rows in proj.blocks:
+    for rows in blocks:
         Psi[:, rows] = C @ Psi[:, rows]
     return DiscretizedOperator(grid, S, proj.singular_values, proj.x_vectors, Psi,
                                proj.p)

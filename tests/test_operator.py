@@ -249,10 +249,12 @@ class TestBlockedDiscretization:
 
 def _folded(S, grid, y=None):
     """The SampledProjection of the samples S, folded a row slice at a time."""
-    proj = SampledProjection(grid, S.shape[1], 1.0, y)
-    for rows in proj.blocks:
-        proj.fold(S[rows])
-    return proj.finish()
+    return SampledProjection(grid, S.shape[1], _row_slices(S, grid), 1.0, y)
+
+
+def _row_slices(S, grid):
+    """The samples S, one row block of ``_sampled_blocks`` at a time."""
+    return [S[rows] for rows in _sampled_blocks(grid.n, S.shape[1])]
 
 
 class TestSampledProjection:
@@ -302,26 +304,16 @@ class TestSampledProjection:
         # relative to the largest coefficient: a small one carries its rounding
         assert np.max(np.abs(proj.coefficients - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_finish_needs_every_block(self, rng):
+    @pytest.mark.parametrize("edit,message", [
+        (lambda blocks: blocks[:-1], "fewer than 15 row blocks"),
+        (lambda blocks: blocks + blocks[-1:], "more than 15 row blocks"),
+        (lambda blocks: [b[:, :-1] if k == 3 else b for k, b in enumerate(blocks)],
+         r"row block 3 of the samples must be \d+ x 12, got \(\d+, 11\)"),
+    ], ids=["too few", "one too many", "misshaped"])
+    def test_blocks_must_match_the_grid(self, rng, edit, message):
         grid, S = self._samples(rng, "random")
-        proj = SampledProjection(grid, self.D)
-        proj.fold(S[proj.blocks[0]])
-        with pytest.raises(DimensionError, match="1 of 15 row blocks"):
-            proj.finish()
-
-    def test_fold_past_the_last_block_is_a_dimension_error(self, rng):
-        grid, S = self._samples(rng, "random")
-        proj = _folded(S, grid)
-        with pytest.raises(DimensionError, match="all 15 row blocks"):
-            proj.fold(S[proj.blocks[-1]])
-
-    def test_diagnostics_need_a_finished_pass(self, rng):
-        grid, S = self._samples(rng, "random")
-        proj = SampledProjection(grid, self.D)
-        for rows in proj.blocks:
-            proj.fold(S[rows])
-        with pytest.raises(DimensionError, match="finished pass"):
-            proj.diagnostics([1])
+        with pytest.raises(DimensionError, match=message):
+            SampledProjection(grid, self.D, edit(_row_slices(S, grid)))
 
     def test_diagnostics_refuse_a_pass_with_data(self, rng):
         grid, S = self._samples(rng, "random")
@@ -339,9 +331,9 @@ class TestSampledProjection:
         assert held[0] == held[1]
 
     def test_diagnostics_form_no_array_of_more_than_2d_plus_1_rows(self, rng):
-        # the d x d x d Gram matrices of all dims, and else a few arrays of
-        # 2d + 1 rows; one (blocks d) x d array at n = 30000 would be 57.6 kB
-        bound = self.D ** 3 * 8 + 5 * (2 * self.D + 1) * self.D * 8
+        # a few arrays of 2d + 1 rows (12 kB at d = 12); one (blocks d) x d
+        # array at n = 30000 would be 57.6 kB
+        bound = 5 * (2 * self.D + 1) * self.D * 8
         for n in (3000, 30000):
             proj = self._folded_at(rng, n)
             tracemalloc.start()
