@@ -18,7 +18,7 @@ import numpy as np
 
 from . import concentration as conc
 from . import configio as cio
-from .configio import ConfigError, DataError, cfg_list, cfg_value
+from .configio import ConfigError, DataError, cfg_keys, cfg_list, cfg_value
 from .errors import InvregError, RankError
 from .experiments import (
     ExperimentConfig,
@@ -33,7 +33,7 @@ from .operator import (
     SampledProjection,
     SpectralSynthetic,
     _sampled_blocks,
-    build_design_matrix,
+    cosine_design,
     midpoint_grid,
 )
 from .regularizers import projection_family, tikhonov_family
@@ -69,11 +69,9 @@ def _problem_from_config(cp, seed_override):
     p = cfg_value(cp, "problem", "p", float, required=True)
     nu = cfg_value(cp, "problem", "nu", float, 0.5)
     rho = cfg_value(cp, "problem", "rho", float, 1.0)
-    sigma = cfg_value(cp, "problem", "sigma", float, 0.1)
+    kw = cfg_keys(cp, "problem", sigma=float, omega=str, d_ext=int)
     seed = _seed(cp, "problem", seed_override)
-    omega = cfg_value(cp, "problem", "omega", str, "log-uniform")
-    d_ext = cfg_value(cp, "problem", "d_ext", int, None)
-    prob = synth_problem(p, nu, rho, n, seed, sigma, omega, d_ext)
+    prob = synth_problem(p, nu, rho, n, seed, **kw)
     # the rank cliff that SampledProjection applies to the files of synth
     if prob.lam[-1] <= RANK_RTOL * prob.lam[0]:
         raise ConfigError(f"[problem] p = {prob.p!r} is so large that the projected "
@@ -166,15 +164,11 @@ def _y_on_grid(data_dir: str, grid: DesignGrid) -> np.ndarray:
 def _family_from_config(cp, op):
     kind = cfg_value(cp, "family", "kind", str, "tikhonov")
     if kind == "tikhonov":
-        return tikhonov_family(
-            op.singular_values, op.n, op.p,
-            cfg_value(cp, "family", "alpha_max", float, 1.0),
-            cfg_value(cp, "family", "ratio", float, 0.5),
-            cfg_value(cp, "family", "count", int, None),
-        )
+        return tikhonov_family(op.singular_values, op.n, op.p, **cfg_keys(
+            cp, "family", alpha_max=float, ratio=float, count=int))
     if kind == "projection":
         return projection_family(op.singular_values, op.n,
-                                 cfg_list(cp, "family", "dims", int, None))
+                                 **cfg_keys(cp, "family", dims=[int]))
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
@@ -203,13 +197,11 @@ def cmd_select(args) -> int:
     except RankError as exc:
         # a squared filter overflows on the singular values of the files
         raise DataError(f"operator.csv: {exc}") from exc
-    base = PenaltyConfig(sigma2=sigma2,
-                         r=cfg_value(cp, "penalty", "r", float, 2.5),
-                         kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0))
+    base = PenaltyConfig(sigma2, **cfg_keys(cp, "penalty", r=float, kraft_d=float))
     weights_key = cfg_value(cp, "penalty", "weights", str, "auto")
     if weights_key == "auto":
-        target = cfg_value(cp, "penalty", "kraft_target", float, 1.0)
-        w = default_weights(family, base, target=target)
+        w = default_weights(family, base, **cfg_keys(
+            cp, "penalty", target=("kraft_target", float)))
     elif weights_key == "zero":
         w = np.zeros(len(family))
     else:
@@ -250,24 +242,14 @@ def cmd_select(args) -> int:
 
 
 def _experiment_config(cp, seed_override) -> ExperimentConfig:
-    n_grid = cfg_list(cp, "experiment", "n_grid", int,
-                      [256, 512, 1024, 2048, 4096, 8192])
     return ExperimentConfig(
-        p=cfg_value(cp, "problem", "p", float, 1.0),
-        nu=cfg_value(cp, "problem", "nu", float, 0.5),
-        rho=cfg_value(cp, "problem", "rho", float, 1.0),
-        sigma=cfg_value(cp, "problem", "sigma", float, 0.1),
-        n_grid=tuple(n_grid),
-        replications=cfg_value(cp, "experiment", "replications", int, 200),
-        family=cfg_value(cp, "family", "kind", str, "both"),
-        r=cfg_value(cp, "penalty", "r", float, 2.5),
-        kraft_target=cfg_value(cp, "penalty", "kraft_target", float, 1.0),
-        kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0),
+        **cfg_keys(cp, "problem", p=float, nu=float, rho=float, sigma=float,
+                   ext_factor=int, omega=str),
+        **cfg_keys(cp, "experiment", n_grid=[int], replications=int),
+        **cfg_keys(cp, "family", family=("kind", str), alpha_max=float,
+                   alpha_ratio=("ratio", float)),
+        **cfg_keys(cp, "penalty", r=float, kraft_target=float, kraft_d=float),
         seed=_seed(cp, "experiment", seed_override),
-        alpha_max=cfg_value(cp, "family", "alpha_max", float, 1.0),
-        alpha_ratio=cfg_value(cp, "family", "ratio", float, 0.5),
-        ext_factor=cfg_value(cp, "problem", "ext_factor", int, 4),
-        omega=cfg_value(cp, "problem", "omega", str, "log-uniform"),
     )
 
 
@@ -341,10 +323,10 @@ def _concentration_matrix(token: str) -> np.ndarray:
 def cmd_concentration(args) -> int:
     cp = cio.load_config(args.config)
     seed = _seed(cp, "concentration", args.seed)
-    reps = cfg_value(cp, "concentration", "replications", int, 10_000)
-    u_count = cfg_value(cp, "concentration", "u_count", int, 8)
+    spec_kw = cfg_keys(cp, "concentration", replications=int)
+    grid_kw = cfg_keys(cp, "concentration", count=("u_count", int))
     weight = cfg_value(cp, "concentration", "weight", float, 1.0)
-    sigma = cfg_value(cp, "concentration", "sigma", float, 1.0)
+    noise = conc.GaussianNoise(**cfg_keys(cp, "concentration", sigma=float))
     moment_q = cfg_value(cp, "concentration", "moment_q", int, 1)
     tokens = cfg_value(cp, "concentration", "matrices", str,
                        "identity:4 decay:8 regularizer:4x16").split()
@@ -354,18 +336,16 @@ def cmd_concentration(args) -> int:
                           "identity_trials >= 1")
     if moment_q < 1:
         raise ConfigError(f"[concentration] moment_q = {moment_q} must be at least 1")
-    noise = conc.GaussianNoise(sigma)
-    pcfg = PenaltyConfig(sigma2=sigma ** 2,
-                         r=cfg_value(cp, "penalty", "r", float, 2.5),
-                         weights=np.array([weight]),
-                         kraft_d=cfg_value(cp, "penalty", "kraft_d", float, 1.0))
-    specs = [(token, conc.QuadFormSpec(_concentration_matrix(token), noise, reps, seed))
+    pcfg = PenaltyConfig(noise.sigma ** 2, weights=np.array([weight]),
+                         **cfg_keys(cp, "penalty", r=float, kraft_d=float))
+    specs = [(token, conc.QuadFormSpec(_concentration_matrix(token), noise,
+                                       seed=seed, **spec_kw))
              for token in tokens]
     # each matrix's u grid, tail levels and moment bound shape are checked
     # before the first draw and the output directory
     u_grids = []
     for _, spec in specs:
-        u_grids.append(conc.default_u_grid(spec, u_count))
+        u_grids.append(conc.default_u_grid(spec, **grid_kw))
         conc.tail_levels(spec, pcfg.r, weight, u_grids[-1])
         conc.moment_bound_shape(spec, pcfg, moment_q, weight)
     man = cio.RunManifest("concentration", cio.config_echo(cp), seed,
@@ -397,8 +377,8 @@ def cmd_concentration(args) -> int:
     for trial in range(trials):
         n = int(rng.integers(8, 33))
         d = int(rng.integers(1, min(n, 8) + 1))
-        G = build_design_matrix(midpoint_grid(n), d)
-        eps = rng.normal(0.0, sigma, n)
+        G = cosine_design(midpoint_grid(n), d)
+        eps = rng.normal(0.0, noise.sigma, n)
         chk = conc.projection_identity_check(eps, G, seed=trial)
         id_rows.append([trial, n, d, chk.lhs, chk.rhs, chk.gap])
     man.csv("identity.csv", ["trial", "n", "d", "lhs", "rhs", "gap"], id_rows)

@@ -75,6 +75,21 @@ def cfg_list(cp, section: str, key: str, kind=float, default=None, required=Fals
         raise ConfigError(f"bad list for [{section}] {key}: {raw!r}")
 
 
+def cfg_keys(cp, section: str, **kinds) -> dict:
+    """The typed values of the keys of ``kinds`` that ``section`` sets, as
+    keyword arguments, so that the receiver's own default stands for a key
+    left out.  ``name=kind`` reads key ``name`` and ``name=(key, kind)`` reads
+    ``key``; a kind is a type read by ``cfg_value``, or a list ``[type]`` read
+    by ``cfg_list``."""
+    found = {}
+    for name, kind in kinds.items():
+        key, kind = kind if isinstance(kind, tuple) else (name, kind)
+        if cp.has_option(section, key):
+            found[name] = (cfg_list(cp, section, key, kind[0]) if isinstance(kind, list)
+                           else cfg_value(cp, section, key, kind))
+    return found
+
+
 # ---------------------------------------------------------------------------
 # CSV
 

@@ -289,7 +289,7 @@ class SampledProjection:
         n = grid.n
         if y is not None and np.shape(y) != (n,):
             raise DimensionError(f"sample vector has length {np.size(y)}, grid has {n}")
-        self.grid, self.d, self.p, self._y = grid, d, float(p), y
+        self.grid, self.d, self.p, self._folds_data = grid, d, float(p), y is not None
         blocks, samples, R = _sampled_blocks(n, d), iter(samples), None
         for k, rows in enumerate(blocks):
             S_b = next(samples, None)
@@ -322,7 +322,7 @@ class SampledProjection:
         largest singular value of the rows lambda_j v_j^t, j > m, stacked on
         E / sqrt(n); no sample is squared.  The design spectrum, eig(G G^t) / n,
         is sv^2 / n for the singular values sv of the design's R factor."""
-        if self._y is not None:
+        if self._folds_data:
             raise ParameterError("diagnostics need a pass that folds no data")
         dims, sv_constants = _decay_constants(self.singular_values, self.p, dims)
         n, d = self.n, self.d

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -25,3 +28,19 @@ def identity_op_d4_n16():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240831)
+
+
+def library_default(holder, name):
+    """The default of field ``name`` of the dataclass ``holder``, or of
+    parameter ``name`` of the function or class ``holder``."""
+    if dataclasses.is_dataclass(holder):
+        return {f.name: f.default for f in dataclasses.fields(holder)}[name]
+    return inspect.signature(holder).parameters[name].default
+
+
+def config_text(value) -> str:
+    """``value`` as a config file writes it: a float as its repr, a tuple
+    as a comma-separated list."""
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    return repr(value) if isinstance(value, float) else str(value)

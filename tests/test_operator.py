@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -319,6 +320,17 @@ class TestSampledProjection:
         grid, S = self._samples(rng, "random")
         with pytest.raises(ParameterError, match="folds no data"):
             _folded(S, grid, y=rng.standard_normal(self.N)).diagnostics([1])
+
+    def test_pass_keeps_no_reference_to_the_data(self, rng):
+        # only a flag says that y was folded; the n floats can go
+        grid, S = self._samples(rng, "random")
+        y = rng.standard_normal(self.N)
+        held = weakref.ref(y)
+        proj = _folded(S, grid, y=y)
+        del y
+        assert held() is None
+        with pytest.raises(ParameterError, match="folds no data"):
+            proj.diagnostics([1])
 
     def _folded_at(self, rng, n):
         grid = DesignGrid(np.sort(rng.uniform(0.0, 1.0, n)))
